@@ -19,11 +19,9 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .clark import ClarkMeasure, square_clark_measure
-from .harmonic import DEFAULT_QUADRATURE, QuadratureSettings, unit_nodes
+from .harmonic import TWO_PI, DEFAULT_QUADRATURE, QuadratureSettings, unit_nodes
 from .modelspace import build_basis
 from .truncops import hankel_matrix, standard_symbol
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)

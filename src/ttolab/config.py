@@ -96,7 +96,7 @@ class DecayConfig:
 @dataclass
 class NehariConfig:
     instances: int = 50
-    multistart: int = 64
+    multistart: int = 64            # accepted for old configs; ignored
     grid_m: int = 4096
     max_degree: int = 4
     max_band: int = 3

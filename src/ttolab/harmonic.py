@@ -56,14 +56,6 @@ class QuadratureGrid:
 
     m: int
 
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.m
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return unit_nodes(self.m)
-
 
 def unit_nodes(m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Roots of unity exp(2*pi*i*j/m) for j in [start, stop)."""
@@ -291,17 +283,6 @@ class ScaledSymbol(Symbol):
 
     def eval(self, z):
         return self.scale * self.inner.eval(z)
-
-
-class FunctionSymbol(Symbol):
-    """Wrap an arbitrary vectorized callable as a symbol."""
-
-    def __init__(self, fn, label: str = ""):
-        self.fn = fn
-        self.label = label
-
-    def eval(self, z):
-        return np.asarray(self.fn(z), dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -37,23 +37,6 @@ def tm_samples(zeros, nodes) -> np.ndarray:
     return out
 
 
-class BasisElement(Symbol):
-    """Single orthonormal basis element e_k of a model space."""
-
-    def __init__(self, zeros, index: int):
-        self.zeros = tuple(zeros)
-        self.index = index
-
-    def eval(self, z):
-        z = np.asarray(z, dtype=complex)
-        lam = self.zeros[self.index]
-        out = np.full(z.shape, np.sqrt(1.0 - abs(lam) ** 2), dtype=complex)
-        out = out / (1.0 - np.conj(lam) * z)
-        for j in range(self.index):
-            out = out * _factor(self.zeros[j], z)
-        return out
-
-
 class BasisCombination(Symbol):
     """Linear combination sum_k c_k e_k, evaluated via the fast sampler."""
 
@@ -97,12 +80,6 @@ class ModelSpaceBasis:
 
     def sample(self, nodes) -> np.ndarray:
         return tm_samples(self.theta.zeros, nodes)
-
-    def element(self, k: int) -> BasisElement:
-        return BasisElement(self.theta.zeros, k)
-
-    def elements(self):
-        return [self.element(k) for k in range(self.size)]
 
     def combination(self, coeffs) -> BasisCombination:
         return BasisCombination(self.theta.zeros, coeffs)

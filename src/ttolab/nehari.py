@@ -10,14 +10,14 @@ maximization over coefficient vectors:
     dist(phi, F_Theta) = sup { |∫ phi h dm| : h in K_Theta ∩ zH^2,
                                ||h||_{L^1} <= 1 }.
 
-The ratio |∫ phi h| / ||h||_1 is maximized by projected gradient ascent
-with multi-start (the objective is smooth away from sign changes of h
-and scale-invariant); every evaluated point certifies a lower bound, so
-the reported value is labeled an estimate with a certified-lower-bound
-meaning.  A Lawson-style iteratively reweighted least squares pass
-produces primal certificates f = f1 + conj(Theta f2) for the upper
-side, and the Poisson convolution table smooths those certificates
-toward continuous near-minimizers.
+Equivalently dist = 1 / min { ||h||_1 : ∫ phi h dm = 1 }, an L^1 norm
+minimized under one affine constraint: a convex problem with a single
+global optimum, solved by iteratively reweighted least squares (IRLS).
+Every h certifies the lower bound |∫ phi h| / ||h||_1, and at the
+optimum it is the distance itself, up to grid and quadrature error.
+A Lawson-style IRLS pass produces primal certificates
+f = f1 + conj(Theta f2) for the upper side, and the Poisson convolution
+table smooths those certificates toward continuous near-minimizers.
 """
 from __future__ import annotations
 
@@ -64,76 +64,71 @@ def dual_basis(theta: BlaschkeProduct,
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Best dual value found, with the optimizer that achieved it."""
+    """Dual value of the IRLS minimizer, with the solver's step count."""
 
     value: float                # certified lower bound on the distance
-    coefficients: np.ndarray    # dual-basis coefficients of the maximizer
+    coefficients: np.ndarray    # dual-basis coefficients of the minimizer
     pairing: np.ndarray         # ∫ phi h_i dm against the dual basis
-    grid_value: float           # objective on the optimization grid
+    grid_value: float           # |c.q| / mean|h| on the optimization grid
     grid_m: int
-    starts: int
-    stagnant_starts: int        # starts that failed to move off their seed
+    starts: int                 # 1 per IRLS solve, 0 when none was needed
+    stagnant_starts: int        # always 0; kept for report compatibility
+    iterations: int             # reweighted least-squares solves
 
 
-def _objective(c, q, samples):
-    h = c @ samples
-    den = float(np.mean(np.abs(h)))
-    if den <= 0.0:
-        return 0.0
-    return float(abs(c @ q) / den)
+# IRLS smoothing floor, relative to mean|h|, and a cap on the steps that
+# only guards against a stalled iteration.
+_EPS_FLOOR = 1e-12
+_MAX_STEPS = 500
 
 
-def _ascend(c, q, samples, max_iter=200):
-    """Projected gradient ascent on |c.q| / mean|c@samples| (scale-free)."""
+def _irls_l1(q, samples):
+    """Minimize mean|c @ samples| subject to c @ q = 1 by IRLS.
+
+    Each step minimizes the weighted L2 norm sum w |h|^2 / m under the
+    constraint, with w = 1 / max(|h|, eps) from the previous h; eps
+    shrinks tenfold per step down to a floor of 1e-12 mean|h|.  The
+    problem is convex, so the iteration approaches its global minimum
+    (Daubechies-DeVore-Fornasier-Gunturk, CPAM 2010).  It stops once
+    mean|h| no longer decreases at the floor: the grid objective is flat
+    at its minimum, so a looser relative stop leaves a coefficient error
+    that the exact L1 norm off the grid sees to first order.
+    Returns c, mean|h| and the number of steps.
+    """
     m = samples.shape[1]
-    c = c / max(float(np.linalg.norm(c)), 1e-300)
-    val = _objective(c, q, samples)
-    step = 0.5
-    moved = False
-    for _ in range(max_iter):
-        ell = c @ q
+    h = (np.conj(q) / np.vdot(q, q)) @ samples
+    l1 = float(np.mean(np.abs(h)))
+    eps, floored = l1, False
+    for step in range(1, _MAX_STEPS + 1):
+        w = 1.0 / np.maximum(np.abs(h), eps)
+        a = (samples * w) @ samples.conj().T / m
+        v = np.linalg.solve(a, q)
+        c = np.conj(v / np.vdot(q, v))
         h = c @ samples
-        ah = np.maximum(np.abs(h), 1e-300)
-        den = float(ah.mean())
-        num = max(abs(ell), 1e-300)
-        grad_num = (ell / num) * np.conj(q)
-        grad_den = (samples.conj() @ (h / ah)) / m
-        grad = (grad_num * den - num * grad_den) / den**2
-        gnorm = np.linalg.norm(grad)
-        if gnorm <= 1e-15 * max(1.0, val):
+        prev, l1 = l1, float(np.mean(np.abs(h)))
+        if floored and l1 >= prev:
             break
-        improved = False
-        while step > 1e-14:
-            cand = c + step * grad
-            cand = cand / max(float(np.linalg.norm(cand)), 1e-300)
-            cand_val = _objective(cand, q, samples)
-            if cand_val > val + 1e-15:
-                c, val = cand, cand_val
-                step = min(step * 1.5, 10.0)
-                improved = True
-                moved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return c, val, moved
+        floor = _EPS_FLOOR * l1
+        floored = eps / 10.0 <= floor
+        eps = floor if floored else eps / 10.0
+    return c, l1, step
 
 
 def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
                   seed: int = 20250815, grid_m: int = 4096,
-                  quad: QuadratureSettings = DEFAULT_QUADRATURE,
-                  warm_starts=()) -> DistanceReport:
-    """Estimate dist(phi, F_theta) by the dual extremal problem.
+                  quad: QuadratureSettings = DEFAULT_QUADRATURE) -> DistanceReport:
+    """Compute dist(phi, F_theta) by the dual extremal problem.
 
-    Every candidate h yields the rigorous lower bound |∫ phi h| / ||h||_1,
-    so the maximum over all visited candidates is reported: an estimate
-    from below, exact when the ascent finds the global maximizer.  The
-    final value re-evaluates the winner's L1 norm by adaptive quadrature
-    rather than trusting the optimization grid.
+    The distance is 1 / min{ ||h||_1 : ∫ phi h = 1 } over the dual space,
+    a convex problem solved on `grid_m` nodes by one deterministic IRLS
+    run.  Every h yields the rigorous lower bound |∫ phi h| / ||h||_1;
+    the final value pairs the minimizer exactly with phi and integrates
+    its L1 norm adaptively rather than trusting the optimization grid.
+    `multistart` and `seed` are accepted for compatibility and ignored.
     """
     if theta.degree < 2:
         empty = np.zeros(0, dtype=complex)
-        return DistanceReport(0.0, empty, empty, 0.0, grid_m, 0, 0)
+        return DistanceReport(0.0, empty, empty, 0.0, grid_m, 0, 0, 0)
     dual = dual_basis(theta, quad)
 
     def pairing_sample(nodes):
@@ -144,32 +139,9 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     q = np.asarray(q, dtype=complex).ravel()
     if float(np.linalg.norm(q)) < 1e-14:
         zero = np.zeros(dual.dimension, dtype=complex)
-        return DistanceReport(0.0, zero, q, 0.0, grid_m, 0, 0)
+        return DistanceReport(0.0, zero, q, 0.0, grid_m, 0, 0, 0)
 
-    samples = dual.sample(unit_nodes(grid_m))
-    rng = np.random.default_rng(seed)
-    starts = [np.conj(q)]
-    starts.extend(np.asarray(w, dtype=complex) for w in warm_starts)
-    while len(starts) < max(multistart, 1):
-        starts.append(rng.standard_normal(dual.dimension)
-                      + 1j * rng.standard_normal(dual.dimension))
-
-    best_c, best_val = None, -1.0
-    stagnant = 0
-    for c0 in starts:
-        c, val, moved = _ascend(np.asarray(c0, dtype=complex), q, samples)
-        if not moved:
-            stagnant += 1
-        if val > best_val:
-            best_c, best_val = c, val
-    # polish the winner with shrinking random restarts around it
-    for sigma in (0.3, 0.1, 0.03, 0.01):
-        for _ in range(4):
-            noise = (rng.standard_normal(dual.dimension)
-                     + 1j * rng.standard_normal(dual.dimension))
-            c, val, _ = _ascend(best_c + sigma * noise, q, samples)
-            if val > best_val:
-                best_c, best_val = c, val
+    best_c, grid_l1, steps = _irls_l1(q, dual.sample(unit_nodes(grid_m)))
 
     # honest final value: exact pairing, adaptively integrated L1 norm
     h_best = dual.element(best_c)
@@ -183,8 +155,7 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
                                    m_start=dual.basis.m_hint)
     l1 = float(np.real(l1))
     value = float(abs(best_c @ q) / l1) if l1 > 0.0 else 0.0
-    return DistanceReport(value, best_c, q, best_val, grid_m,
-                          len(starts), stagnant)
+    return DistanceReport(value, best_c, q, 1.0 / grid_l1, grid_m, 1, 0, steps)
 
 
 @dataclass(frozen=True)
@@ -206,30 +177,15 @@ def nehari_gap(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
                slack: float = 1e-6) -> GapReport:
     """Check ||Gamma_phi|| <= dist(phi, F_{theta^2}) and report the ratio.
 
-    The top singular pair (u, v) of the Hankel matrix supplies the dual
-    element z * f_v * g_u, whose pairing with phi equals the operator
-    norm; it is passed to the optimizer as a warm start, making the
-    lower-bound inequality hold by construction up to quadrature error.
-    A violation beyond the slack is a genuine bug, hence an exception.
+    The dual distance is the global optimum of a convex problem, so the
+    inequality holds up to quadrature and solver tolerance; a violation
+    beyond the slack is a genuine bug, hence an exception.  `multistart`
+    and `seed` are passed through to `dual_distance`, which ignores them.
     """
     basis = build_basis(theta, quad)
-    gamma = hankel_matrix(phi, basis, quad)
-    norm = gamma.norm()
-
-    warm = []
-    square = theta.square()
-    if theta.degree >= 1 and norm > 1e-13:
-        u, s, vh = np.linalg.svd(gamma.entries)
-        grid = unit_nodes(grid_m)
-        f_vals = np.conj(vh[0]) @ basis.sample(grid)     # top right vector
-        g_vals = np.conj(u[:, 0]) @ basis.sample(grid)   # top left vector
-        h_vals = grid * f_vals * g_vals                  # z f g on the grid
-        dual = dual_basis(square, quad)
-        coeffs, *_ = np.linalg.lstsq(dual.sample(grid).T, h_vals, rcond=None)
-        warm.append(coeffs)
-
-    report = dual_distance(phi, square, multistart, seed, grid_m, quad,
-                           warm_starts=warm)
+    norm = hankel_matrix(phi, basis, quad).norm()
+    report = dual_distance(phi, theta.square(), multistart, seed, grid_m,
+                           quad)
     if norm > report.value + slack:
         raise NehariError(
             f"operator norm {norm:.12g} exceeds dual distance estimate "

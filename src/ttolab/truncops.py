@@ -297,6 +297,4 @@ def _combine(phi1, phi2):
         return phi2
     if phi2 is None:
         return phi1
-    if isinstance(phi1, TrigPoly) and isinstance(phi2, TrigPoly):
-        return phi1 + phi2
     return phi1 + phi2

@@ -242,9 +242,7 @@ def _suite_nehari(config: RunConfig, rng) -> tuple:
                                 config.sweep.min_zero_gap)
         phi = random_trig_poly(rng, 2)
         try:
-            gap = nehari_gap(phi, theta, multistart=12,
-                             seed=int(rng.integers(1 << 31)),
-                             grid_m=2048, quad=quad,
+            gap = nehari_gap(phi, theta, grid_m=2048, quad=quad,
                              slack=config.tolerances.nehari_slack)
         except NehariError as exc:
             raise AssertionError(str(exc)) from exc

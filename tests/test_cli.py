@@ -200,6 +200,16 @@ def test_nehari_command(tmp_path):
     assert payload["empirical_constant"] >= 1.0 - 1e-6
 
 
+def test_nehari_errors_fail_the_run(tmp_path):
+    # a quadrature cap too low for any instance: every one is an error
+    code = run(["nehari", "--set", "quadrature.m_cap=256",
+                "--set", "nehari.instances=3", "--output-dir", str(tmp_path)])
+    payload = json.loads((tmp_path / "nehari.json").read_text())
+    assert len(payload["errors"]) == 3
+    assert payload["passed"] is False
+    assert code == 1
+
+
 def test_conjecture_command(tmp_path):
     code = run(["conjecture", "--set", "conjecture.degrees=[2]",
                 "--set", "conjecture.corpus=2", "--output-dir", str(tmp_path)])

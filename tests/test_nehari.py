@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ttolab.blaschke import BlaschkeProduct
-from ttolab.corpus import random_zero_hankel_symbol
+from ttolab.config import RunConfig
+from ttolab.corpus import (random_blaschke, random_trig_poly,
+                           random_zero_hankel_symbol, spawn_rngs)
 from ttolab.harmonic import TrigPoly, boundary_mean, inner_product, unit_nodes
 from ttolab.nehari import (
     NehariError,
@@ -100,3 +102,42 @@ def test_convolution_table_trend():
 def test_convolution_radius_validated():
     with pytest.raises(ValueError):
         convolution_table(TrigPoly({-1: 1.0}), BlaschkeProduct([0, 0]), [1.5])
+
+
+def _sweep_instances(count):
+    """The leading (theta, phi) pairs of the default `ttolab nehari` sweep."""
+    config = RunConfig()
+    rngs = spawn_rngs(config.sweep.seed, ["theta", "symbol"])
+    out = []
+    for _ in range(count):
+        degree = int(rngs["theta"].integers(1, config.nehari.max_degree + 1))
+        theta = random_blaschke(rngs["theta"], degree,
+                                config.sweep.max_zero_modulus,
+                                config.sweep.min_zero_gap)
+        out.append((theta, random_trig_poly(rngs["symbol"],
+                                            config.nehari.max_band)))
+    return out
+
+
+@pytest.mark.parametrize("index", [1, 4])
+def test_dual_distance_meets_first_order_condition(index):
+    # min mean|h| subject to c.q = 1 is convex: at the minimizer the
+    # gradient conj(S) (h/|h|) / m is parallel to conj(q)
+    theta, phi = _sweep_instances(index + 1)[index]
+    square, grid_m = theta.square(), RunConfig().nehari.grid_m
+    report = dual_distance(phi, square, grid_m=grid_m)
+    samples = dual_basis(square).sample(unit_nodes(grid_m))
+    h = report.coefficients @ samples
+    g = samples.conj() @ (h / np.abs(h)) / grid_m
+    u = np.conj(report.pairing) / np.linalg.norm(report.pairing)
+    assert np.linalg.norm(g - u * np.vdot(u, g)) <= 1e-6 * np.linalg.norm(g)
+
+
+def test_dual_distance_ignores_seed_and_multistart():
+    theta, phi = _sweep_instances(2)[1]
+    a = dual_distance(phi, theta.square(), multistart=1, seed=1, grid_m=1024)
+    b = dual_distance(phi, theta.square(), multistart=64, seed=2, grid_m=1024)
+    for name in a.__dataclass_fields__:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.starts, a.stagnant_starts) == (1, 0)
+    assert 0 < a.iterations < 500
