@@ -2,14 +2,20 @@
 
 For a degree-d Blaschke product theta and a unimodular anchor alpha, the
 level set {theta = alpha} on the circle consists of exactly d points (the
-boundary phase increases strictly and winds d times).  The Clark measure
-places weight 1/|theta'| at each of them; the induced embedding of the
-model space into L2 of that measure is unitary.  Combining the
-embeddings at alpha and -alpha yields a unitary Hilbert transform with
-an explicit Cauchy-type kernel, and a commutator construction that
-reproduces truncated Hankel operators without any boundary quadrature.
-Keeping this route free of the quadrature code is the point: agreement
-of the two pipelines is the strongest end-to-end check in the package.
+boundary phase increases strictly and winds d times).  They are found
+without any grid: the continuous boundary phase has a closed form per
+zero, and one vectorised, bracket-safeguarded Newton iteration solves
+for all d atoms at once in O(d^2) memory.  The Clark measure places
+weight 1/|theta'| at each atom; the induced embedding of the model space
+into L2 of that measure is unitary.  Combining the embeddings at alpha
+and -alpha yields a unitary Hilbert transform with an explicit
+Cauchy-type kernel, and a commutator construction that reproduces
+truncated Hankel operators from values of the symbol at the atoms.
+This route shares no code with either builder of the Hankel matrix in
+`truncops` (boundary quadrature, or the compressed-shift closed form for
+trigonometric polynomials), and the cross-route check compares it with
+the quadrature builder: agreement of the two pipelines is the strongest
+end-to-end check in the package.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .harmonic import TWO_PI, QuadratureSettings, Symbol
 from .modelspace import ModelSpaceBasis
-from .truncops import OperatorMatrix, hankel_matrix
+from .truncops import OperatorMatrix, hankel_by_quadrature
 
 
 class ClarkError(RuntimeError):
@@ -52,21 +58,38 @@ class ClarkMeasure:
         }
 
 
-def _phase_targets(theta: BlaschkeProduct, alpha: complex, n: int):
-    """Grid arguments of theta * conj(alpha) for crossing detection."""
-    t = TWO_PI * np.arange(n) / n
-    vals = theta(np.exp(1j * t)) * np.conj(alpha)
-    return t, np.angle(vals)
+_NEWTON_CAP = 200
 
 
-def clark_measure(theta: BlaschkeProduct, alpha: complex,
-                  phase_tol: float = 1e-14) -> ClarkMeasure:
+def _boundary_phase(zeros, t):
+    """Continuous boundary phase of the zero factors at angles t and its
+    derivative |theta'|, each of shape t.shape.
+
+    A zero lam = r e^{i beta} contributes
+    t + pi - beta - 2 atan2(-r sin(t - beta), (1 - r) + 2 r sin^2((t - beta)/2))
+    (t alone when r = 0) and (1 - r)(1 + r) / ((1 - r)^2 + 4 r sin^2((t - beta)/2))
+    to the derivative; neither form cancels as r -> 1.
+    """
+    lam = np.asarray(zeros, dtype=complex)
+    r, beta = np.abs(lam), np.angle(lam)
+    offset = float(np.sum(np.where(r > 0, np.pi - beta, 0.0)))
+    u = t[..., None] - beta
+    half = np.sin(0.5 * u) ** 2
+    arg = np.arctan2(-r * np.sin(u), (1.0 - r) + 2.0 * r * half)
+    phase = lam.size * t + offset - 2.0 * np.sum(arg, axis=-1)
+    speed = np.sum((1.0 - r) * (1.0 + r) / ((1.0 - r) ** 2 + 4.0 * r * half), axis=-1)
+    return phase, speed
+
+
+def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     """Solve theta(xi) = alpha on the circle and attach weights 1/|theta'|.
 
-    The boundary phase of theta is strictly increasing, so each of the d
-    solutions is isolated; they are bracketed on a grid fine enough that
-    the phase moves less than pi per cell, then polished by Newton steps
-    on the principal argument (the phase derivative is |theta'| > 0).
+    The continuous boundary phase Phi(t) of theta increases strictly by
+    2 pi d over [0, 2 pi), so the level set consists of the d solutions of
+    Phi(t) = arg(alpha) + 2 pi j in that interval.  All d are found at
+    once by Newton steps on Phi (whose derivative is |theta'| > 0), each
+    kept inside its own bracket by bisection, until every step is within
+    two ulp of 2 pi.  Memory is O(d^2) however close the zeros lie to T.
     """
     d = theta.degree
     if d == 0:
@@ -76,45 +99,38 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex,
         raise ClarkError("anchor must be unimodular")
     alpha /= abs(alpha)
 
-    speed_cap = sum((1.0 + abs(l)) / (1.0 - abs(l)) for l in theta.zeros)
-    n = 512
-    while n < 8 * speed_cap or n < 16 * d:
-        n *= 2
-
-    for _ in range(6):
-        t, args = _phase_targets(theta, alpha, n)
-        nxt = np.roll(args, -1)
-        crossing = (args <= 0.0) & (nxt > 0.0)
-        idx = np.nonzero(crossing)[0]
-        if len(idx) == d:
+    zeros = theta.zeros
+    start = float(_boundary_phase(zeros, np.zeros(1))[0][0])
+    # theta = alpha where the zero factors' phase is arg(alpha) - arg(gamma)
+    # mod 2 pi; the targets lie in [Phi(0), Phi(0) + 2 pi d), so every root
+    # lies in [0, 2 pi]
+    base = float(np.angle(alpha) - np.angle(theta.gamma))
+    targets = base + TWO_PI * (np.ceil((start - base) / TWO_PI) + np.arange(d))
+    lo, hi = np.zeros(d), np.full(d, TWO_PI)
+    t = (targets - start) / d
+    active = np.ones(d, dtype=bool)
+    tiny = 2.0 * np.spacing(TWO_PI)
+    for _ in range(_NEWTON_CAP):
+        phase, speed = _boundary_phase(zeros, t)
+        err = phase - targets
+        lo = np.where(err < 0.0, t, lo)
+        hi = np.where(err > 0.0, t, hi)
+        step = -err / speed
+        outside = (t + step <= lo) | (t + step >= hi)
+        step = np.where(outside & (err != 0.0), 0.5 * (lo + hi) - t, step)
+        step = np.where(active, step, 0.0)
+        t = t + step
+        active &= np.abs(step) > tiny
+        if not active.any():
             break
-        n *= 2  # brackets were too coarse (phase jumped past a crossing)
     else:
-        raise ClarkError(f"found {len(idx)} phase crossings, expected {d}")
+        raise ClarkError(f"boundary phase Newton did not settle {int(active.sum())} "
+                         f"of {d} roots in {_NEWTON_CAP} steps")
 
-    step = TWO_PI / n
-    roots = np.empty(d)
-    for out, j in enumerate(idx):
-        a0, a1 = args[j], args[(j + 1) % n]
-        lo, hi = t[j], t[j] + step
-        # linear interpolation start, then Newton on the principal argument,
-        # bisecting whenever a step would leave the bracket
-        tt = lo + step * (-a0) / (a1 - a0)
-        for _ in range(80):
-            err = float(np.angle(theta(np.exp(1j * tt)) * np.conj(alpha)))
-            if abs(err) <= phase_tol:
-                break
-            if err > 0.0:
-                hi = tt
-            else:
-                lo = tt
-            speed = float(theta.boundary_derivative_modulus(np.exp(1j * tt)))
-            proposal = tt - err / speed
-            tt = proposal if lo < proposal < hi else 0.5 * (lo + hi)
-        roots[out] = tt % TWO_PI
-
-    order = np.argsort(roots)
-    atoms = np.exp(1j * roots[order])
+    roots = np.sort(np.mod(t, TWO_PI))
+    if not np.all(np.diff(roots) > 0.0):
+        raise ClarkError("atoms collide: zeros too close to the circle for double precision")
+    atoms = np.exp(1j * roots)
     weights = 1.0 / theta.boundary_derivative_modulus(atoms)
     return ClarkMeasure(alpha, atoms, weights)
 
@@ -296,7 +312,7 @@ def cross_route_equivalence(phi: Symbol, basis: ModelSpaceBasis, alpha: complex,
     matrices must agree entrywise.
     """
     theta = basis.theta
-    gamma = hankel_matrix(phi, basis, quad)
+    gamma = hankel_by_quadrature(phi, basis, quad)
 
     plus = clark_measure(theta, alpha)
     minus = clark_measure(theta, -complex(alpha))

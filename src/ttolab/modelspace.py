@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, _factor
+from .blaschke import BlaschkeProduct
 from .harmonic import (DEFAULT_QUADRATURE, QuadratureSettings, Symbol,
                        adaptive_boundary_mean, matrix_integral)
 
@@ -24,17 +24,51 @@ class ModelSpaceError(RuntimeError):
 def tm_samples(zeros, nodes) -> np.ndarray:
     """Sample all basis elements at once: out[k] = e_k(nodes).
 
-    Uses a running product of Blaschke factors, O(d * n) total.
+    One division per zero, O(d * n) total: q = running / (1 - conj(lam) z)
+    serves both e_k = s_k q and the update running <- (|lam|/lam) (lam - z) q
+    by the zero's Blaschke factor.  A zero at the origin has e_k = running
+    and factor z.
     """
     nodes = np.asarray(nodes, dtype=complex)
     d = len(zeros)
     out = np.empty((d,) + nodes.shape, dtype=complex)
     running = np.ones_like(nodes)
+    q = np.empty_like(nodes)
     for k, lam in enumerate(zeros):
-        scale = np.sqrt(1.0 - abs(lam) ** 2)
-        out[k] = scale / (1.0 - np.conj(lam) * nodes) * running
-        running = running * _factor(lam, nodes)
+        lam = complex(lam)
+        if lam == 0:
+            out[k] = running
+            running *= nodes
+            continue
+        np.multiply(nodes, -lam.conjugate(), out=q)
+        q += 1.0
+        np.divide(running, q, out=q)
+        np.multiply(q, (1.0 - abs(lam) ** 2) ** 0.5, out=out[k, ...])
+        np.subtract(lam, nodes, out=running)
+        running *= q
+        running *= abs(lam) / lam
     return out
+
+
+def compressed_shift(zeros) -> np.ndarray:
+    """Matrix of the compressed shift S_theta = A_z in the basis {e_k}.
+
+    With s = sqrt(1 - |lam|^2): S[k, k] = lam_k and, for j > k,
+    S[j, k] = s_j s_k u_k prod_{k<l<j} |lam_l| with u_k = -lam_k/|lam_k|
+    (u_k = 1 when lam_k = 0, where the Blaschke factor is z itself).
+    The matrix is lower triangular; no quadrature is involved.
+    """
+    lam = np.asarray(zeros, dtype=complex).reshape(-1)
+    d = lam.size
+    mod = np.abs(lam)
+    s = np.sqrt(1.0 - mod**2)
+    u = np.where(mod > 0, -np.exp(1j * np.angle(lam)), 1.0)
+    shift = np.diag(lam)
+    for k in range(d - 1):
+        # prod_{k<l<j} |lam_l| for j = k+1 .. d-1
+        gaps = np.concatenate(([1.0], np.cumprod(mod[k + 1:d - 1])))
+        shift[k + 1:, k] = s[k + 1:] * (s[k] * u[k]) * gaps
+    return shift
 
 
 class BasisCombination(Symbol):

@@ -19,7 +19,7 @@ from .harmonic import (DEFAULT_QUADRATURE, ConjSymbol, QuadratureSettings,
                        adaptive_boundary_mean, matrix_integral,
                        poisson_extension, unit_nodes)
 from .modelspace import (BasisCombination, ConjugateKernel, ModelSpaceBasis,
-                         build_basis, conjugate_kernel,
+                         build_basis, compressed_shift, conjugate_kernel,
                          vanishing_at_origin_subspace)
 
 
@@ -98,9 +98,31 @@ def toeplitz_matrix(phi: Symbol, basis: ModelSpaceBasis,
                     quad: QuadratureSettings | None = None) -> OperatorMatrix:
     """Matrix of the truncated Toeplitz operator of phi on the model space.
 
-    Entry (j, k) is the inner product of phi * e_k against e_j; the
-    integrals are evaluated together by adaptive quadrature.
+    A trigonometric polynomial is compressed in closed form,
+    A_phi = sum_{k>=0} c_k S^k + sum_{k>0} c_{-k} (S^*)^k with S the
+    compressed shift; every other symbol goes through
+    `toeplitz_by_quadrature`.
     """
+    if not isinstance(phi, TrigPoly):
+        return toeplitz_by_quadrature(phi, basis, quad)
+    shift = compressed_shift(basis.theta.zeros)
+    entries = np.zeros_like(shift)
+    power = np.eye(basis.size, dtype=complex)
+    for k in range(phi.band + 1):
+        entries += phi.coeffs.get(k, 0.0) * power
+        if k:
+            entries += phi.coeffs.get(-k, 0.0) * power.conj().T
+        power = shift @ power
+    tag = basis.space_tag()
+    return OperatorMatrix(entries, tag, tag, "toeplitz:compressed-shift")
+
+
+def toeplitz_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
+                           quad: QuadratureSettings | None = None) -> OperatorMatrix:
+    """Toeplitz matrix with entry (j, k) the inner product of phi * e_k
+    against e_j, the integrals evaluated together by adaptive quadrature.
+    Works for any bounded symbol and is the independent check on the
+    closed form."""
     quad = quad or basis.quad
     entries, _ = matrix_integral(basis.sample, basis.sample, phi, quad,
                                  m_start=basis.m_hint)
@@ -123,7 +145,34 @@ def hankel_matrix(phi: Symbol, basis: ModelSpaceBasis,
 
     The operator sends the model space into conj(z * K); in the bases
     {e_k} -> {conj(z e_j)} the entry (j, k) is int phi e_k z e_j dm.
+    For a trigonometric polynomial that is sum_m c_{-m} times the
+    coefficient of z^{m-1} in e_j e_k, assembled in closed form from the
+    Taylor coefficients t_n = conj(S^n k_0) of the basis (k_0 holds
+    conj(e_j(0)), the projection of 1); every other symbol goes through
+    `hankel_by_quadrature`.
     """
+    if not isinstance(phi, TrigPoly):
+        return hankel_by_quadrature(phi, basis, quad)
+    depth = max(0, -min(phi.coeffs, default=0))
+    shift = compressed_shift(basis.theta.zeros)
+    column = np.conj(basis.sample(np.zeros(1, dtype=complex))[:, 0])  # k_0
+    taylor = np.empty((depth, basis.size), dtype=complex)
+    for n in range(depth):
+        taylor[n] = np.conj(column)
+        column = shift @ column
+    # Gamma = T^T H T with the coefficient Hankel matrix H[a, b] = c_{-(a+b+1)}
+    coeffs = np.array([[phi.coeffs.get(-(a + b + 1), 0.0) for b in range(depth)]
+                       for a in range(depth)], dtype=complex).reshape(depth, depth)
+    entries = taylor.T @ coeffs @ taylor
+    return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
+                          "hankel:compressed-shift")
+
+
+def hankel_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
+                         quad: QuadratureSettings | None = None) -> OperatorMatrix:
+    """Hankel matrix with entry (j, k) = int phi e_k z e_j dm evaluated by
+    adaptive quadrature.  Works for any bounded symbol and is the
+    independent check on the closed form."""
     quad = quad or basis.quad
     entries, _ = matrix_integral(_conjugate_row_sample(basis), basis.sample,
                                  phi, quad, m_start=basis.m_hint)

@@ -25,8 +25,10 @@ from .harmonic import boundary_norm, inner_product
 from .modelspace import build_basis, conjugate_kernel, reproducing_kernel
 from .nehari import NehariError, nehari_gap
 from .spectra import matched_distance
-from .truncops import (hankel_matrix, hankel_toeplitz_defect, rank_one_matrix,
-                       rank_one_symbol, standard_symbol, toeplitz_matrix,
+from .truncops import (hankel_by_quadrature, hankel_matrix,
+                       hankel_toeplitz_defect, rank_one_matrix,
+                       rank_one_symbol, standard_symbol,
+                       toeplitz_by_quadrature, toeplitz_matrix,
                        zero_symbol_test)
 
 
@@ -88,8 +90,11 @@ def _suite_toeplitz_algebra(config: RunConfig, rng) -> tuple:
         basis = build_basis(theta, quad)
         f = random_trig_poly(rng, 2, analytic=True)
         g = random_trig_poly(rng, 2, analytic=True)
-        lhs = toeplitz_matrix(f * g, basis, quad)
-        rhs = toeplitz_matrix(f, basis, quad) @ toeplitz_matrix(g, basis, quad)
+        # by quadrature: the closed form is a polynomial in S and would
+        # make this identity hold by construction
+        lhs = toeplitz_by_quadrature(f * g, basis, quad)
+        rhs = (toeplitz_by_quadrature(f, basis, quad)
+               @ toeplitz_by_quadrature(g, basis, quad))
         worst = max(worst, float(np.max(np.abs(lhs.entries - rhs.entries))))
         n += 1
     return worst, n, "multiplicativity of compressions of analytic symbols"
@@ -207,11 +212,33 @@ def _suite_spectral_mapping(config: RunConfig, rng) -> tuple:
                                 config.sweep.min_zero_gap)
         basis = build_basis(theta, quad)
         phi = random_trig_poly(rng, 3, analytic=True)
-        eigs = np.linalg.eigvals(toeplitz_matrix(phi, basis, quad).entries)
+        # by quadrature: the closed form phi(S) is triangular with diagonal
+        # phi(zeros), which would make this check a tautology
+        eigs = np.linalg.eigvals(toeplitz_by_quadrature(phi, basis, quad).entries)
         targets = np.asarray(phi(np.asarray(theta.zeros)), dtype=complex)
         worst = max(worst, matched_distance(eigs, targets))
         n += 1
     return worst, n, "eigenvalues of analytic compressions vs symbol at zeros"
+
+
+def _suite_compressed_shift(config: RunConfig, rng) -> tuple:
+    quad = config.quadrature.settings()
+    worst, n = 0.0, 0
+    for degree in (1, 2, 3, 4, 5, 6):
+        zeros = list(random_blaschke(rng, degree, config.sweep.max_zero_modulus,
+                                     config.sweep.min_zero_gap).zeros)
+        if degree == 2:
+            zeros[0] = 0.0           # the factor z
+        elif degree == 3:
+            zeros[2] = zeros[0]      # a repeated zero
+        basis = build_basis(BlaschkeProduct(zeros), quad)
+        phi = random_trig_poly(rng, 4)
+        for closed, integrated in ((toeplitz_matrix, toeplitz_by_quadrature),
+                                   (hankel_matrix, hankel_by_quadrature)):
+            diff = closed(phi, basis).entries - integrated(phi, basis, quad).entries
+            worst = max(worst, float(np.max(np.abs(diff))))
+            n += 1
+    return worst, n, "compressed-shift closed form vs quadrature for A and Gamma"
 
 
 def _suite_standard_symbol(config: RunConfig, rng) -> tuple:
@@ -264,6 +291,7 @@ _SUITES = [
     ("spectral-mapping", _suite_spectral_mapping, "spectral"),
     ("standard-symbol", _suite_standard_symbol, "identity"),
     ("nehari-bound", _suite_nehari, "nehari_slack"),
+    ("compressed-shift-route", _suite_compressed_shift, "identity"),
 ]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,36 @@ def test_cross_route_equivalence(rng):
     assert report.deviation < 1e-10
     assert report.singular_gap < 1e-10
     assert report.embedding_defect < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+def test_boundary_family_in_bounded_memory(alpha, interior_points):
+    # zeros 1 - 2^-k, k = 1..18: |theta'| reaches 2^19 near the last zero
+    theta = BlaschkeProduct([1.0 - 2.0**-k for k in range(1, 19)])
+    tracemalloc.start()
+    try:
+        mu = clark_measure(theta, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert len(mu.atoms) == theta.degree
+    assert np.max(np.abs(theta(mu.atoms) - alpha)) < 1e-8
+    assert abs(mu.mass - expected_mass(theta, alpha)) < 1e-8
+    assert poisson_identity_defect(mu, theta, interior_points) < 1e-8
+
+
+def test_roots_at_origin_and_rotated_constant():
+    theta = BlaschkeProduct([0.0, 0.0, 0.6, -0.3j], gamma=np.exp(2.1j))
+    mu = clark_measure(theta, ALPHA)
+    assert len(mu.atoms) == theta.degree
+    assert np.all(np.diff(np.mod(np.angle(mu.atoms), 2 * np.pi)) > 0)
+    assert np.max(np.abs(theta(mu.atoms) - ALPHA)) < 1e-12
+    assert abs(mu.mass - expected_mass(theta, ALPHA)) < 1e-12
+
+
+def test_unresolvable_atoms_fail_loudly():
+    # forty zeros 2^-52 from the circle put the level set inside a few ulp of angle
+    theta = BlaschkeProduct([(1.0 - 2.0**-52) * 1j] * 40)
+    with pytest.raises(ClarkError):
+        clark_measure(theta, 1.0)

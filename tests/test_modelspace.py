@@ -8,6 +8,7 @@ from ttolab.modelspace import (
     build_basis,
     conjugate_kernel,
     reproducing_kernel,
+    tm_samples,
     vanishing_at_origin_subspace,
 )
 
@@ -32,6 +33,23 @@ def test_monomial_basis_is_power_basis():
     nodes = unit_nodes(8)
     for j in range(3):
         assert np.allclose(basis.combination(np.eye(3)[j])(nodes), nodes**j)
+
+
+def test_sampler_matches_direct_formula(rng):
+    # e_k = s_k / (1 - conj(lam_k) z) * prod_{l<k} b_l, with a zero at the
+    # origin and one 2^-16 from the circle
+    zeros = [0.3 - 0.2j, 0.0, (1 - 2.0**-16) * np.exp(0.7j), -0.5j, 0.0, 0.9]
+    inside = 0.95 * np.sqrt(rng.uniform(size=64)) * np.exp(2j * np.pi * rng.uniform(size=64))
+    near = np.exp(1j * (0.7 + np.linspace(-1e-4, 1e-4, 33)))
+    nodes = np.concatenate([inside, unit_nodes(64), near, [0.0]])
+    got = tm_samples(zeros, nodes)
+    # rounding in 1 - conj(lam) z is amplified by |lam z| / |1 - conj(lam) z|
+    cond = 1.0 + sum(np.abs(lam * nodes) / np.abs(1 - np.conj(lam) * nodes) for lam in zeros)
+    for k, lam in enumerate(zeros):
+        direct = (np.sqrt(1 - abs(lam) ** 2) / (1 - np.conj(lam) * nodes)
+                  * BlaschkeProduct(zeros[:k])(nodes))
+        bound = 4 * len(zeros) * np.finfo(float).eps * cond * np.abs(direct)
+        assert np.all(np.abs(got[k] - direct) <= bound)
 
 
 def test_basis_size_matches_degree():

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttolab.blaschke import BlaschkeProduct
-from ttolab.harmonic import TrigPoly
+from ttolab.harmonic import RationalSymbol, TrigPoly
 from ttolab.modelspace import build_basis, conjugate_kernel
 from ttolab.truncops import (
+    hankel_by_quadrature,
     hankel_matrix,
     hankel_toeplitz_defect,
     rank_one_matrix,
     rank_one_symbol,
     standard_symbol,
+    toeplitz_by_quadrature,
     toeplitz_matrix,
     zero_symbol_test,
 )
@@ -55,23 +59,70 @@ def test_hankel_matches_symbol_coefficients(power_basis):
     assert np.max(np.abs(mat.entries - classical_hankel(phi, 4))) < 1e-12
 
 
+# degenerate zero sets: the origin, repeats, and moduli up to 0.99
+_ZERO = st.one_of(
+    st.just(0j),
+    st.builds(lambda r, t: r * np.exp(1j * t),
+              st.floats(0.01, 0.99), st.floats(0.0, 2 * np.pi)))
+
+
+@st.composite
+def _zero_sets(draw):
+    zeros = draw(st.lists(_ZERO, min_size=1, max_size=5))
+    repeats = draw(st.lists(st.integers(0, len(zeros) - 1), max_size=2))
+    return zeros + [zeros[i] for i in repeats]
+
+
+_COEFF = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(zeros=_zero_sets(),
+       coeffs=st.dictionaries(st.integers(-4, 4), _COEFF, min_size=1, max_size=6))
+def test_closed_form_matches_quadrature(zeros, coeffs):
+    basis = build_basis(BlaschkeProduct(zeros))
+    phi = TrigPoly(coeffs)
+    for closed, integrated in ((toeplitz_matrix, toeplitz_by_quadrature),
+                               (hankel_matrix, hankel_by_quadrature)):
+        a = closed(phi, basis).entries
+        b = integrated(phi, basis).entries
+        assert np.max(np.abs(a - b)) < 1e-11
+
+
+def test_route_follows_symbol_type(generic_basis):
+    poly = TrigPoly({-2: 1.0, 1: 0.5j})
+    assert toeplitz_matrix(poly, generic_basis).provenance == "toeplitz:compressed-shift"
+    assert hankel_matrix(poly, generic_basis).provenance == "hankel:compressed-shift"
+    rational = RationalSymbol(TrigPoly.one(), TrigPoly({0: 2.0, 1: -1.0}))
+    for phi in (rational, generic_basis.theta * poly, poly.conj() * rational):
+        assert toeplitz_matrix(phi, generic_basis).provenance == "toeplitz:boundary-quadrature"
+        assert hankel_matrix(phi, generic_basis).provenance == "hankel:boundary-quadrature"
+    assert toeplitz_by_quadrature(poly, generic_basis).provenance == \
+        "toeplitz:boundary-quadrature"
+    assert hankel_by_quadrature(poly, generic_basis).provenance == \
+        "hankel:boundary-quadrature"
+
+
 def test_hankel_kills_analytic_part(power_basis):
     phi = TrigPoly({0: 5.0, 1: -2.0, 3: 1.0j})
     assert hankel_matrix(phi, power_basis).norm() < 1e-12
 
 
 def test_analytic_multiplicativity(generic_basis):
+    # by quadrature: the closed form is a polynomial in S, multiplicative by construction
     f = TrigPoly({0: 1.0, 1: -0.5j})
     g = TrigPoly({1: 2.0, 2: 0.3})
-    left = toeplitz_matrix(f * g, generic_basis)
-    right = toeplitz_matrix(f, generic_basis) @ toeplitz_matrix(g, generic_basis)
+    left = toeplitz_by_quadrature(f * g, generic_basis)
+    right = (toeplitz_by_quadrature(f, generic_basis)
+             @ toeplitz_by_quadrature(g, generic_basis))
     assert np.max(np.abs(left.entries - right.entries)) < 1e-10
 
 
 def test_toeplitz_adjoint_symbol(generic_basis):
+    # by quadrature: the closed form builds A_conj(phi) as the adjoint by construction
     phi = TrigPoly({-1: 1.0j, 2: 0.5})
-    a = toeplitz_matrix(phi, generic_basis)
-    b = toeplitz_matrix(phi.conjugate(), generic_basis)
+    a = toeplitz_by_quadrature(phi, generic_basis)
+    b = toeplitz_by_quadrature(phi.conjugate(), generic_basis)
     assert np.max(np.abs(a.adjoint().entries - b.entries)) < 1e-10
 
 
