@@ -8,6 +8,7 @@ the origin once per zero.
 """
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -18,16 +19,21 @@ from .harmonic import Symbol, TWO_PI
 
 
 def _factor(lam: complex, z):
-    """Normalized Blaschke factor for one zero (z itself when lam = 0)."""
+    """Normalized Blaschke factor for one zero (z itself when lam = 0).
+
+    The normalising phase is e^{-i arg lam}, not |lam|/lam, which is not
+    unimodular when lam is subnormal.
+    """
     if lam == 0:
         return np.asarray(z, dtype=complex)
-    return (abs(lam) / lam) * (lam - z) / (1.0 - np.conj(lam) * z)
+    return cmath.rect(1.0, -cmath.phase(lam)) * (lam - z) / (1.0 - np.conj(lam) * z)
 
 
 def _factor_derivative(lam: complex, z):
     if lam == 0:
         return np.ones(np.shape(z), dtype=complex)
-    return (abs(lam) / lam) * (abs(lam) ** 2 - 1.0) / (1.0 - np.conj(lam) * z) ** 2
+    unit = cmath.rect(1.0, -cmath.phase(lam))
+    return unit * (abs(lam) ** 2 - 1.0) / (1.0 - np.conj(lam) * z) ** 2
 
 
 class BlaschkeProduct(Symbol):

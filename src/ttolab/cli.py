@@ -163,7 +163,7 @@ def cmd_basis(args) -> int:
         "degree": theta.degree,
         "space": basis.space_tag(),
         "gram_defect": basis.gram_defect,
-        "grid_m": basis.grid.m if basis.grid else 0,
+        "gram_rule": "clark-eigen",
     }
     _emit(args, out / "basis.json", payload)
     return 0

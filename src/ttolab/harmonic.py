@@ -154,6 +154,15 @@ class TrigPoly(Symbol):
             out += c * z**k
         return out
 
+    def poisson(self, z: complex) -> complex:
+        """Harmonic (Poisson) extension to |z| < 1 in closed form:
+        sum_{k>=0} c_k z^k + sum_{k<0} c_k conj(z)^|k|."""
+        z = complex(z)
+        if not abs(z) < 1:
+            raise ValueError("Poisson extension needs |z| < 1")
+        return complex(sum(c * (z**k if k >= 0 else z.conjugate() ** -k)
+                           for k, c in self.coeffs.items()))
+
     def conjugate(self) -> "TrigPoly":
         """Structure-preserving conjugate on T: c_k -> conj(c_{-k})."""
         return TrigPoly({-k: np.conj(c) for k, c in self.coeffs.items()})
@@ -380,8 +389,7 @@ def fourier_coefficient(f: Symbol, k: int, quad: QuadratureSettings = DEFAULT_QU
     return complex(val)
 
 
-def matrix_integral(row_sample, col_sample, weight, quad: QuadratureSettings = DEFAULT_QUADRATURE,
-                    m_start: int | None = None):
+def matrix_integral(row_sample, col_sample, weight, quad: QuadratureSettings = DEFAULT_QUADRATURE):
     """Matrix of integrals G[j, k] = int conj(r_j) * w * c_k dm.
 
     row_sample(nodes) -> (n_rows, n) samples of the row family,
@@ -405,11 +413,15 @@ def matrix_integral(row_sample, col_sample, weight, quad: QuadratureSettings = D
             total = part if total is None else total + part
         return total / m
 
-    return _adaptive_levels(level, quad, m_start)
+    return _adaptive_levels(level, quad)
 
 
 def poisson_extension(f: Symbol, z: complex, quad: QuadratureSettings = DEFAULT_QUADRATURE) -> complex:
-    """Harmonic extension of boundary values of f to |z| < 1."""
+    """Harmonic extension of boundary values of f to |z| < 1: in closed
+    form for a trig polynomial, by adaptive quadrature of the Poisson
+    integral for every other symbol."""
+    if isinstance(f, TrigPoly):
+        return f.poisson(z)
     z = complex(z)
     if not abs(z) < 1:
         raise ValueError("Poisson extension needs |z| < 1")

@@ -10,11 +10,13 @@ elements evaluate anywhere on it.
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .harmonic import (DEFAULT_QUADRATURE, QuadratureSettings, Symbol,
-                       adaptive_boundary_mean, matrix_integral)
+                       adaptive_boundary_mean)
 
 
 class ModelSpaceError(RuntimeError):
@@ -25,9 +27,10 @@ def tm_samples(zeros, nodes) -> np.ndarray:
     """Sample all basis elements at once: out[k] = e_k(nodes).
 
     One division per zero, O(d * n) total: q = running / (1 - conj(lam) z)
-    serves both e_k = s_k q and the update running <- (|lam|/lam) (lam - z) q
-    by the zero's Blaschke factor.  A zero at the origin has e_k = running
-    and factor z.
+    serves both e_k = s_k q and the update running <- e^{-i arg lam} (lam - z) q
+    by the zero's Blaschke factor (the phase is unimodular even for a
+    subnormal lam, where |lam|/lam is not).  A zero at the origin has
+    e_k = running and factor z.
     """
     nodes = np.asarray(nodes, dtype=complex)
     d = len(zeros)
@@ -46,7 +49,7 @@ def tm_samples(zeros, nodes) -> np.ndarray:
         np.multiply(q, (1.0 - abs(lam) ** 2) ** 0.5, out=out[k, ...])
         np.subtract(lam, nodes, out=running)
         running *= q
-        running *= abs(lam) / lam
+        running *= cmath.rect(1.0, -cmath.phase(lam))
     return out
 
 
@@ -59,16 +62,35 @@ def compressed_shift(zeros) -> np.ndarray:
     The matrix is lower triangular; no quadrature is involved.
     """
     lam = np.asarray(zeros, dtype=complex).reshape(-1)
-    d = lam.size
     mod = np.abs(lam)
     s = np.sqrt(1.0 - mod**2)
     u = np.where(mod > 0, -np.exp(1j * np.angle(lam)), 1.0)
-    shift = np.diag(lam)
-    for k in range(d - 1):
-        # prod_{k<l<j} |lam_l| for j = k+1 .. d-1
-        gaps = np.concatenate(([1.0], np.cumprod(mod[k + 1:d - 1])))
-        shift[k + 1:, k] = s[k + 1:] * (s[k] * u[k]) * gaps
-    return shift
+    k = np.arange(lam.size)
+    j = k[:, None]
+    # gaps[j, k] = prod_{k<l<j} |lam_l|: a running product of |lam_{j-1}| down each column
+    above = np.concatenate(([1.0], mod[:-1]))[:, None]
+    gaps = np.cumprod(np.where(j - 1 > k, above, 1.0), axis=0)
+    return np.where(j > k, s[:, None] * (s * u) * gaps, np.diag(lam))
+
+
+def _clark_atoms(theta: BlaschkeProduct) -> np.ndarray:
+    """The d points of {theta = 1} as eigenvalues of the Clark unitary
+    U = S + (1 - conj(theta(0)))^{-1} k_0 (x) C k_0 (Clark 1972).
+
+    S is the compressed shift, k_0 = conj(e(0)) the reproducing kernel at
+    the origin and C k_0 the conjugate kernel there, so that
+    (f, C k_0) = (z f, theta).  In exact arithmetic U is unitary; the
+    returned eigenvalues are not normalised, so callers can check how far
+    they drift off the circle.
+    """
+    mod = np.abs(np.asarray(theta.zeros, dtype=complex))
+    # b_l(0) = |lam_l|, so e_j(0) = s_j prod_{l<j} |lam_l| and theta(0) = gamma prod |lam_l|
+    heads = np.cumprod(np.append(1.0, mod))
+    k0 = np.sqrt(1.0 - mod**2) * heads[:-1]
+    ck0 = ConjugateKernel(theta, 0.0).coordinates()
+    scale = 1.0 / (1.0 - np.conj(theta.gamma) * heads[-1])
+    unitary = compressed_shift(theta.zeros) + scale * np.outer(k0, np.conj(ck0))
+    return np.linalg.eigvals(unitary)
 
 
 class BasisCombination(Symbol):
@@ -89,9 +111,14 @@ class BasisCombination(Symbol):
 class ModelSpaceBasis:
     """Orthonormal basis of the model space of a finite Blaschke product.
 
-    Construction validates the Gram matrix against the identity by
-    adaptive quadrature and remembers the grid size at which it
-    stabilized, which later operator builds use as a starting hint.
+    Construction checks the Gram matrix against the identity by Clark's
+    exact d-node rule, with no grid: for f, g in the model space,
+    (f, g) = sum_xi f(xi) conj(g(xi)) / |theta'(xi)| over the level set
+    {theta = 1}, and that level set is the spectrum of the Clark unitary
+    built from the closed-form compressed shift (see `_clark_atoms`).
+    `gram` keeps that matrix, `gram_defect` its largest deviation from the
+    identity.  Projections of other functions onto the space use adaptive
+    quadrature.
     """
 
     def __init__(self, theta: BlaschkeProduct, quad: QuadratureSettings = DEFAULT_QUADRATURE,
@@ -99,17 +126,27 @@ class ModelSpaceBasis:
         self.theta = theta
         self.quad = quad
         self.size = theta.degree
+        self.gram = np.zeros((0, 0), dtype=complex)
+        self.gram_defect = 0.0
         if self.size == 0:
-            self.grid = None
-            self.gram_defect = 0.0
             return
-        gram, grid = matrix_integral(self.sample, self.sample, None, quad)
+        atoms = _clark_atoms(theta)
+        drift = float(np.max(np.abs(np.abs(atoms) - 1.0)))
+        if drift > gram_tol:
+            raise ModelSpaceError(
+                f"Clark unitary has eigenvalues {drift:.3e} off the unit circle "
+                f"(tolerance {gram_tol:g})")
+        atoms = atoms / np.abs(atoms)
+        samples = self.sample(atoms)
+        weights = 1.0 / theta.boundary_derivative_modulus(atoms)
+        # gram[j, k] = (e_k, e_j), the orientation of harmonic.matrix_integral
+        gram = (np.conj(samples) * weights) @ samples.T
         defect = float(np.max(np.abs(gram - np.eye(self.size))))
         if defect > gram_tol:
             raise ModelSpaceError(
                 f"basis Gram matrix deviates from identity by {defect:.3e} "
-                f"(tolerance {gram_tol:g}) at M={grid.m}; refine the quadrature")
-        self.grid = grid
+                f"(tolerance {gram_tol:g}) under the {self.size}-node Clark rule")
+        self.gram = gram
         self.gram_defect = defect
 
     def sample(self, nodes) -> np.ndarray:
@@ -117,15 +154,6 @@ class ModelSpaceBasis:
 
     def combination(self, coeffs) -> BasisCombination:
         return BasisCombination(self.theta.zeros, coeffs)
-
-    @property
-    def m_hint(self) -> int:
-        """Starting grid for further integrals against this basis: one level
-        below the size at which the Gram matrix stabilized, so the adaptive
-        loop still gets a confirming comparison."""
-        if self.grid is None:
-            return self.quad.m_init
-        return max(self.quad.m_init, self.grid.m // 2)
 
     def space_tag(self) -> str:
         return f"K[{self.theta.label()}]"
@@ -142,7 +170,7 @@ class ModelSpaceBasis:
         def sample(nodes):
             return f(nodes)[None, :] * np.conj(self.sample(nodes))
 
-        coeffs, _ = adaptive_boundary_mean(sample, self.quad, m_start=self.m_hint)
+        coeffs, _ = adaptive_boundary_mean(sample, self.quad)
         return coeffs
 
 
@@ -208,6 +236,22 @@ class ConjugateKernel(Symbol):
     def norm(self) -> float:
         """Exact L2 norm: ((1 - |theta(lam)|^2) / (1 - |lam|^2))^(1/2)."""
         return float(np.sqrt((1.0 - abs(self._tl) ** 2) / (1.0 - abs(self.lam) ** 2)))
+
+    def coordinates(self) -> np.ndarray:
+        """Coefficients (ktilde_lam, e_k) in the basis of theta's zero order,
+        in closed form: (C e_k)(lam) = gamma u_k s_k prod_{j>k} b_j(lam)
+        / (1 - conj(lam_k) lam), with C the conjugation of the model space,
+        s_k = sqrt(1 - |lam_k|^2) and u_k = -e^{-i arg lam_k} (1 for a zero
+        at the origin, whose factor is z).  No singularity at the zeros.
+        """
+        zeros = np.asarray(self.theta.zeros, dtype=complex)
+        mod = np.abs(zeros)
+        unit = np.exp(-1j * np.angle(zeros))
+        denom = 1.0 - np.conj(zeros) * self.lam
+        factors = np.where(mod > 0, unit * (zeros - self.lam) / denom, self.lam)
+        tail = np.append(np.cumprod(factors[::-1])[-2::-1], 1.0)   # prod_{j>k} b_j(lam)
+        u = np.where(mod > 0, -unit, 1.0)
+        return self.theta.gamma * u * np.sqrt(1.0 - mod**2) * tail / denom
 
 
 def reproducing_kernel(theta: BlaschkeProduct, lam: complex) -> ReproducingKernel:

@@ -134,8 +134,7 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     def pairing_sample(nodes):
         return phi(nodes)[None, :] * dual.sample(nodes)
 
-    q, _ = adaptive_boundary_mean(pairing_sample, quad,
-                                  m_start=dual.basis.m_hint)
+    q, _ = adaptive_boundary_mean(pairing_sample, quad)
     q = np.asarray(q, dtype=complex).ravel()
     if float(np.linalg.norm(q)) < 1e-14:
         zero = np.zeros(dual.dimension, dtype=complex)
@@ -151,8 +150,7 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     def abs_sample(nodes):
         return np.abs(h_best(nodes))
 
-    l1, _ = adaptive_boundary_mean(abs_sample, relaxed,
-                                   m_start=dual.basis.m_hint)
+    l1, _ = adaptive_boundary_mean(abs_sample, relaxed)
     l1 = float(np.real(l1))
     value = float(abs(best_c @ q) / l1) if l1 > 0.0 else 0.0
     return DistanceReport(value, best_c, q, 1.0 / grid_l1, grid_m, 1, 0, steps)
@@ -194,6 +192,11 @@ def nehari_gap(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     return GapReport(norm, report, ratio)
 
 
+# Lawson weights that move by no more than this (relative, max norm) are
+# a fixed point: the next weighted solve would repeat the last one.
+_LAWSON_SETTLED = 1e-12
+
+
 @dataclass(frozen=True)
 class MinimaxCertificate:
     """Primal certificate f = f1 + conj(Theta f2) with its grid sup-norm."""
@@ -213,7 +216,9 @@ def minimax_certificate(phi: Symbol, theta: BlaschkeProduct,
 
     Lawson's iteratively reweighted least squares drives the weighted L2
     solutions toward the Chebyshev minimizer over the span of z^k and
-    conj(theta z^k), 0 <= k <= band.  The returned sup-norm is a grid
+    conj(theta z^k), 0 <= k <= band.  The loop stops once the normalised
+    weights move by at most 1e-12 relative in max norm, since every further
+    step would repeat the same solve.  The returned sup-norm is a grid
     sup, hence a (slightly optimistic) upper-bound certificate whose
     resolution is reported.
     """
@@ -239,11 +244,15 @@ def minimax_certificate(phi: Symbol, theta: BlaschkeProduct,
         val = float(resid.max())
         if val < best_val - 1e-15:
             best_val, best_x = val, x
-        w = w * resid
-        total = float(w.sum())
+        step = w * resid
+        total = float(step.sum())
         if total <= 0.0:
             break       # exact fit
-        w /= total
+        step /= total
+        settled = float(np.max(np.abs(step - w))) <= _LAWSON_SETTLED * float(np.max(w))
+        w = step
+        if settled:
+            break
     if not np.isfinite(best_val):
         best_val, best_x = 0.0, np.zeros(a.shape[1], dtype=complex)
     f1 = TrigPoly({k: best_x[k] for k in range(band + 1)

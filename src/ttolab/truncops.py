@@ -124,8 +124,7 @@ def toeplitz_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
     Works for any bounded symbol and is the independent check on the
     closed form."""
     quad = quad or basis.quad
-    entries, _ = matrix_integral(basis.sample, basis.sample, phi, quad,
-                                 m_start=basis.m_hint)
+    entries, _ = matrix_integral(basis.sample, basis.sample, phi, quad)
     tag = basis.space_tag()
     return OperatorMatrix(entries, tag, tag, "toeplitz:boundary-quadrature")
 
@@ -174,8 +173,7 @@ def hankel_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
     adaptive quadrature.  Works for any bounded symbol and is the
     independent check on the closed form."""
     quad = quad or basis.quad
-    entries, _ = matrix_integral(_conjugate_row_sample(basis), basis.sample,
-                                 phi, quad, m_start=basis.m_hint)
+    entries, _ = matrix_integral(_conjugate_row_sample(basis), basis.sample, phi, quad)
     return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
                           "hankel:boundary-quadrature")
 
@@ -189,7 +187,7 @@ def conjugate_multiplier_matrix(basis: ModelSpaceBasis,
     """
     quad = quad or basis.quad
     entries, _ = matrix_integral(_conjugate_row_sample(basis), basis.sample,
-                                 basis.theta.conj(), quad, m_start=basis.m_hint)
+                                 basis.theta.conj(), quad)
     return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
                           "conj-theta-multiplier")
 
@@ -218,11 +216,10 @@ def rank_one_symbol(theta: BlaschkeProduct, lam: complex) -> Symbol:
 
 
 def rank_one_matrix(lam: complex, basis: ModelSpaceBasis) -> OperatorMatrix:
-    """Rank-one operator h -> (h, k_lam) ktilde_lam, built without quadrature
-    on the symbol: an outer product of the projected difference-quotient
-    kernel with point evaluations of the basis."""
-    ktilde = conjugate_kernel(basis.theta, lam)
-    col = basis.project(ktilde)
+    """Rank-one operator h -> (h, k_lam) ktilde_lam, built without quadrature:
+    an outer product of the closed-form coordinates of the
+    difference-quotient kernel with point evaluations of the basis."""
+    col = conjugate_kernel(basis.theta, lam).coordinates()
     row = basis.sample(np.array([complex(lam)]))[:, 0]
     tag = basis.space_tag()
     return OperatorMatrix(np.outer(col, row), tag, tag, "rank-one:kernel-outer-product")
@@ -261,7 +258,7 @@ def standard_symbol(phi: Symbol, theta: BlaschkeProduct,
         return phi(nodes)[None, :] * subspace
 
     # coeffs[m] = int phi g_m dm = (phi, conj(g_m))
-    coeffs, _ = adaptive_boundary_mean(sample, quad, m_start=square_basis.m_hint)
+    coeffs, _ = adaptive_boundary_mean(sample, quad)
     # realized symbol: sum_m coeffs[m] conj(g_m) = conj(combination)
     combo = BasisCombination(theta.square().zeros, U @ np.conj(coeffs))
     return StandardSymbol(theta, coeffs, U, ConjSymbol(combo))
@@ -317,16 +314,13 @@ def test_vector_ratio(basis: ModelSpaceBasis, phi1: Symbol | None,
 
     phi = _combine(phi1, phi2)
     matrix = toeplitz_matrix(phi, basis, quad)
-    coeffs = basis.project(ConjugateKernel(theta, lam))
+    coeffs = ConjugateKernel(theta, lam).coordinates()
     shifted = matrix.entries @ coeffs - zeta * coeffs
     ratio = float(np.linalg.norm(shifted) / np.linalg.norm(coeffs))
 
     if phi1 is not None:
-        def sample(nodes):
-            kern = (1.0 - abs(lam) ** 2) / np.abs(nodes - lam) ** 2
-            return np.abs(phi1(nodes) - zeta1) ** 2 * kern
-        pval, _ = adaptive_boundary_mean(sample, quad)
-        poisson_bound = 8.0 * float(np.real(pval))
+        gap = phi1 - zeta1
+        poisson_bound = 8.0 * float(np.real(poisson_extension(gap * gap.conj(), lam, quad)))
     else:
         poisson_bound = 8.0 * abs(zeta1) ** 2
 

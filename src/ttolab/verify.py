@@ -21,7 +21,7 @@ from .config import RunConfig
 from .corpus import (random_blaschke, random_conjugate_square_symbol,
                      random_interior_points, random_trig_poly,
                      random_unimodular, random_zero_hankel_symbol, spawn_rngs)
-from .harmonic import boundary_norm, inner_product
+from .harmonic import boundary_norm, inner_product, matrix_integral
 from .modelspace import build_basis, conjugate_kernel, reproducing_kernel
 from .nehari import NehariError, nehari_gap
 from .spectra import matched_distance
@@ -56,9 +56,13 @@ def _suite_basis(config: RunConfig, rng) -> tuple:
         theta = random_blaschke(rng, degree, config.sweep.max_zero_modulus,
                                 config.sweep.min_zero_gap)
         basis = build_basis(theta, quad, config.tolerances.identity)
-        worst = max(worst, basis.gram_defect)
-        n += 1
-    return worst, n, "Takenaka-Malmquist Gram matrix vs identity"
+        # the basis is validated by Clark's exact rule; the trapezoid Gram
+        # matrix keeps a quadrature-side check on the same basis
+        integrated, _ = matrix_integral(basis.sample, basis.sample, None, quad)
+        defect = float(np.max(np.abs(integrated - np.eye(degree))))
+        worst = max(worst, basis.gram_defect, defect)
+        n += 2
+    return worst, n, "Takenaka-Malmquist Gram matrix vs identity, Clark rule and quadrature"
 
 
 def _suite_kernels(config: RunConfig, rng) -> tuple:

@@ -112,6 +112,7 @@ def test_basis_dump(tmp_path):
     payload = json.loads((tmp_path / "basis.json").read_text())
     assert payload["degree"] == 3
     assert payload["gram_defect"] < 1e-10
+    assert payload["gram_rule"] == "clark-eigen"
 
 
 def test_op_matrix_dump(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ttolab import modelspace
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.harmonic import TrigPoly, inner_product, unit_nodes
 from ttolab.modelspace import (
@@ -120,3 +121,26 @@ def test_degree_zero_gives_trivial_space():
 def test_gram_tolerance_enforced():
     with pytest.raises(ModelSpaceError):
         build_basis(THETA, gram_tol=1e-30)
+
+
+def test_broken_sampler_fails_validation(monkeypatch):
+    sampler = modelspace.tm_samples
+
+    def broken(zeros, nodes):
+        out = sampler(zeros, nodes)
+        out[1] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(modelspace, "tm_samples", broken)
+    with pytest.raises(ModelSpaceError):
+        build_basis(THETA)
+
+
+def test_subnormal_zero_keeps_factor_unimodular():
+    lam = 5e-324 * np.exp(2.5j)
+    theta = BlaschkeProduct([lam, 0.5])
+    assert abs(abs(theta(1j)) - 1.0) < 1e-15
+    nodes = unit_nodes(16)
+    assert np.allclose(np.abs(modelspace.tm_samples([lam, 0.5], nodes)[1]),
+                       np.sqrt(0.75) / np.abs(1 - 0.5 * nodes), rtol=1e-15)
+    assert build_basis(theta).gram_defect < 1e-14

@@ -80,6 +80,18 @@ def test_minimax_certificate_bounds_distance():
     assert abs(cert.value - 1.0) < 0.02   # certified near-optimal here
 
 
+def test_certificate_stops_when_the_weights_settle():
+    # conj(z) on z^2: the residual has constant modulus, so the Lawson
+    # weights are a fixed point after one solve and the value is exact
+    settled = minimax_certificate(TrigPoly({-1: 1.0}), BlaschkeProduct([0, 0]))
+    assert settled.iterations <= 2
+    assert abs(settled.value - 1.0) < 1e-12
+    # weights that keep moving run every step
+    moving = minimax_certificate(TrigPoly({-1: 1.0, -2: 0.5}),
+                                 BlaschkeProduct([0.5, -0.3j]), max_iter=50)
+    assert moving.iterations == 50
+
+
 def test_certificate_exact_when_phi_in_class():
     phi = TrigPoly({1: 2.0, 0: -1.0})
     cert = minimax_certificate(phi, BlaschkeProduct([0, 0]), grid_m=1024)

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttolab import harmonic, modelspace, truncops
 from ttolab.blaschke import BlaschkeProduct
-from ttolab.harmonic import RationalSymbol, TrigPoly
-from ttolab.modelspace import build_basis, conjugate_kernel
+from ttolab.harmonic import (RationalSymbol, TrigPoly, adaptive_boundary_mean,
+                             matrix_integral)
+from ttolab.modelspace import ConjugateKernel, build_basis, conjugate_kernel
 from ttolab.truncops import (
     hankel_by_quadrature,
     hankel_matrix,
@@ -59,11 +61,11 @@ def test_hankel_matches_symbol_coefficients(power_basis):
     assert np.max(np.abs(mat.entries - classical_hankel(phi, 4))) < 1e-12
 
 
-# degenerate zero sets: the origin, repeats, and moduli up to 0.99
+# degenerate zero sets: the origin, repeats, subnormal moduli and moduli up to 0.99
 _ZERO = st.one_of(
     st.just(0j),
     st.builds(lambda r, t: r * np.exp(1j * t),
-              st.floats(0.01, 0.99), st.floats(0.0, 2 * np.pi)))
+              st.floats(0.0, 0.99), st.floats(0.0, 2 * np.pi)))
 
 
 @st.composite
@@ -87,6 +89,27 @@ def test_closed_form_matches_quadrature(zeros, coeffs):
         a = closed(phi, basis).entries
         b = integrated(phi, basis).entries
         assert np.max(np.abs(a - b)) < 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(zeros=_zero_sets())
+def test_clark_rule_gram_matches_quadrature(zeros):
+    basis = build_basis(BlaschkeProduct(zeros))
+    integrated, _ = matrix_integral(basis.sample, basis.sample, None)
+    assert np.max(np.abs(basis.gram - integrated)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(zeros=_zero_sets(), at_zero=st.booleans(),
+       r=st.floats(0.0, 0.9), t=st.floats(0.0, 2 * np.pi))
+def test_kernel_coordinates_match_projection(zeros, at_zero, r, t):
+    theta = BlaschkeProduct(zeros)
+    lam = zeros[-1] if at_zero else r * np.exp(1j * t)
+    kernel = ConjugateKernel(theta, lam)
+    closed = kernel.coordinates()
+    projected = build_basis(theta).project(kernel)
+    # the adaptive quadrature accepts at 1e-12 relative to the result
+    assert np.max(np.abs(closed - projected)) < 1e-12 * max(1.0, np.max(np.abs(closed)))
 
 
 def test_route_follows_symbol_type(generic_basis):
@@ -178,6 +201,38 @@ def test_test_vector_ratio_small_near_boundary():
     # kernel at the innermost zero is nearly an eigenvector
     assert est.ratio < 0.1
     assert est.ratio <= np.sqrt(2 * (est.poisson_bound + est.multiplier_bound)) + 1e-12
+
+
+def test_test_vector_bounds_match_quadrature(generic_basis):
+    lam = 0.4 - 0.3j
+    phi1 = TrigPoly({-2: 0.5j, -1: 1.0, 1: 0.3})
+    est = vector_ratio(generic_basis, phi1, None, lam, zeta=0.7)
+
+    def poisson_mean(f):
+        def sample(nodes):
+            return f(nodes) * (1 - abs(lam) ** 2) / np.abs(nodes - lam) ** 2
+        return complex(adaptive_boundary_mean(sample)[0])
+
+    assert abs(est.zeta1 - poisson_mean(phi1)) < 1e-12
+    bound = 8 * poisson_mean(lambda nodes: np.abs(phi1(nodes) - est.zeta1) ** 2).real
+    assert abs(est.poisson_bound - bound) < 1e-12 * bound
+
+
+def test_boundary_family_needs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called on the boundary path")
+
+    for module in (harmonic, modelspace, truncops):
+        for name in ("matrix_integral", "adaptive_boundary_mean"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    # zeros 1 - 2^-k up to k = 24, beyond the quadrature cap M = 2^20
+    zeros = [1 - 2.0**-k for k in range(1, 25)]
+    basis = build_basis(BlaschkeProduct(zeros), gram_tol=1e-7)
+    est = vector_ratio(basis, TrigPoly({-1: 1.0}), None, zeros[-1], 1.0)
+    assert abs(est.zeta1 - zeros[-1]) < 1e-12
+    assert 0 < est.ratio < 0.05
+    assert est.ratio <= np.sqrt(2 * (est.poisson_bound + est.multiplier_bound))
 
 
 def test_test_vector_requires_some_symbol(generic_basis):
