@@ -9,6 +9,14 @@ their standard symbols.
 The reference measure is either an atomic ClarkMeasure or a uniform
 grid standing in for normalized Lebesgue measure; both expose `atoms`
 and `weights` and everything below is a finite weighted sum.
+
+A Besov profile does no per-arc work in Python.  Each dyadic generation
+is a pair of arrays of arc starts and ends, built only until the profile
+stops; every atom is assigned to its arc once per generation by one
+searchsorted, and masses and counts are bincounts.  The moment fits of
+all generations are then solved together: one batched rank check and one
+batched solve, with moment_polynomial only for the Grams that fail the
+check.  `oscillation` is the same kernel on one arc.
 """
 from __future__ import annotations
 
@@ -41,11 +49,8 @@ class Arc:
 
     def contains(self, points) -> np.ndarray:
         """Membership mask for unit-circle points (complex)."""
-        ang = np.mod(np.angle(np.asarray(points, dtype=complex)) - self.start,
-                     TWO_PI)
-        if self.length >= TWO_PI - 1e-15:
-            return np.ones(ang.shape, dtype=bool)
-        return ang < self.length
+        return _inside(np.mod(np.angle(np.asarray(points, dtype=complex)), TWO_PI),
+                       self.start, self.end)
 
     def halves(self) -> tuple["Arc", "Arc"]:
         mid = 0.5 * (self.start + self.end)
@@ -110,6 +115,110 @@ def moment_polynomial(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
     return out
 
 
+# ---------------------------------------------------------------------------
+# Arcs as arrays: membership, components, dyadic halving
+# ---------------------------------------------------------------------------
+
+
+def _inside(angles, start, end):
+    """Whether angles in [0, 2*pi] lie on the arcs [start, end), elementwise.
+
+    The ends are reduced into [0, 2*pi) like the angles, so arcs that
+    share an end split the points between them exactly: a dyadic
+    generation partitions the atoms of its components.
+    """
+    lo, hi = np.mod(start, TWO_PI), np.mod(end, TWO_PI)
+    within = np.where(lo <= hi, (lo <= angles) & (angles < hi),
+                      (lo <= angles) | (angles < hi))
+    return within | (np.subtract(end, start) >= TWO_PI - 1e-15)
+
+
+def _arc_of(angles, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Index of the arc holding each angle in [0, 2*pi], or -1 for none,
+    among disjoint arcs [starts[i], ends[i])."""
+    lo = np.mod(starts, TWO_PI)
+    by_lo = np.argsort(lo)
+    # index -1: below every start, so only the arc of the largest start
+    # can hold it, by wrapping past 2*pi
+    arc = by_lo[np.searchsorted(lo[by_lo], angles, side="right") - 1]
+    return np.where(_inside(angles, starts[arc], ends[arc]), arc, -1)
+
+
+def _components(marked_angles, anchor: float) -> tuple:
+    """(start, end) of each component of the circle minus the marked
+    angles; the whole circle from `anchor` when nothing is marked."""
+    marked = sorted(float(np.mod(a, TWO_PI)) for a in marked_angles)
+    if not marked:
+        return ((float(anchor), float(anchor) + TWO_PI),)
+    ends = marked[1:] + [marked[0] + TWO_PI]
+    return tuple((a, b) for a, b in zip(marked, ends) if b - a > 1e-14)
+
+
+def _halve(starts: np.ndarray, ends: np.ndarray):
+    """The next dyadic generation, in the order of Arc.halves."""
+    mids = 0.5 * (starts + ends)
+    return np.ravel([starts, mids], order="F"), np.ravel([mids, ends], order="F")
+
+
+# ---------------------------------------------------------------------------
+# The oscillation kernel
+# ---------------------------------------------------------------------------
+
+
+def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
+                  owners: np.ndarray, n: int, r: int, convention: str) -> np.ndarray:
+    """Mean deviation of f from its degree <= r moment fit on n arcs.
+
+    owners[k, i] is the index of the arc holding atom i in the k-th
+    partition of the atoms, or -1 for none; every arc index belongs to
+    one partition.  Arcs of no mass get 0, and so do arcs of at most
+    r + 1 atoms, where the fit interpolates f.  The fits of all arcs are
+    solved together: one batched rank check of the weighted moment Grams
+    with moment_polynomial's tolerance, one batched solve, and
+    moment_polynomial itself only for the Grams that fail the check.
+    """
+    if convention not in ("projection", "verbatim"):
+        raise ValueError(f"unknown convention {convention!r}")
+    held = np.flatnonzero(owners >= 0)
+    owner = owners.ravel()[held]
+    atom = held % xi.size
+    counts = np.bincount(owner, minlength=n)
+    mass = np.bincount(owner, w[atom], minlength=n)
+    osc = np.zeros(n)
+    live = mass > 0.0
+    if convention == "verbatim":
+        dev = np.bincount(owner, w[atom] * np.abs(fv[atom]), minlength=n)
+        osc[live] = dev[live] / mass[live]
+        return osc
+    need = live & (counts >= r + 2)
+    fitted = np.flatnonzero(need)
+    if not fitted.size:
+        return osc
+    pick = np.flatnonzero(need[owner])
+    members = atom[pick[np.argsort(owner[pick], kind="stable")]]
+    count = counts[fitted]
+    seg = np.cumsum(count) - count          # where each fit's atoms begin
+    x, ws, fs = xi[members], w[members], fv[members]
+    powers = x[:, None] ** np.arange(r + 1)
+    weighted = powers.conj() * ws[:, None]
+    gram = np.empty((count.size, r + 1, r + 1), dtype=complex)
+    for k in range(r + 1):
+        for j in range(r + 1):
+            gram[:, k, j] = np.add.reduceat(weighted[:, k] * powers[:, j], seg)
+    rhs = np.add.reduceat(weighted * fs[:, None], seg, axis=0)
+    tol = 1e-10 * np.maximum(1.0, np.abs(gram).max(axis=(1, 2)))
+    full = np.linalg.svd(gram, compute_uv=False)[:, -1] > tol
+    coeffs = np.zeros((count.size, r + 1), dtype=complex)
+    if full.any():
+        coeffs[full] = np.linalg.solve(gram[full], rhs[full][:, :, None])[:, :, 0]
+    for i in np.flatnonzero(~full):
+        part = slice(seg[i], seg[i] + count[i])
+        coeffs[i] = moment_polynomial(x[part], ws[part], fs[part], r)
+    fit = np.sum(powers * np.repeat(coeffs, count, axis=0), axis=1)
+    osc[fitted] = np.add.reduceat(ws * np.abs(fs - fit), seg) / mass[fitted]
+    return osc
+
+
 def oscillation(f, nu, arc: Arc, r: int, convention: str = "projection") -> float:
     """Mean deviation of f from its degree <= r moment fit over the arc.
 
@@ -117,24 +226,14 @@ def oscillation(f, nu, arc: Arc, r: int, convention: str = "projection") -> floa
     sum_arc (f - p) conj(xi)^k dnu = 0; with "verbatim" the polynomial
     itself is required to have vanishing moments, which forces p = 0
     (whenever the moment system is nonsingular) and the result is the
-    plain mean of |f|.  Returns 0 on arcs of measure zero.
+    plain mean of |f|.  Returns 0 on arcs of measure zero, and 0 on arcs
+    of at most r + 1 atoms, where the fit interpolates f exactly.
     """
-    if convention not in ("projection", "verbatim"):
-        raise ValueError(f"unknown convention {convention!r}")
-    mask = arc.contains(nu.atoms)
-    w = np.asarray(nu.weights, dtype=float)[mask]
-    total = float(w.sum())
-    if total <= 0.0:
-        return 0.0
-    xi = np.asarray(nu.atoms, dtype=complex)[mask]
-    fv = _values_on(f, np.asarray(nu.atoms, dtype=complex))[mask]
-    if convention == "verbatim":
-        return float(np.sum(w * np.abs(fv)) / total)
-    if int(r) >= len(xi) - 1:
-        return 0.0      # the moment fit interpolates f on the atoms exactly
-    coeffs = moment_polynomial(xi, w, fv, r)
-    fit = np.polyval(coeffs[::-1], xi)
-    return float(np.sum(w * np.abs(fv - fit)) / total)
+    atoms = np.asarray(nu.atoms, dtype=complex)
+    held = np.where(arc.contains(atoms), 0, -1)[None, :]
+    return float(_oscillations(atoms, np.asarray(nu.weights, dtype=float),
+                               _values_on(f, atoms), held, 1, int(r),
+                               convention)[0])
 
 
 def arc_mean(f, nu, arc: Arc) -> complex:
@@ -164,30 +263,34 @@ def _atom_runs(nu):
     return runs
 
 
-def vmo_modulus(f, nu, eps_values) -> np.ndarray:
-    """Small-mass oscillation modulus: for each eps, the largest mean
-    deviation from the average over arcs of measure at most eps."""
-    eps_values = np.asarray(eps_values, dtype=float)
+def _run_oscillations(fv: np.ndarray, nu) -> tuple:
+    """The runs of positive mass, with their masses and the mean
+    deviation of f from its weighted mean on each."""
     w_all = np.asarray(nu.weights, dtype=float)
-    fv_all = _values_on(f, np.asarray(nu.atoms, dtype=complex))
-    masses = []
-    oscs = []
+    runs, masses, oscs = [], [], []
     for run in _atom_runs(nu):
         w = w_all[run]
         total = float(w.sum())
         if total <= 0.0:
             continue
-        fv = fv_all[run]
-        mean = np.sum(w * fv) / total
+        mean = np.sum(w * fv[run]) / total
+        runs.append(run)
         masses.append(total)
-        oscs.append(float(np.sum(w * np.abs(fv - mean)) / total))
-    masses = np.asarray(masses)
-    oscs = np.asarray(oscs)
-    out = np.zeros_like(eps_values)
-    for i, eps in enumerate(eps_values):
-        hit = masses <= eps
-        out[i] = float(oscs[hit].max()) if np.any(hit) else 0.0
-    return out
+        oscs.append(float(np.sum(w * np.abs(fv[run] - mean)) / total))
+    return runs, np.asarray(masses), np.asarray(oscs)
+
+
+def _modulus(masses: np.ndarray, oscs: np.ndarray, eps_values) -> np.ndarray:
+    return np.array([oscs[masses <= eps].max(initial=0.0)
+                     for eps in np.asarray(eps_values, dtype=float)])
+
+
+def vmo_modulus(f, nu, eps_values) -> np.ndarray:
+    """Small-mass oscillation modulus: for each eps, the largest mean
+    deviation from the average over arcs of measure at most eps."""
+    fv = _values_on(f, np.asarray(nu.atoms, dtype=complex))
+    _, masses, oscs = _run_oscillations(fv, nu)
+    return _modulus(masses, oscs, eps_values)
 
 
 @dataclass(frozen=True)
@@ -223,28 +326,15 @@ def dyadic_family(nu, max_generation: int, marked_angles=(),
     """
     if max_generation < 0:
         raise ValueError("max_generation must be >= 0")
-    marked = sorted(float(np.mod(a, TWO_PI)) for a in marked_angles)
-    if marked:
-        components = []
-        for i, a in enumerate(marked):
-            b = marked[(i + 1) % len(marked)]
-            if i + 1 == len(marked):
-                b += TWO_PI
-            if b - a > 1e-14:
-                components.append(Arc(a, b))
-        components = tuple(components)
-    else:
-        components = (Arc(anchor, anchor + TWO_PI),)
+    components = _components(marked_angles, anchor)
+    starts, ends = (np.array(side) for side in zip(*components))
     generations = []
-    current = list(components)
     for _ in range(max_generation + 1):
-        generations.append(tuple(current))
-        nxt = []
-        for arc in current:
-            nxt.extend(arc.halves())
-        current = nxt
-    return DyadicArcFamily(_measure_label(nu), components, tuple(generations),
-                           anchor)
+        generations.append(tuple(Arc(a, b) for a, b in
+                                 zip(starts.tolist(), ends.tolist())))
+        starts, ends = _halve(starts, ends)
+    return DyadicArcFamily(_measure_label(nu), generations[0],
+                           tuple(generations), anchor)
 
 
 @dataclass(frozen=True)
@@ -282,32 +372,39 @@ def besov_profile(f, nu, p: float, max_generation: int | None = None,
     once every arc of a generation holds at most r + 1 atoms the moment
     fit interpolates exactly and all finer generations vanish, so the
     profile stops there and is flagged as terminated.
+
+    The generations of dyadic_family are built lazily, as arrays of arc
+    starts and ends, and only up to that point.  Each generation assigns
+    every atom to its arc by one searchsorted; the moment fits of all
+    generations then go to the oscillation kernel together.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     r = int(math.floor(1.0 / p))
     if max_generation is None:
         max_generation = default_generation_cap(nu)
-    family = dyadic_family(nu, max_generation, marked_angles, anchor)
+    if max_generation < 0:
+        raise ValueError("max_generation must be >= 0")
+    components = _components(marked_angles, anchor)
     atoms = np.asarray(nu.atoms, dtype=complex)
-    fv = _values_on(f, atoms)
-    atomic = isinstance(nu, ClarkMeasure)
-    sums = []
+    angles = np.mod(np.angle(atoms), TWO_PI)
+    starts, ends = (np.array(side) for side in zip(*components))
+    stops = isinstance(nu, ClarkMeasure) and convention == "projection"
+    owners, first = [], [0]
     terminated = False
-    for arcs in family.generations:
-        gen = 0.0
-        max_count = 0
-        for arc in arcs:
-            mask = arc.contains(atoms)
-            max_count = max(max_count, int(mask.sum()))
-            val = oscillation(fv, nu, arc, r, convention)
-            if val > 0.0:
-                gen += val**p
-        sums.append(gen)
-        if atomic and convention == "projection" and max_count <= r + 1:
+    for _ in range(max_generation + 1):
+        arc = _arc_of(angles, starts, ends)
+        owners.append(np.where(arc >= 0, arc + first[-1], -1))
+        first.append(first[-1] + starts.size)
+        if stops and np.bincount(arc[arc >= 0]).max(initial=0) <= r + 1:
             terminated = True
             break
-    return BesovProfile(float(p), r, tuple(sums), terminated)
+        starts, ends = _halve(starts, ends)
+    osc = _oscillations(atoms, np.asarray(nu.weights, dtype=float),
+                        _values_on(f, atoms), np.array(owners), first[-1], r,
+                        convention)
+    sums = tuple(np.add.reduceat(osc ** p, first[:-1]).tolist())
+    return BesovProfile(float(p), r, sums, terminated)
 
 
 def besov_norm(f, nu, p: float, max_generation: int | None = None,
@@ -329,28 +426,21 @@ class OscillationReport:
 def oscillation_report(f, nu, eps_grid, p_list,
                        max_generation: int | None = None) -> OscillationReport:
     atoms = np.asarray(nu.atoms, dtype=complex)
-    w_all = np.asarray(nu.weights, dtype=float)
     fv = _values_on(f, atoms)
+    runs, masses, oscs = _run_oscillations(fv, nu)
     triples = []
-    for run in _atom_runs(nu):
-        w = w_all[run]
-        total = float(w.sum())
-        if total <= 0.0:
-            continue
-        mean = np.sum(w * fv[run]) / total
-        o = float(np.sum(w * np.abs(fv[run] - mean)) / total)
+    for run, total, o in zip(runs, masses, oscs):
         angles = np.mod(np.angle(atoms[run]), TWO_PI)
         lo = float(angles[0])
         hi = float(angles[-1])
         if hi < lo:     # cyclic run wrapping past angle 0
             hi += TWO_PI
-        triples.append((Arc(lo, hi + 1e-9), total, o))
-    modulus = vmo_modulus(fv, nu, eps_grid)
+        triples.append((Arc(lo, hi + 1e-9), float(total), float(o)))
     profiles = {float(p): besov_profile(fv, nu, float(p), max_generation)
                 for p in p_list}
     return OscillationReport(_measure_label(nu), tuple(triples),
-                             np.asarray(eps_grid, dtype=float), modulus,
-                             profiles)
+                             np.asarray(eps_grid, dtype=float),
+                             _modulus(masses, oscs, eps_grid), profiles)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .harmonic import Symbol, TWO_PI
 
@@ -199,7 +198,27 @@ class ConnectivityReport:
     counts: tuple  # component count at each resolution
 
 
+def union_roots(n: int, pairs) -> list:
+    """Union-find over n elements: the representative of each element once
+    every pair (a, b) is joined."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(a) for a in range(n)]
+
+
 def _component_count(theta: BlaschkeProduct, eps: float, n_r: int, n_t: int) -> int:
+    from scipy import ndimage
+
     radii = (np.arange(n_r) + 0.5) / n_r
     angles = TWO_PI * np.arange(n_t) / n_t
     grid = radii[:, None] * np.exp(1j * angles)[None, :]
@@ -211,28 +230,11 @@ def _component_count(theta: BlaschkeProduct, eps: float, n_r: int, n_t: int) -> 
         return int(n)
     # merge labels across the angular seam and, when the sublevel set
     # contains the origin, across the innermost ring
-    parent = list(range(n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    left, right = labels[:, 0], labels[:, -1]
-    for a, b in zip(left, right):
-        if a and b:
-            union(int(a), int(b))
+    pairs = [(int(a), int(b)) for a, b in zip(labels[:, 0], labels[:, -1]) if a and b]
     if abs(theta(0.0)) < eps:
         inner = [int(v) for v in labels[0] if v]
-        for v in inner[1:]:
-            union(inner[0], v)
-    return len({find(v + 1) for v in range(n)})
+        pairs += [(inner[0], v) for v in inner[1:]]
+    return len(set(union_roots(n + 1, pairs)[1:]))
 
 
 def sublevel_connectivity(theta: BlaschkeProduct, eps: float,

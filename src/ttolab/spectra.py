@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .blaschke import BlaschkeProduct, boundary_zero_closure
+from .blaschke import BlaschkeProduct, boundary_zero_closure, union_roots
 from .harmonic import QuadratureSettings, Symbol
 from .modelspace import build_basis
 from .truncops import (OperatorMatrix, TestVectorEstimate, test_vector_ratio,
@@ -48,6 +47,8 @@ def spectral_report(op: OperatorMatrix, p_list=(1.0, 2.0)) -> SpectralReport:
 def matched_distance(computed, target) -> float:
     """Largest pointwise gap under the optimal matching of two equal-size
     multisets of complex numbers (robust eigenvalue comparison)."""
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(computed, dtype=complex).ravel()
     b = np.asarray(target, dtype=complex).ravel()
     if a.size != b.size:
@@ -82,24 +83,10 @@ class ClusterReport:
 
 
 def _single_linkage(points: np.ndarray, delta: float):
-    n = len(points)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= delta:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    near = np.triu(np.abs(points[:, None] - points[None, :]) <= delta, 1)
     groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, root in enumerate(union_roots(len(points), zip(*np.nonzero(near)))):
+        groups.setdefault(root, []).append(i)
     out = []
     for idx in groups.values():
         pts = points[idx]

@@ -1,6 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ttolab import besov
 from ttolab.besov import (
     Arc,
     LebesgueGrid,
@@ -17,7 +23,7 @@ from ttolab.besov import (
     vmo_modulus,
 )
 from ttolab.blaschke import BlaschkeProduct
-from ttolab.clark import clark_measure, square_clark_measure
+from ttolab.clark import ClarkError, ClarkMeasure, clark_measure, square_clark_measure
 from ttolab.harmonic import TrigPoly
 
 FULL = Arc(0.0, 2 * np.pi)
@@ -187,3 +193,161 @@ def test_probe_summary_stats():
         stats = summary[p]
         assert stats["count"] >= 1
         assert stats["min"] <= stats["median"] <= stats["max"]
+
+
+# ------------------------------------------- the batched profile kernel
+
+def solved_condition(xi, w, r):
+    """Condition number of the moment Gram that moment_polynomial solves:
+    the largest degree whose Gram passes its rank check."""
+    for degree in range(min(r, xi.size - 1), -1, -1):
+        powers = xi[None, :] ** np.arange(degree + 1)[:, None]
+        gram = (powers.conj() * w) @ powers.T
+        s = np.linalg.svd(gram, compute_uv=False)
+        if s[-1] > 1e-10 * max(1.0, np.abs(gram).max()):
+            return s[0] / s[-1]
+    return 1.0
+
+
+def per_arc_profile(fv, nu, p, marked_angles=(), convention="projection",
+                    anchor=0.0):
+    """besov_profile written as the plain loop over Arc objects: halve
+    the components with Arc.halves, test membership with Arc.contains
+    and fit with moment_polynomial, one arc at a time.
+
+    Also returns, per generation, the first-order sensitivity of its sum
+    to rounding: the sum over arcs of p osc^(p-1) kappa mean|f|, kappa
+    being the condition number of the arc's moment Gram (1 without a
+    fit).  Two correct routes that round differently differ by a small
+    multiple of eps times it.
+    """
+    r = int(math.floor(1.0 / p))
+    atoms = np.asarray(nu.atoms, dtype=complex)
+    w = np.asarray(nu.weights, dtype=float)
+    arcs = list(dyadic_family(nu, 0, marked_angles, anchor).components)
+    sums, slack, terminated = [], [], False
+    for _ in range(default_generation_cap(nu) + 1):
+        total, spread, most = 0.0, 0.0, 0
+        for arc in arcs:
+            mask = arc.contains(atoms)
+            most = max(most, int(mask.sum()))
+            xi, wa, fa = atoms[mask], w[mask], fv[mask]
+            mass = wa.sum()
+            if mass <= 0.0:
+                continue
+            kappa = 1.0
+            if convention == "verbatim":
+                osc = np.sum(wa * np.abs(fa)) / mass
+            elif xi.size <= r + 1:
+                continue
+            else:
+                coeffs = moment_polynomial(xi, wa, fa, r)
+                osc = np.sum(wa * np.abs(fa - np.polyval(coeffs[::-1], xi))) / mass
+                kappa = solved_condition(xi, wa, r)
+            if osc > 0.0:
+                total += osc**p
+                spread += p * osc**(p - 1) * kappa * np.sum(wa * np.abs(fa)) / mass
+        sums.append(total)
+        slack.append(spread)
+        if (isinstance(nu, ClarkMeasure) and convention == "projection"
+                and most <= r + 1):
+            terminated = True
+            break
+        arcs = [half for arc in arcs for half in arc.halves()]
+    return sums, slack, terminated
+
+
+def assert_matches_per_arc_loop(fv, nu, p, **kwargs):
+    prof = besov_profile(fv, nu, p, **kwargs)
+    sums, slack, terminated = per_arc_profile(fv, nu, p, **kwargs)
+    assert len(prof.generation_sums) == len(sums)
+    assert prof.terminated == terminated
+    eps = np.finfo(float).eps
+    for got, want, scale in zip(prof.generation_sums, sums, slack):
+        assert abs(got - want) <= 1e-12 * abs(want) + 10 * eps * scale, (got, want)
+
+
+zero_strategy = st.tuples(
+    st.one_of(st.floats(0.0, 0.95), st.integers(2, 6).map(lambda k: 1.0 - 10.0**-k)),
+    st.floats(0.0, 2 * np.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["theta", "square", "grid"]),
+       zeros=st.lists(zero_strategy, min_size=1, max_size=8),
+       alpha_angle=st.floats(0.0, 2 * np.pi),
+       grid_size=st.integers(2, 64),
+       p=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+       convention=st.sampled_from(["projection", "verbatim"]),
+       marked=st.lists(st.floats(0.0, 2 * np.pi), max_size=3),
+       anchor=st.one_of(st.just(0.0), st.floats(-np.pi, 2 * np.pi)),
+       seed=st.integers(0, 2**16))
+def test_besov_profile_matches_per_arc_loop(kind, zeros, alpha_angle, grid_size,
+                                            p, convention, marked, anchor, seed):
+    if kind == "grid":
+        nu = LebesgueGrid(grid_size)
+    else:
+        theta = BlaschkeProduct([rad * np.exp(1j * ang) for rad, ang in zeros])
+        measure = clark_measure if kind == "theta" else square_clark_measure
+        try:
+            nu = measure(theta, np.exp(1j * alpha_angle))
+        except ClarkError:
+            assume(False)
+    rng = np.random.default_rng(seed)
+    fv = rng.standard_normal(len(nu.atoms)) + 1j * rng.standard_normal(len(nu.atoms))
+    assert_matches_per_arc_loop(fv, nu, p, marked_angles=tuple(marked),
+                                convention=convention, anchor=anchor)
+
+
+def test_rank_fallback_on_clustered_atoms(monkeypatch):
+    # three clusters of three atoms 1e-6 apart: every arc holding one
+    # cluster has a moment Gram of numerical rank 1 < r + 1 = 2 (smallest
+    # singular value about 1e-12, under the rank tolerance 1e-10)
+    angles = np.add.outer([0.5, 2.5, 4.5], [0.0, 1e-6, 2e-6]).ravel()
+    rng = np.random.default_rng(5)
+    nu = ClarkMeasure(1.0, np.exp(1j * angles), rng.uniform(0.5, 1.5, 9))
+    fv = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return moment_polynomial(*args)
+
+    monkeypatch.setattr(besov, "moment_polynomial", counting)
+    assert_matches_per_arc_loop(fv, nu, 1.0)
+    assert calls and set(calls) == {3}
+    # well separated atoms: every Gram passes the batched check
+    calls.clear()
+    spread = square_clark_measure(BlaschkeProduct([0.3, -0.4j, 0.5 + 0.2j]), 1.0)
+    assert_matches_per_arc_loop(fv[:6], spread, 1.0)
+    assert calls == []
+
+
+def test_besov_profile_memory_is_bounded():
+    # 2^16 arcs in the last generation against 4096 atoms: a dense
+    # arcs x atoms mask alone would take 256 MB
+    grid = LebesgueGrid(4096)
+    rng = np.random.default_rng(8)
+    fv = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
+    tracemalloc.start()
+    try:
+        prof = besov_profile(fv, grid, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prof.generation_sums) == default_generation_cap(grid) + 1
+    assert peak < 64 * 2**20
+
+
+def test_dyadic_halves_split_grid_nodes_exactly():
+    # grid nodes sit on the dyadic ends; each must fall in exactly one arc
+    grid = LebesgueGrid(4096)
+    fam = dyadic_family(grid, 8)
+    for arcs in fam.generations:
+        held = sum(arc.contains(grid.atoms).astype(int) for arc in arcs)
+        assert np.all(held == 1)
+    assert fam.tiling_defect(grid) == 0.0
+    arcs = list(fam.components)
+    for generation in fam.generations:
+        assert list(generation) == arcs
+        arcs = [half for arc in arcs for half in arc.halves()]

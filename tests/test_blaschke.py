@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ttolab.blaschke import BlaschkeProduct, boundary_zero_closure, sublevel_connectivity
+from ttolab.blaschke import (BlaschkeProduct, boundary_zero_closure, sublevel_connectivity,
+                             union_roots)
 from ttolab.harmonic import unit_nodes
 
 
@@ -98,3 +99,10 @@ def test_sublevel_disconnects_for_separated_zeros():
     report = sublevel_connectivity(theta, 0.05)
     assert report.verdict == "disconnected"
     assert report.components == 2
+
+
+def test_union_roots_joins_pairs():
+    roots = union_roots(6, [(0, 2), (3, 4), (2, 5)])
+    assert roots[0] == roots[2] == roots[5]
+    assert roots[3] == roots[4]
+    assert len(set(roots)) == 3

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ttolab
 
 from ttolab.cli import main, parse_alpha, parse_symbol, parse_theta
 from ttolab.config import ConfigError
@@ -12,6 +18,18 @@ FAST_VERIFY = ["--set", "sweep.instances=3", "--set", "nehari.multistart=6",
 
 def run(argv):
     return main(argv)
+
+
+def test_import_loads_no_scipy():
+    # every command starts by importing the package; scipy loads only in
+    # the functions that use it
+    src = str(Path(ttolab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ttolab; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ parsers

@@ -4,6 +4,7 @@ from ttolab.blaschke import BlaschkeProduct
 from ttolab.harmonic import TrigPoly
 from ttolab.modelspace import build_basis
 from ttolab.spectra import (
+    _single_linkage,
     essential_spectrum_experiment,
     geometric_zero_generator,
     matched_distance,
@@ -84,3 +85,10 @@ def test_geometric_zero_generator():
     assert abs(gen(3) - 0.875) < 1e-15
     spun = geometric_zero_generator(0.5, angle_rate=np.pi / 2)
     assert abs(spun(2) - 0.75 * np.exp(1j * np.pi / 4)) < 1e-14
+
+
+def test_single_linkage_chains_close_points():
+    points = np.array([0.0, 0.04, 0.08, 1.0, 1.0 + 0.03j])
+    clusters = _single_linkage(points, 0.05)
+    assert [c.count for c in clusters] == [3, 2]
+    assert abs(clusters[0].center - 0.04) < 1e-15
