@@ -4,11 +4,12 @@ For a degree-d Blaschke product theta and a unimodular anchor alpha, the
 level set {theta = alpha} on the circle consists of exactly d points (the
 boundary phase increases strictly and winds d times).  They are found
 without any grid: the continuous boundary phase has a closed form per
-zero, and one vectorised, bracket-safeguarded Newton iteration solves
-for all d atoms at once in O(d^2) memory.  The Clark measure places
-weight 1/|theta'| at each atom; the induced embedding of the model space
-into L2 of that measure is unitary.  Combining the embeddings at alpha
-and -alpha yields a unitary Hilbert transform with an explicit
+zero, its values at O(d) breakpoints set by the zeros give every atom a
+bracket and a start of its own, and one vectorised, safeguarded Newton
+iteration (rtsafe) refines all d at once in O(d^2) memory.  The Clark
+measure places weight 1/|theta'| at each atom; the induced embedding of
+the model space into L2 of that measure is unitary.  Combining the
+embeddings at alpha and -alpha yields a unitary Hilbert transform with an explicit
 Cauchy-type kernel, and a commutator construction that reproduces
 truncated Hankel operators from values of the symbol at the atoms.
 This route shares no code with either builder of the Hankel matrix in
@@ -40,6 +41,7 @@ class ClarkMeasure:
     alpha: complex
     atoms: np.ndarray    # unit-modulus positions, sorted by angle
     weights: np.ndarray  # 1 / |theta'| at each atom
+    phase_evaluations: int = 0  # vectorised boundary-phase evaluations behind the atoms
 
     @property
     def mass(self) -> float:
@@ -81,15 +83,50 @@ def _boundary_phase(zeros, t):
     return phase, speed
 
 
+def _starts(zeros, base):
+    """Targets, brackets and starting angles for the d roots.
+
+    Phi is evaluated once at the sorted breakpoints 0, 2 pi, beta and
+    beta -+ (1 - r) of every zero r e^{i beta}, which resolve the scale on
+    which the phase turns near each zero.  Each target
+    base + 2 pi j in [Phi(0), Phi(0) + 2 pi d) is located among those
+    values, and its root starts at the linear interpolant inside the
+    bracket found.  The index is clipped because a target can equal
+    Phi(0) or Phi(2 pi) up to rounding.
+    """
+    lam = np.asarray(zeros, dtype=complex)
+    beta, delta = np.mod(np.angle(lam), TWO_PI), 1.0 - np.abs(lam)
+    cuts = np.unique(np.concatenate(
+        [[0.0, TWO_PI], np.mod(np.concatenate([beta, beta - delta, beta + delta]), TWO_PI)]))
+    phase = _boundary_phase(zeros, cuts)[0]
+    # theta = alpha where the zero factors' phase is base mod 2 pi
+    targets = base + TWO_PI * (np.ceil((phase[0] - base) / TWO_PI) + np.arange(lam.size))
+    k = np.clip(np.searchsorted(phase, targets, side="right"), 1, cuts.size - 1)
+    lo, hi = cuts[k - 1], cuts[k]
+    rise = np.maximum(phase[k] - phase[k - 1], np.finfo(float).tiny)
+    t = lo + np.clip((targets - phase[k - 1]) / rise, 0.0, 1.0) * (hi - lo)
+    return targets, lo, hi, t
+
+
 def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     """Solve theta(xi) = alpha on the circle and attach weights 1/|theta'|.
 
     The continuous boundary phase Phi(t) of theta increases strictly by
-    2 pi d over [0, 2 pi), so the level set consists of the d solutions of
-    Phi(t) = arg(alpha) + 2 pi j in that interval.  All d are found at
-    once by Newton steps on Phi (whose derivative is |theta'| > 0), each
-    kept inside its own bracket by bisection, until every step is within
-    two ulp of 2 pi.  Memory is O(d^2) however close the zeros lie to T.
+    2 pi d over [0, 2 pi], so the level set consists of the d solutions of
+    Phi(t) = arg(alpha) - arg(gamma) + 2 pi j in that interval.  Each root
+    starts inside its own bracket, found from Phi at O(d) breakpoints set
+    by the zeros (`_starts`), and all d are refined at once by the
+    safeguarded Newton rule of rtsafe (Numerical Recipes 9.4) on Phi, whose
+    derivative is |theta'| > 0.  A root is settled as soon as its Newton
+    step is within two ulp of 2 pi, tested before the bracket, so that a
+    converged step landing on the bracket's end is not mistaken for an
+    escape; a Newton step inside the bracket from a residual at the
+    rounding floor of Phi (8 ulp of 2 pi d) settles it too.  Otherwise the
+    root bisects its bracket when the Newton step leaves it or the
+    residual has not halved since the previous step, and is settled once
+    the bracket has shrunk to two ulp.  Memory is O(d^2) however close
+    the zeros lie to T; `phase_evaluations` counts the vectorised
+    evaluations of Phi.
     """
     d = theta.degree
     if d == 0:
@@ -100,31 +137,35 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     alpha /= abs(alpha)
 
     zeros = theta.zeros
-    start = float(_boundary_phase(zeros, np.zeros(1))[0][0])
-    # theta = alpha where the zero factors' phase is arg(alpha) - arg(gamma)
-    # mod 2 pi; the targets lie in [Phi(0), Phi(0) + 2 pi d), so every root
-    # lies in [0, 2 pi]
     base = float(np.angle(alpha) - np.angle(theta.gamma))
-    targets = base + TWO_PI * (np.ceil((start - base) / TWO_PI) + np.arange(d))
-    lo, hi = np.zeros(d), np.full(d, TWO_PI)
-    t = (targets - start) / d
-    active = np.ones(d, dtype=bool)
+    targets, lo, hi, t = _starts(zeros, base)
+    last = np.full(d, np.inf)   # |residual| one step earlier
+    todo = np.arange(d)
     tiny = 2.0 * np.spacing(TWO_PI)
+    noise = 8.0 * np.spacing(TWO_PI * d)   # rounding floor of Phi
+    evaluations = 1
     for _ in range(_NEWTON_CAP):
-        phase, speed = _boundary_phase(zeros, t)
-        err = phase - targets
-        lo = np.where(err < 0.0, t, lo)
-        hi = np.where(err > 0.0, t, hi)
-        step = -err / speed
-        outside = (t + step <= lo) | (t + step >= hi)
-        step = np.where(outside & (err != 0.0), 0.5 * (lo + hi) - t, step)
-        step = np.where(active, step, 0.0)
-        t = t + step
-        active &= np.abs(step) > tiny
-        if not active.any():
+        if todo.size == 0:
             break
-    else:
-        raise ClarkError(f"boundary phase Newton did not settle {int(active.sum())} "
+        phase, speed = _boundary_phase(zeros, t[todo])
+        evaluations += 1
+        err = phase - targets[todo]
+        x = t[todo]
+        trial = x - err / speed
+        a = lo[todo] = np.where(err < 0.0, x, lo[todo])
+        b = hi[todo] = np.where(err > 0.0, x, hi[todo])
+        inside = (a < trial) & (trial < b)
+        # a Newton step within tiny is converged even where it lands on the
+        # bracket's end; so is one inside the bracket from a residual at
+        # the rounding floor, which no further step can reduce
+        settled = (np.abs(trial - x) <= tiny) | (inside & (np.abs(err) <= noise))
+        bisect = ~settled & (~inside | (np.abs(err) > 0.5 * last[todo]))
+        trial = np.where(bisect, 0.5 * (a + b), trial)
+        last[todo] = np.abs(err)
+        t[todo] = trial
+        todo = todo[~settled & (np.abs(trial - x) > tiny)]
+    if todo.size:
+        raise ClarkError(f"boundary phase Newton did not settle {todo.size} "
                          f"of {d} roots in {_NEWTON_CAP} steps")
 
     roots = np.sort(np.mod(t, TWO_PI))
@@ -132,7 +173,7 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
         raise ClarkError("atoms collide: zeros too close to the circle for double precision")
     atoms = np.exp(1j * roots)
     weights = 1.0 / theta.boundary_derivative_modulus(atoms)
-    return ClarkMeasure(alpha, atoms, weights)
+    return ClarkMeasure(alpha, atoms, weights, evaluations)
 
 
 def expected_mass(theta: BlaschkeProduct, alpha: complex) -> float:
@@ -167,7 +208,8 @@ def square_clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure
         gaps = np.diff(angles, append=angles[0] + TWO_PI)
         if float(np.min(gaps)) < 1e-10:
             raise ClarkError("atoms of the two half measures collide")
-    return ClarkMeasure(complex(alpha) ** 2, atoms, weights)
+    return ClarkMeasure(complex(alpha) ** 2, atoms, weights,
+                        plus.phase_evaluations + minus.phase_evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,9 @@ def cmd_verify(args) -> int:
     report = run_verification(config, only)
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"
+        # wall time goes to stdout only: verify.json stays byte-identical
         print(f"{status} {r.name:40s} worst={r.worst:.3e} tol={r.tolerance:g} "
-              f"checks={r.checks}")
+              f"checks={r.checks} seconds={r.seconds:.3f}")
     _emit(args, out / "verify.json", report.to_dict())
     return 0 if report.passed else 1
 
@@ -203,6 +204,7 @@ def cmd_clark(args) -> int:
         "expected_mass": expected_mass(theta, alpha),
         "poisson_defect": poisson_identity_defect(measure, theta, pts),
         "unitarity_defect": unitary.unitarity_defect(),
+        "phase_evaluations": measure.phase_evaluations,
     }
     _emit(args, out / "clark.json", payload)
     return 0

@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.clark import (
     ClarkError,
+    ClarkMeasure,
     clark_measure,
     clark_reconstruct,
     clark_unitary,
@@ -19,7 +22,7 @@ from ttolab.clark import (
     square_clark_measure,
 )
 from ttolab.corpus import random_conjugate_square_symbol
-from ttolab.modelspace import build_basis
+from ttolab.modelspace import _clark_atoms, build_basis
 
 THETA = BlaschkeProduct([0.3, -0.4j, 0.1 + 0.5j])
 ALPHA = np.exp(0.6j)
@@ -161,3 +164,87 @@ def test_unresolvable_atoms_fail_loudly():
     theta = BlaschkeProduct([(1.0 - 2.0**-52) * 1j] * 40)
     with pytest.raises(ClarkError):
         clark_measure(theta, 1.0)
+
+
+def _level_set_residual(theta, alpha, atoms):
+    """Largest |theta(xi) - alpha| over the atoms, in units of what double
+    precision allows there: |theta'| times the rounding of the angle, plus
+    the rounding of each factor, relative eps / |xi - lam|."""
+    lam = np.asarray(theta.zeros, dtype=complex)
+    factors = np.sum(1.0 / np.abs(atoms[:, None] - lam[None, :]), axis=1)
+    scale = 1e-12 + 64 * np.finfo(float).eps * (theta.boundary_derivative_modulus(atoms)
+                                                + factors)
+    return float(np.max(np.abs(theta(atoms) - alpha) / scale))
+
+
+def test_cycle_case_settles(interior_points):
+    # a level set on which a Newton step one ulp inside the bracket's far
+    # end used to cycle until the step cap
+    theta = BlaschkeProduct([0.28557893398571066 + 0.5831439136859794j,
+                             -0.3332608154277953 + 0.0891665732919383j,
+                             0.22052003706517306 + 0.7456582700681309j])
+    alpha = -0.9077127337857923 + 0.41959217452560205j
+    mu = clark_measure(theta, alpha)
+    assert len(mu.atoms) == theta.degree
+    assert np.max(np.abs(theta(mu.atoms) - mu.alpha)) < 1e-12
+    assert abs(mu.mass - expected_mass(theta, mu.alpha)) < 1e-12
+    assert poisson_identity_defect(mu, theta, interior_points) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+def test_phase_evaluations_on_boundary_family(alpha):
+    # each root starts in its own bracket, so the whole solve takes a
+    # handful of vectorised phase evaluations at every degree
+    for n in range(2, 33):
+        theta = BlaschkeProduct([1.0 - 2.0**-k for k in range(1, n + 1)])
+        mu = clark_measure(theta, alpha)
+        assert 2 <= mu.phase_evaluations <= 12, n
+
+
+def test_phase_evaluations_default_and_square():
+    assert ClarkMeasure(1.0, np.ones(1), np.ones(1)).phase_evaluations == 0
+    plus, minus = clark_measure(THETA, ALPHA), clark_measure(THETA, -ALPHA)
+    nu = square_clark_measure(THETA, ALPHA)
+    assert nu.phase_evaluations == plus.phase_evaluations + minus.phase_evaluations
+
+
+near_boundary_zero = st.tuples(st.floats(-12.0, np.log10(0.5)),   # log10 of 1 - |lam|
+                               st.floats(-1.0, 1.0))              # offset in the cluster
+
+
+@settings(max_examples=150, deadline=None)
+@given(zeros=st.lists(near_boundary_zero, min_size=1, max_size=12),
+       centre=st.floats(0.0, 2 * np.pi),
+       spread=st.floats(-6.0, 0.5),
+       origin=st.booleans(),
+       repeat=st.booleans(),
+       gamma=st.floats(0.0, 2 * np.pi),
+       alpha=st.one_of(st.just(None), st.floats(0.0, 2 * np.pi)))
+def test_near_boundary_sets_settle(zeros, centre, spread, origin, repeat, gamma, alpha):
+    delta = np.array([10.0**e for e, _ in zeros])
+    angles = centre + 10.0**spread * np.array([o for _, o in zeros])
+    lam = list((1.0 - delta) * np.exp(1j * angles))
+    if origin:
+        lam.append(0.0)
+    if repeat:
+        lam.append(lam[0])
+    theta = BlaschkeProduct(lam, gamma=np.exp(1j * gamma))
+    alpha = 1.0 if alpha is None else np.exp(1j * alpha)
+    try:
+        mu = clark_measure(theta, alpha)
+    except ClarkError as exc:
+        # the step cap is never hit; only atoms closer than double
+        # precision separates may refuse
+        assert "collide" in str(exc)
+        return
+    assert len(mu.atoms) == theta.degree
+    assert _level_set_residual(theta, mu.alpha, mu.atoms) <= 1.0
+    # 1 - |lam|^2 carries relative rounding eps / delta into both the
+    # weights 1/|theta'| and the Herglotz value at the origin
+    want = expected_mass(theta, mu.alpha)
+    rel = 1e-12 + 64 * np.finfo(float).eps / delta.min()
+    assert abs(mu.mass - want) <= rel * max(1.0, abs(want))
+    if alpha == 1.0 and delta.min() >= 1e-3:
+        eig = _clark_atoms(theta)
+        eig = eig / np.abs(eig)
+        assert np.max(np.min(np.abs(mu.atoms[:, None] - eig[None, :]), axis=1)) < 1e-12

@@ -84,13 +84,17 @@ def test_verify_subset_passes(tmp_path):
     assert names == ["basis-orthonormality", "hankel-toeplitz-link"]
 
 
-def test_verify_reruns_byte_identical(tmp_path):
+def test_verify_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["verify", "--only", "basis-orthonormality,rank-one-identity",
             *FAST_VERIFY]
     assert run(args + ["--output-dir", str(a)]) == 0
     assert run(args + ["--output-dir", str(b)]) == 0
     assert (a / "verify.json").read_bytes() == (b / "verify.json").read_bytes()
+    # per-suite wall time is printed, never written to the report
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("PASS")]
+    assert len(lines) == 4 and all(" seconds=" in ln for ln in lines)
+    assert "seconds" not in (a / "verify.json").read_text()
 
 
 def test_verify_unattainable_tolerance_fails(tmp_path):
@@ -149,6 +153,8 @@ def test_clark_dump(tmp_path):
     assert abs(payload["mass"] - payload["expected_mass"]) < 1e-10
     assert payload["poisson_defect"] < 1e-8
     assert payload["unitarity_defect"] < 1e-10
+    assert isinstance(payload["phase_evaluations"], int)
+    assert 2 <= payload["phase_evaluations"] <= 12
 
 
 def test_spectrum_dump(tmp_path):
