@@ -63,28 +63,42 @@ class ClarkMeasure:
 _NEWTON_CAP = 200
 
 
-def _boundary_phase(zeros, t):
-    """Continuous boundary phase of the zero factors at angles t and its
-    derivative |theta'|, each of shape t.shape.
-
-    A zero lam = r e^{i beta} contributes
-    t + pi - beta - 2 atan2(-r sin(t - beta), (1 - r) + 2 r sin^2((t - beta)/2))
-    (t alone when r = 0) and (1 - r)(1 + r) / ((1 - r)^2 + 4 r sin^2((t - beta)/2))
-    to the derivative; neither form cancels as r -> 1.
-    """
+def _factors(zeros):
+    """Per-zero constants of `_boundary_phase`: beta, 1 - r, 1 + r, 4 r and
+    pi times the number of zeros at the origin."""
     lam = np.asarray(zeros, dtype=complex)
-    r, beta = np.abs(lam), np.angle(lam)
-    offset = float(np.sum(np.where(r > 0, np.pi - beta, 0.0)))
-    u = t[..., None] - beta
-    half = np.sin(0.5 * u) ** 2
-    arg = np.arctan2(-r * np.sin(u), (1.0 - r) + 2.0 * r * half)
-    phase = lam.size * t + offset - 2.0 * np.sum(arg, axis=-1)
-    speed = np.sum((1.0 - r) * (1.0 + r) / ((1.0 - r) ** 2 + 4.0 * r * half), axis=-1)
-    return phase, speed
+    r = np.abs(lam)
+    return np.angle(lam), 1.0 - r, 1.0 + r, 4.0 * r, np.pi * (lam.size - np.count_nonzero(r))
+
+
+def _boundary_phase(factors, t):
+    """Continuous boundary phase Phi of the zero factors at angles t, as
+    whole turns plus a remainder, and its derivative |theta'|, each of
+    shape t.shape: Phi(t) = 2 pi turns + rest.
+
+    With t - beta = v + 2 pi m, v in [0, 2 pi), a zero lam = r e^{i beta}
+    contributes 2 pi (m + 1) - 2 atan2((1 - r) cos(v/2), (1 + r) sin(v/2))
+    (t alone when r = 0) and (1 - r)(1 + r) / ((1 - r)^2 + 4 r sin^2(v/2))
+    to the derivative.  Neither form cancels as r -> 1, and the atan2
+    term is O(1 - r) wherever the factor's phase is flat, so the remainder
+    keeps its relative precision there instead of the absolute rounding
+    of a sum of O(1) angles, which would move a root by eps / |theta'|.
+    """
+    beta, below, above, four_r, origin = factors
+    half = 0.5 * (t[..., None] - beta)
+    m = np.floor(half / np.pi)
+    half -= np.pi * m                                           # v / 2
+    sin, cos = np.sin(half), np.cos(half)
+    turns = np.sum(m, axis=-1) + beta.size
+    # at r = 0 the term is pi + t, so each zero at the origin takes pi off
+    rest = -2.0 * np.sum(np.arctan2(below * cos, above * sin), axis=-1) - origin
+    speed = np.sum(below * above / (below**2 + four_r * sin**2), axis=-1)
+    return turns, rest, speed
 
 
 def _starts(zeros, base):
-    """Targets, brackets and starting angles for the d roots.
+    """Turn counts of the targets, brackets and starting angles for the d
+    roots.
 
     Phi is evaluated once at the sorted breakpoints 0, 2 pi, beta and
     beta -+ (1 - r) of every zero r e^{i beta}, which resolve the scale on
@@ -98,14 +112,16 @@ def _starts(zeros, base):
     beta, delta = np.mod(np.angle(lam), TWO_PI), 1.0 - np.abs(lam)
     cuts = np.unique(np.concatenate(
         [[0.0, TWO_PI], np.mod(np.concatenate([beta, beta - delta, beta + delta]), TWO_PI)]))
-    phase = _boundary_phase(zeros, cuts)[0]
+    turns, rest, _ = _boundary_phase(_factors(zeros), cuts)
+    phase = TWO_PI * turns + rest
     # theta = alpha where the zero factors' phase is base mod 2 pi
-    targets = base + TWO_PI * (np.ceil((phase[0] - base) / TWO_PI) + np.arange(lam.size))
+    j = np.ceil((phase[0] - base) / TWO_PI) + np.arange(lam.size)
+    targets = base + TWO_PI * j
     k = np.clip(np.searchsorted(phase, targets, side="right"), 1, cuts.size - 1)
     lo, hi = cuts[k - 1], cuts[k]
     rise = np.maximum(phase[k] - phase[k - 1], np.finfo(float).tiny)
     t = lo + np.clip((targets - phase[k - 1]) / rise, 0.0, 1.0) * (hi - lo)
-    return targets, lo, hi, t
+    return j, lo, hi, t
 
 
 def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
@@ -137,8 +153,9 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     alpha /= abs(alpha)
 
     zeros = theta.zeros
+    factors = _factors(zeros)
     base = float(np.angle(alpha) - np.angle(theta.gamma))
-    targets, lo, hi, t = _starts(zeros, base)
+    j, lo, hi, t = _starts(zeros, base)
     last = np.full(d, np.inf)   # |residual| one step earlier
     todo = np.arange(d)
     tiny = 2.0 * np.spacing(TWO_PI)
@@ -147,9 +164,10 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     for _ in range(_NEWTON_CAP):
         if todo.size == 0:
             break
-        phase, speed = _boundary_phase(zeros, t[todo])
+        turns, rest, speed = _boundary_phase(factors, t[todo])
         evaluations += 1
-        err = phase - targets[todo]
+        # whole turns cancel exactly, so err keeps the precision of rest
+        err = (TWO_PI * (turns - j[todo]) - base) + rest
         x = t[todo]
         trial = x - err / speed
         a = lo[todo] = np.where(err < 0.0, x, lo[todo])

@@ -323,7 +323,8 @@ def cmd_nehari(args) -> int:
         ratio = gap.ratio if gap.ratio is not None else float("nan")
         if gap.ratio is not None:
             max_ratio = max(max_ratio, gap.ratio)
-        rows.append((idx, degree, gap.hankel_norm, gap.dual.value, ratio))
+        rows.append((idx, degree, gap.hankel_norm, gap.dual.value, ratio,
+                     gap.dual.iterations))
     conv = convolution_table(TrigPoly({-1: 1.0}), BlaschkeProduct([0.0, 0.0]),
                              neh.r_list, grid_m=neh.grid_m)
     passed = not errors     # violations are filed under errors too
@@ -337,7 +338,8 @@ def cmd_nehari(args) -> int:
         "convolution": [(r.r, r.sup_gap, r.theta_gap) for r in conv],
     }
     write_text(out / "nehari.csv", csv_table(
-        ("instance", "degree", "hankel_norm", "dual_distance", "ratio"),
+        ("instance", "degree", "hankel_norm", "dual_distance", "ratio",
+         "iterations"),
         rows))
     _emit(args, out / "nehari.json", payload)
     print(f"nehari: {len(rows)} instances, empirical constant "

@@ -73,6 +73,22 @@ def compressed_shift(zeros) -> np.ndarray:
     return np.where(j > k, s[:, None] * (s * u) * gaps, np.diag(lam))
 
 
+def taylor_rows(basis: "ModelSpaceBasis", count: int) -> np.ndarray:
+    """Taylor coefficients of the basis: row n holds the coefficient of
+    z^n in every e_j, for n < count.
+
+    Row n is t_n = conj(S^n k_0), with S the compressed shift and k_0 the
+    coordinates conj(e_j(0)) of the projection of 1 onto K_theta.
+    """
+    shift = compressed_shift(basis.theta.zeros)
+    column = np.conj(basis.sample(np.zeros(1, dtype=complex))[:, 0])  # k_0
+    rows = np.empty((count, basis.size), dtype=complex)
+    for n in range(count):
+        rows[n] = np.conj(column)
+        column = shift @ column
+    return rows
+
+
 def _clark_atoms(theta: BlaschkeProduct) -> np.ndarray:
     """The d points of {theta = 1} as eigenvalues of the Clark unitary
     U = S + (1 - conj(theta(0)))^{-1} k_0 (x) C k_0 (Clark 1972).

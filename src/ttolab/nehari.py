@@ -12,9 +12,12 @@ maximization over coefficient vectors:
 
 Equivalently dist = 1 / min { ||h||_1 : ∫ phi h dm = 1 }, an L^1 norm
 minimized under one affine constraint: a convex problem with a single
-global optimum, solved by iteratively reweighted least squares (IRLS).
-Every h certifies the lower bound |∫ phi h| / ||h||_1, and at the
-optimum it is the distance itself, up to grid and quadrature error.
+global optimum, solved on a grid by a damped Newton method whose
+safeguard is one iteratively reweighted least-squares (IRLS) step.  The
+pairing ∫ phi h dm is a closed form in the Taylor coefficients of the
+basis when phi is a trigonometric polynomial.  Every h certifies the
+lower bound |∫ phi h| / ||h||_1, and at the optimum it is the distance
+itself, up to grid and quadrature error.
 A Lawson-style IRLS pass produces primal certificates
 f = f1 + conj(Theta f2) for the upper side, and the Poisson convolution
 table smooths those certificates toward continuous near-minimizers.
@@ -29,7 +32,7 @@ from .blaschke import BlaschkeProduct
 from .harmonic import (DEFAULT_QUADRATURE, QuadratureSettings, Symbol,
                        TrigPoly, adaptive_boundary_mean, unit_nodes)
 from .modelspace import (BasisCombination, ModelSpaceBasis, build_basis,
-                         vanishing_at_origin_subspace)
+                         taylor_rows, vanishing_at_origin_subspace)
 from .truncops import hankel_matrix
 
 
@@ -62,56 +65,108 @@ def dual_basis(theta: BlaschkeProduct,
     return DualBasis(basis, vanishing_at_origin_subspace(basis))
 
 
+def dual_pairing(phi: Symbol, dual: DualBasis,
+                 quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
+    """∫ phi h_i dm against the dual basis h_i.
+
+    For a trigonometric polynomial phi = sum c_n z^n only the negative
+    frequencies pair with h_i in zH^2, and ∫ z^-n h_i dm is the n-th
+    Taylor coefficient of h_i, so the pairing is U^T sum_{n>=1} c_-n t_n
+    with t_n the Taylor rows of the basis and U the dual coefficients.
+    Every other symbol goes through `dual_pairing_by_quadrature`.
+    """
+    if not isinstance(phi, TrigPoly):
+        return dual_pairing_by_quadrature(phi, dual, quad)
+    depth = max(0, -min(phi.coeffs, default=0))
+    rows = taylor_rows(dual.basis, depth + 1)[1:]
+    weights = np.array([phi.coeffs.get(-n, 0.0) for n in range(1, depth + 1)],
+                       dtype=complex)
+    return dual.coeffs.T @ (weights @ rows)
+
+
+def dual_pairing_by_quadrature(phi: Symbol, dual: DualBasis,
+                               quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
+    """∫ phi h_i dm by adaptive quadrature: works for any bounded symbol and
+    is the independent check on the closed form."""
+
+    def sample(nodes):
+        return phi(nodes)[None, :] * dual.sample(nodes)
+
+    q, _ = adaptive_boundary_mean(sample, quad)
+    return np.asarray(q, dtype=complex).ravel()
+
+
 @dataclass(frozen=True)
 class DistanceReport:
-    """Dual value of the IRLS minimizer, with the solver's step count."""
+    """Dual value of the grid L1 minimizer, with the solver's step count."""
 
     value: float                # certified lower bound on the distance
     coefficients: np.ndarray    # dual-basis coefficients of the minimizer
     pairing: np.ndarray         # ∫ phi h_i dm against the dual basis
     grid_value: float           # |c.q| / mean|h| on the optimization grid
     grid_m: int
-    starts: int                 # 1 per IRLS solve, 0 when none was needed
+    starts: int                 # 1 per solve, 0 when none was needed
     stagnant_starts: int        # always 0; kept for report compatibility
-    iterations: int             # reweighted least-squares solves
+    iterations: int             # accepted Newton and IRLS fallback steps
 
 
-# IRLS smoothing floor, relative to mean|h|, and a cap on the steps that
-# only guards against a stalled iteration.
+# Weight floor, relative to mean|h|: 1/|h| is clamped at 1/(floor mean|h|)
+# in both steps.  The step cap only guards against a stalled iteration.
 _EPS_FLOOR = 1e-12
 _MAX_STEPS = 500
+_HALVINGS = 4
 
 
-def _irls_l1(q, samples):
-    """Minimize mean|c @ samples| subject to c @ q = 1 by IRLS.
+def _newton_l1(q, samples):
+    """Minimize F(c) = mean|c @ samples| subject to c @ q = 1.
 
-    Each step minimizes the weighted L2 norm sum w |h|^2 / m under the
-    constraint, with w = 1 / max(|h|, eps) from the previous h; eps
-    shrinks tenfold per step down to a floor of 1e-12 mean|h|.  The
-    problem is convex, so the iteration approaches its global minimum
-    (Daubechies-DeVore-Fornasier-Gunturk, CPAM 2010).  It stops once
-    mean|h| no longer decreases at the floor: the grid objective is flat
-    at its minimum, so a looser relative stop leaves a coefficient error
-    that the exact L1 norm off the grid sees to first order.
-    Returns c, mean|h| and the number of steps.
+    With c = c0 + y N^T, c0 = conj(q) / |q|^2 and the columns of N an
+    orthonormal basis of {c : c @ q = 0}, h = h0 + y G with G = N^T samples
+    and y free.  In the real coordinates (Re y, Im y) the gradient of F is
+    mean Re(conj(n) dh) with n = h / |h|, and its Hessian is
+    mean r r^T / |h| with r = Im(conj(n) dh), the part of dh along i n;
+    1/|h| is clamped at 1/(1e-12 F).  Each step is a Newton step, halved
+    up to four times until F decreases (Boyd-Vandenberghe 9.5).  When none
+    decreases F, the step is one IRLS step with weights 1/max(|h|, 1e-12 F)
+    (Daubechies-DeVore-Fornasier-Gunturk, CPAM 2010), which majorizes F
+    and so descends from points where the quadratic model misleads Newton.
+    The iteration stops once neither step decreases F.  Returns c, F and
+    the number of accepted steps.
     """
+    c0 = np.conj(q) / np.vdot(q, q)
+    h0 = c0 @ samples
+    l1 = float(np.mean(np.abs(h0)))
+    free = q.size - 1
+    if free == 0:
+        return c0, l1, 0
     m = samples.shape[1]
-    h = (np.conj(q) / np.vdot(q, q)) @ samples
-    l1 = float(np.mean(np.abs(h)))
-    eps, floored = l1, False
-    for step in range(1, _MAX_STEPS + 1):
-        w = 1.0 / np.maximum(np.abs(h), eps)
-        a = (samples * w) @ samples.conj().T / m
-        v = np.linalg.solve(a, q)
-        c = np.conj(v / np.vdot(q, v))
-        h = c @ samples
-        prev, l1 = l1, float(np.mean(np.abs(h)))
-        if floored and l1 >= prev:
+    null = np.linalg.qr(np.conj(q)[:, None], mode="complete")[0][:, 1:]
+    grid = null.T @ samples
+    y, h = np.zeros(free, dtype=complex), h0
+    steps = 0
+    while steps < _MAX_STEPS:
+        mod = np.abs(h)
+        w = 1.0 / np.maximum(mod, _EPS_FLOOR * l1)
+        p = (np.conj(h) / np.where(mod > 0.0, mod, 1.0)) * grid  # conj(n) dh
+        grad = np.concatenate((p.real.mean(axis=1), -p.imag.mean(axis=1)))
+        r = np.concatenate((p.imag, p.real))
+        dx = np.linalg.solve((r * w) @ r.T / m, -grad)
+        newton = dx[:free] + 1j * dx[free:]
+        for k in range(_HALVINGS + 2):
+            if k <= _HALVINGS:
+                dy = newton * 0.5**k
+            else:               # IRLS: min sum w |h + dy G|^2
+                gw = grid.conj() * w
+                dy = np.linalg.solve(gw @ grid.T, -(gw @ h))
+            trial = h0 + (y + dy) @ grid
+            value = float(np.mean(np.abs(trial)))
+            if value < l1:
+                break
+        else:
             break
-        floor = _EPS_FLOOR * l1
-        floored = eps / 10.0 <= floor
-        eps = floor if floored else eps / 10.0
-    return c, l1, step
+        y, h, l1 = y + dy, trial, value
+        steps += 1
+    return c0 + y @ null.T, l1, steps
 
 
 def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
@@ -120,27 +175,23 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     """Compute dist(phi, F_theta) by the dual extremal problem.
 
     The distance is 1 / min{ ||h||_1 : ∫ phi h = 1 } over the dual space,
-    a convex problem solved on `grid_m` nodes by one deterministic IRLS
-    run.  Every h yields the rigorous lower bound |∫ phi h| / ||h||_1;
-    the final value pairs the minimizer exactly with phi and integrates
-    its L1 norm adaptively rather than trusting the optimization grid.
+    a convex problem solved on `grid_m` nodes by one deterministic damped
+    Newton run with IRLS fallback steps (`_newton_l1`).  Every h yields
+    the rigorous lower bound |∫ phi h| / ||h||_1; the final value pairs
+    the minimizer exactly with phi (`dual_pairing`) and integrates its L1
+    norm adaptively rather than trusting the optimization grid.
     `multistart` and `seed` are accepted for compatibility and ignored.
     """
     if theta.degree < 2:
         empty = np.zeros(0, dtype=complex)
         return DistanceReport(0.0, empty, empty, 0.0, grid_m, 0, 0, 0)
     dual = dual_basis(theta, quad)
-
-    def pairing_sample(nodes):
-        return phi(nodes)[None, :] * dual.sample(nodes)
-
-    q, _ = adaptive_boundary_mean(pairing_sample, quad)
-    q = np.asarray(q, dtype=complex).ravel()
+    q = dual_pairing(phi, dual, quad)
     if float(np.linalg.norm(q)) < 1e-14:
         zero = np.zeros(dual.dimension, dtype=complex)
         return DistanceReport(0.0, zero, q, 0.0, grid_m, 0, 0, 0)
 
-    best_c, grid_l1, steps = _irls_l1(q, dual.sample(unit_nodes(grid_m)))
+    best_c, grid_l1, steps = _newton_l1(q, dual.sample(unit_nodes(grid_m)))
 
     # honest final value: exact pairing, adaptively integrated L1 norm
     h_best = dual.element(best_c)

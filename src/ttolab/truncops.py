@@ -20,7 +20,7 @@ from .harmonic import (DEFAULT_QUADRATURE, ConjSymbol, QuadratureSettings,
                        poisson_extension, unit_nodes)
 from .modelspace import (BasisCombination, ConjugateKernel, ModelSpaceBasis,
                          build_basis, compressed_shift, conjugate_kernel,
-                         vanishing_at_origin_subspace)
+                         taylor_rows, vanishing_at_origin_subspace)
 
 
 @dataclass
@@ -153,12 +153,7 @@ def hankel_matrix(phi: Symbol, basis: ModelSpaceBasis,
     if not isinstance(phi, TrigPoly):
         return hankel_by_quadrature(phi, basis, quad)
     depth = max(0, -min(phi.coeffs, default=0))
-    shift = compressed_shift(basis.theta.zeros)
-    column = np.conj(basis.sample(np.zeros(1, dtype=complex))[:, 0])  # k_0
-    taylor = np.empty((depth, basis.size), dtype=complex)
-    for n in range(depth):
-        taylor[n] = np.conj(column)
-        column = shift @ column
+    taylor = taylor_rows(basis, depth)
     # Gamma = T^T H T with the coefficient Hankel matrix H[a, b] = c_{-(a+b+1)}
     coeffs = np.array([[phi.coeffs.get(-(a + b + 1), 0.0) for b in range(depth)]
                        for a in range(depth)], dtype=complex).reshape(depth, depth)

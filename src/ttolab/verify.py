@@ -23,7 +23,8 @@ from .corpus import (random_blaschke, random_conjugate_square_symbol,
                      random_unimodular, random_zero_hankel_symbol, spawn_rngs)
 from .harmonic import boundary_norm, inner_product, matrix_integral
 from .modelspace import build_basis, conjugate_kernel, reproducing_kernel
-from .nehari import NehariError, nehari_gap
+from .nehari import (NehariError, dual_basis, dual_pairing,
+                     dual_pairing_by_quadrature, nehari_gap)
 from .spectra import matched_distance
 from .truncops import (hankel_by_quadrature, hankel_matrix,
                        hankel_toeplitz_defect, rank_one_matrix,
@@ -282,6 +283,25 @@ def _suite_nehari(config: RunConfig, rng) -> tuple:
     return worst, n, "operator norm below dual distance estimate"
 
 
+def _suite_nehari_pairing(config: RunConfig, rng) -> tuple:
+    quad = config.quadrature.settings()
+    worst, n = 0.0, 0
+    for degree in (2, 3, 4):
+        zeros = list(random_blaschke(rng, degree, config.sweep.max_zero_modulus,
+                                     config.sweep.min_zero_gap).zeros)
+        if degree == 3:
+            zeros[0] = 0.0           # the factor z
+        dual = dual_basis(BlaschkeProduct(zeros).square(), quad)
+        phi = random_trig_poly(rng, 4)
+        diff = dual_pairing(phi, dual, quad) - dual_pairing_by_quadrature(phi, dual, quad)
+        worst = max(worst, float(np.max(np.abs(diff))))
+        n += 1
+    return worst, n, "Taylor-row closed form vs quadrature for the Nehari pairing"
+
+
+# verify gates the closed-form pairing tighter than the identity tolerance
+_PAIRING_TOL = 1e-12
+
 _SUITES = [
     ("basis-orthonormality", _suite_basis, "identity"),
     ("kernel-reproducing", _suite_kernels, "identity"),
@@ -296,6 +316,7 @@ _SUITES = [
     ("standard-symbol", _suite_standard_symbol, "identity"),
     ("nehari-bound", _suite_nehari, "nehari_slack"),
     ("compressed-shift-route", _suite_compressed_shift, "identity"),
+    ("nehari-pairing-route", _suite_nehari_pairing, _PAIRING_TOL),
 ]
 
 
@@ -322,7 +343,8 @@ def run_verification(config: RunConfig, only=None) -> VerificationReport:
     rngs = spawn_rngs(config.sweep.seed, [n for n, _, _ in chosen])
     results = []
     for name, func, tol_name in chosen:
-        tol = getattr(config.tolerances, tol_name)
+        tol = (tol_name if isinstance(tol_name, float)
+               else getattr(config.tolerances, tol_name))
         start = time.perf_counter()
         try:
             worst, checks, detail = func(config, rngs[name])

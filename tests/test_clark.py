@@ -248,3 +248,18 @@ def test_near_boundary_sets_settle(zeros, centre, spread, origin, repeat, gamma,
         eig = _clark_atoms(theta)
         eig = eig / np.abs(eig)
         assert np.max(np.min(np.abs(mu.atoms[:, None] - eig[None, :]), axis=1)) < 1e-12
+
+
+@pytest.mark.parametrize("delta, beta, gamma", [(10.0**-2.9375, 0.0, 0.0),
+                                                (10.0**-2.8417397826910555, 0.0, 0.0),
+                                                (1e-3, 3.0, 2 * np.pi),
+                                                (1e-3, 0.25, 0.0)])
+def test_atoms_keep_precision_where_the_phase_is_flat(delta, beta, gamma):
+    # far from its zero the phase of a factor rises like (1 - |lam|) / 2,
+    # so an absolute rounding eps in the phase would move the atom by
+    # about 2 eps / (1 - |lam|), 1.6e-12 here; the eigenvalues of the
+    # Clark unitary fix the atom to a few ulp
+    theta = BlaschkeProduct([(1.0 - delta) * np.exp(1j * beta)], gamma=np.exp(1j * gamma))
+    mu = clark_measure(theta, 1.0)
+    eig = _clark_atoms(theta)
+    assert np.max(np.abs(mu.atoms - eig / np.abs(eig))) < 1e-14

@@ -225,6 +225,19 @@ def test_nehari_command(tmp_path):
     assert payload["empirical_constant"] >= 1.0 - 1e-6
 
 
+def test_nehari_reruns_byte_identical(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    args = ["nehari", "--set", "nehari.instances=6"]
+    assert run(args + ["--output-dir", str(a)]) == 0
+    assert run(args + ["--output-dir", str(b)]) == 0
+    for name in ("nehari.csv", "nehari.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # the solver's step count is deterministic, so it is part of the report
+    header, *rows = (a / "nehari.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "iterations"
+    assert len(rows) == 6 and all(int(row.split(",")[-1]) >= 0 for row in rows)
+
+
 def test_nehari_errors_fail_the_run(tmp_path):
     # a quadrature cap too low for any instance: every one is an error
     code = run(["nehari", "--set", "quadrature.m_cap=256",

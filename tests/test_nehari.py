@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.config import RunConfig
@@ -8,9 +10,12 @@ from ttolab.corpus import (random_blaschke, random_trig_poly,
 from ttolab.harmonic import TrigPoly, boundary_mean, inner_product, unit_nodes
 from ttolab.nehari import (
     NehariError,
+    _newton_l1,
     convolution_table,
     dual_basis,
     dual_distance,
+    dual_pairing,
+    dual_pairing_by_quadrature,
     minimax_certificate,
     nehari_gap,
 )
@@ -153,3 +158,73 @@ def test_dual_distance_ignores_seed_and_multistart():
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.starts, a.stagnant_starts) == (1, 0)
     assert 0 < a.iterations < 500
+
+
+def _first_order_residual(report, samples):
+    # min mean|h| subject to c.q = 1 is convex: at the minimizer the
+    # gradient conj(S) (h/|h|) / m is parallel to conj(q)
+    h = report.coefficients @ samples
+    g = samples.conj() @ (h / np.abs(h)) / samples.shape[1]
+    u = np.conj(report.pairing) / np.linalg.norm(report.pairing)
+    return np.linalg.norm(g - u * np.vdot(u, g)) / np.linalg.norm(g)
+
+
+def test_newton_settles_every_sweep_instance():
+    grid_m = RunConfig().nehari.grid_m
+    for theta, phi in _sweep_instances(50):
+        if theta.degree < 2:
+            continue
+        square = theta.square()
+        report = dual_distance(phi, square, grid_m=grid_m)
+        samples = dual_basis(square).sample(unit_nodes(grid_m))
+        assert _first_order_residual(report, samples) <= 1e-7
+        assert report.iterations <= 40
+
+
+def _irls_l1(q, samples, floor=1e-12, max_steps=500):
+    """The earlier production solver, kept as a reference: iteratively
+    reweighted least squares with w = 1 / max(|h|, eps), eps shrinking
+    tenfold per step to floor * mean|h|, stopped once mean|h| no longer
+    decreases at the floor."""
+    m = samples.shape[1]
+    h = (np.conj(q) / np.vdot(q, q)) @ samples
+    l1 = float(np.mean(np.abs(h)))
+    eps, floored = l1, False
+    for step in range(1, max_steps + 1):
+        w = 1.0 / np.maximum(np.abs(h), eps)
+        a = (samples * w) @ samples.conj().T / m
+        v = np.linalg.solve(a, q)
+        c = np.conj(v / np.vdot(q, v))
+        h = c @ samples
+        prev, l1 = l1, float(np.mean(np.abs(h)))
+        if floored and l1 >= prev:
+            break
+        eps_floor = floor * l1
+        floored = eps / 10.0 <= eps_floor
+        eps = eps_floor if floored else eps / 10.0
+    return c, l1, step
+
+
+_NEAR_ZERO = st.tuples(st.floats(0.0, 0.995), st.floats(0.0, 2 * np.pi))
+_COEFF = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(zeros=st.lists(_NEAR_ZERO, min_size=1, max_size=4),
+       band=st.integers(1, 4),
+       coeffs=st.lists(_COEFF, min_size=9, max_size=9))
+def test_newton_reaches_the_irls_minimum(zeros, band, coeffs):
+    theta = BlaschkeProduct([r * np.exp(1j * a) for r, a in zeros]).square()
+    phi = TrigPoly({k: complex(*coeffs[k + 4]) for k in range(-band, band + 1)})
+    dual = dual_basis(theta)
+    q = dual_pairing(phi, dual)
+    # the closed-form pairing is the quadrature pairing
+    scale = max(1.0, float(np.linalg.norm(q)))
+    assert np.max(np.abs(q - dual_pairing_by_quadrature(phi, dual))) <= 1e-12 * scale
+    if np.linalg.norm(q) < 1e-14:
+        return
+    samples = dual.sample(unit_nodes(RunConfig().nehari.grid_m))
+    _, newton, steps = _newton_l1(q, samples)
+    _, irls, _ = _irls_l1(q, samples)
+    assert newton <= (1.0 + 1e-14) * irls
+    assert steps < 500
