@@ -6,7 +6,7 @@ from .besov import (Arc, LebesgueGrid, besov_norm, besov_profile,
                     oscillation_report, vmo_modulus)
 from .blaschke import (BlaschkeProduct, boundary_zero_closure,
                        sublevel_connectivity)
-from .clark import (ClarkMeasure, ClarkUnitary, clark_measure,
+from .clark import (ClarkMeasure, ClarkUnitary, clark_measure, clark_pair,
                     clark_reconstruct, clark_unitary, commutator_matrix,
                     conjugate_clark_unitary, cross_route_equivalence,
                     expected_mass, hilbert_transform_matrix,
@@ -17,7 +17,7 @@ from .harmonic import (DEFAULT_QUADRATURE, QuadratureError,
                        boundary_mean, boundary_norm, fourier_coefficient,
                        inner_product, poisson_extension, unit_nodes)
 from .modelspace import (ModelSpaceBasis, ModelSpaceError, build_basis,
-                         conjugate_kernel, reproducing_kernel,
+                         clark_rule, conjugate_kernel, reproducing_kernel,
                          vanishing_at_origin_subspace)
 from .nehari import (DistanceReport, GapReport, NehariError,
                      convolution_table, dual_basis, dual_distance,

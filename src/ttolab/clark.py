@@ -8,15 +8,17 @@ zero, its values at O(d) breakpoints set by the zeros give every atom a
 bracket and a start of its own, and one vectorised, safeguarded Newton
 iteration (rtsafe) refines all d at once in O(d^2) memory.  The Clark
 measure places weight 1/|theta'| at each atom; the induced embedding of
-the model space into L2 of that measure is unitary.  Combining the
-embeddings at alpha and -alpha yields a unitary Hilbert transform with an explicit
-Cauchy-type kernel, and a commutator construction that reproduces
-truncated Hankel operators from values of the symbol at the atoms.
-This route shares no code with either builder of the Hankel matrix in
-`truncops` (boundary quadrature, or the compressed-shift closed form for
-trigonometric polynomials), and the cross-route check compares it with
-the quadrature builder: agreement of the two pipelines is the strongest
-end-to-end check in the package.
+the model space into L2 of that measure is unitary.  The level sets at
+alpha and -alpha come from one Newton pass over 2d targets
+(`clark_pair`).  Combining the embeddings at alpha and -alpha yields a
+unitary Hilbert transform with an explicit Cauchy-type kernel, and a
+commutator construction that reproduces truncated Hankel operators from
+values of the symbol at the atoms.  This route shares no code with the
+builders of the Hankel matrix in `truncops` (boundary quadrature, the
+compressed-shift closed form for trigonometric polynomials, or Clark's
+exact rule from the eigenvalues of the Clark unitary), and the
+cross-route check compares it with the quadrature builder: agreement of
+the two pipelines is the strongest end-to-end check in the package.
 """
 from __future__ import annotations
 
@@ -96,17 +98,17 @@ def _boundary_phase(factors, t):
     return turns, rest, speed
 
 
-def _starts(zeros, base):
-    """Turn counts of the targets, brackets and starting angles for the d
-    roots.
+def _starts(zeros, base, per_turn):
+    """Turn counts of the targets, brackets and starting angles for the
+    per_turn * d roots.
 
     Phi is evaluated once at the sorted breakpoints 0, 2 pi, beta and
     beta -+ (1 - r) of every zero r e^{i beta}, which resolve the scale on
-    which the phase turns near each zero.  Each target
-    base + 2 pi j in [Phi(0), Phi(0) + 2 pi d) is located among those
-    values, and its root starts at the linear interpolant inside the
-    bracket found.  The index is clipped because a target can equal
-    Phi(0) or Phi(2 pi) up to rounding.
+    which the phase turns near each zero.  Each target base + 2 pi j in
+    [Phi(0), Phi(0) + 2 pi d), with j a multiple of 1 / per_turn, is
+    located among those values, and its root starts at the linear
+    interpolant inside the bracket found.  The index is clipped because a
+    target can equal Phi(0) or Phi(2 pi) up to rounding.
     """
     lam = np.asarray(zeros, dtype=complex)
     beta, delta = np.mod(np.angle(lam), TWO_PI), 1.0 - np.abs(lam)
@@ -115,7 +117,8 @@ def _starts(zeros, base):
     turns, rest, _ = _boundary_phase(_factors(zeros), cuts)
     phase = TWO_PI * turns + rest
     # theta = alpha where the zero factors' phase is base mod 2 pi
-    j = np.ceil((phase[0] - base) / TWO_PI) + np.arange(lam.size)
+    j = (np.ceil((phase[0] - base) * per_turn / TWO_PI)
+         + np.arange(per_turn * lam.size)) / per_turn
     targets = base + TWO_PI * j
     k = np.clip(np.searchsorted(phase, targets, side="right"), 1, cuts.size - 1)
     lo, hi = cuts[k - 1], cuts[k]
@@ -124,25 +127,18 @@ def _starts(zeros, base):
     return j, lo, hi, t
 
 
-def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
-    """Solve theta(xi) = alpha on the circle and attach weights 1/|theta'|.
+def _level_angles(theta: BlaschkeProduct, alpha: complex, per_turn: int):
+    """Angles t where the boundary phase Phi(t) of theta meets
+    arg(alpha) - arg(gamma) + 2 pi j, for the per_turn * d values of j in
+    steps of 1 / per_turn, in the order of j: per_turn = 1 gives the level
+    set {theta = alpha}, per_turn = 2 that of theta = +-alpha, with whole
+    j at alpha and half-integer j at -alpha.  Returns the normalised
+    anchor, the angles, j and the count of phase evaluations.
 
-    The continuous boundary phase Phi(t) of theta increases strictly by
-    2 pi d over [0, 2 pi], so the level set consists of the d solutions of
-    Phi(t) = arg(alpha) - arg(gamma) + 2 pi j in that interval.  Each root
-    starts inside its own bracket, found from Phi at O(d) breakpoints set
-    by the zeros (`_starts`), and all d are refined at once by the
-    safeguarded Newton rule of rtsafe (Numerical Recipes 9.4) on Phi, whose
-    derivative is |theta'| > 0.  A root is settled as soon as its Newton
-    step is within two ulp of 2 pi, tested before the bracket, so that a
-    converged step landing on the bracket's end is not mistaken for an
-    escape; a Newton step inside the bracket from a residual at the
-    rounding floor of Phi (8 ulp of 2 pi d) settles it too.  Otherwise the
-    root bisects its bracket when the Newton step leaves it or the
-    residual has not halved since the previous step, and is settled once
-    the bracket has shrunk to two ulp.  Memory is O(d^2) however close
-    the zeros lie to T; `phase_evaluations` counts the vectorised
-    evaluations of Phi.
+    Each root starts inside its own bracket (`_starts`), and all are
+    refined at once by the safeguarded Newton rule of rtsafe (see
+    `clark_measure`).  Half-integer j keep the residual exact: 2 pi (turns
+    - j) is one rounding of an odd multiple of pi.
     """
     d = theta.degree
     if d == 0:
@@ -155,9 +151,10 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     zeros = theta.zeros
     factors = _factors(zeros)
     base = float(np.angle(alpha) - np.angle(theta.gamma))
-    j, lo, hi, t = _starts(zeros, base)
-    last = np.full(d, np.inf)   # |residual| one step earlier
-    todo = np.arange(d)
+    j, lo, hi, t = _starts(zeros, base, per_turn)
+    count = t.size
+    last = np.full(count, np.inf)   # |residual| one step earlier
+    todo = np.arange(count)
     tiny = 2.0 * np.spacing(TWO_PI)
     noise = 8.0 * np.spacing(TWO_PI * d)   # rounding floor of Phi
     evaluations = 1
@@ -184,14 +181,53 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
         todo = todo[~settled & (np.abs(trial - x) > tiny)]
     if todo.size:
         raise ClarkError(f"boundary phase Newton did not settle {todo.size} "
-                         f"of {d} roots in {_NEWTON_CAP} steps")
+                         f"of {count} roots in {_NEWTON_CAP} steps")
+    return alpha, t, j, evaluations
 
+
+def _measure(theta: BlaschkeProduct, alpha: complex, t, evaluations: int) -> ClarkMeasure:
+    """Clark measure with atoms at the angles t, sorted, and weights 1/|theta'|."""
     roots = np.sort(np.mod(t, TWO_PI))
     if not np.all(np.diff(roots) > 0.0):
         raise ClarkError("atoms collide: zeros too close to the circle for double precision")
     atoms = np.exp(1j * roots)
     weights = 1.0 / theta.boundary_derivative_modulus(atoms)
     return ClarkMeasure(alpha, atoms, weights, evaluations)
+
+
+def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
+    """Solve theta(xi) = alpha on the circle and attach weights 1/|theta'|.
+
+    The continuous boundary phase Phi(t) of theta increases strictly by
+    2 pi d over [0, 2 pi], so the level set consists of the d solutions of
+    Phi(t) = arg(alpha) - arg(gamma) + 2 pi j in that interval.  Each root
+    starts inside its own bracket, found from Phi at O(d) breakpoints set
+    by the zeros (`_starts`), and all d are refined at once by the
+    safeguarded Newton rule of rtsafe (Numerical Recipes 9.4) on Phi, whose
+    derivative is |theta'| > 0.  A root is settled as soon as its Newton
+    step is within two ulp of 2 pi, tested before the bracket, so that a
+    converged step landing on the bracket's end is not mistaken for an
+    escape; a Newton step inside the bracket from a residual at the
+    rounding floor of Phi (8 ulp of 2 pi d) settles it too.  Otherwise the
+    root bisects its bracket when the Newton step leaves it or the
+    residual has not halved since the previous step, and is settled once
+    the bracket has shrunk to two ulp.  Memory is O(d^2) however close
+    the zeros lie to T; `phase_evaluations` counts the vectorised
+    evaluations of Phi.
+    """
+    alpha, t, _, evaluations = _level_angles(theta, alpha, 1)
+    return _measure(theta, alpha, t, evaluations)
+
+
+def clark_pair(theta: BlaschkeProduct, alpha: complex) -> tuple[ClarkMeasure, ClarkMeasure]:
+    """The Clark measures of theta at alpha and at -alpha, from one
+    vectorised Newton pass over the 2d targets Phi = base + pi k (even k
+    at alpha, odd k at -alpha).  Both carry the phase evaluations of that
+    pass."""
+    alpha, t, j, evaluations = _level_angles(theta, alpha, 2)
+    whole = j == np.floor(j)
+    return (_measure(theta, alpha, t[whole], evaluations),
+            _measure(theta, -alpha, t[~whole], evaluations))
 
 
 def expected_mass(theta: BlaschkeProduct, alpha: complex) -> float:
@@ -213,10 +249,10 @@ def poisson_identity_defect(measure: ClarkMeasure, theta: BlaschkeProduct,
 
 
 def square_clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
-    """Clark measure of theta^2 at alpha^2, assembled from the measures of
-    theta at alpha and -alpha with halved weights."""
-    plus = clark_measure(theta, alpha)
-    minus = clark_measure(theta, -complex(alpha))
+    """Clark measure of theta^2 at alpha^2: its atoms are those of theta at
+    alpha and -alpha (`clark_pair`), with weights 1/|(theta^2)'| =
+    1/(2 |theta'|)."""
+    plus, minus = clark_pair(theta, alpha)
     atoms = np.concatenate([plus.atoms, minus.atoms])
     weights = 0.5 * np.concatenate([plus.weights, minus.weights])
     angles = np.mod(np.angle(atoms), TWO_PI)
@@ -226,8 +262,7 @@ def square_clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure
         gaps = np.diff(angles, append=angles[0] + TWO_PI)
         if float(np.min(gaps)) < 1e-10:
             raise ClarkError("atoms of the two half measures collide")
-    return ClarkMeasure(complex(alpha) ** 2, atoms, weights,
-                        plus.phase_evaluations + minus.phase_evaluations)
+    return ClarkMeasure(complex(alpha) ** 2, atoms, weights, plus.phase_evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +409,7 @@ def cross_route_equivalence(phi: Symbol, basis: ModelSpaceBasis, alpha: complex,
     theta = basis.theta
     gamma = hankel_by_quadrature(phi, basis, quad)
 
-    plus = clark_measure(theta, alpha)
-    minus = clark_measure(theta, -complex(alpha))
+    plus, minus = clark_pair(theta, alpha)
     embed = clark_unitary(basis, plus)
     embed_conj = conjugate_clark_unitary(basis, minus)
     core = commutator_matrix(phi, plus, minus)

@@ -7,16 +7,24 @@ orthonormal basis built from the ordered zero list: the k-th element is
 a normalized Cauchy kernel at the k-th zero times the Blaschke factors
 of all earlier zeros.  All poles lie outside the closed disk, so basis
 elements evaluate anywhere on it.
+
+Inner products of model-space functions are finite sums: Clark's exact
+d-node rule (`clark_rule`) integrates f conj(g) for f, g in K_Theta over
+the level set {Theta = 1}.  Pairings of trigonometric polynomials with
+subspaces of functions vanishing at the origin are closed forms in the
+Taylor rows of the basis (`subspace_pairing`).  Projections of other
+functions, and pairings of other symbols, use adaptive quadrature.
 """
 from __future__ import annotations
 
 import cmath
+from typing import NamedTuple
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .harmonic import (DEFAULT_QUADRATURE, QuadratureSettings, Symbol,
-                       adaptive_boundary_mean)
+                       TrigPoly, adaptive_boundary_mean)
 
 
 class ModelSpaceError(RuntimeError):
@@ -109,6 +117,30 @@ def _clark_atoms(theta: BlaschkeProduct) -> np.ndarray:
     return np.linalg.eigvals(unitary)
 
 
+class ClarkRule(NamedTuple):
+    """Clark's exact d-node rule of a Blaschke product Theta of degree d:
+    (f, g) = sum_i weights[i] f(atoms[i]) conj(g(atoms[i])) for f, g in
+    K_Theta."""
+
+    atoms: np.ndarray     # the d points of {Theta = 1}
+    weights: np.ndarray   # 1 / |Theta'| at each atom
+
+
+def clark_rule(theta: BlaschkeProduct, gram_tol: float = 1e-10) -> ClarkRule:
+    """The rule of theta from the eigenvalues of its Clark unitary
+    (`_clark_atoms`).  Raises ModelSpaceError when an eigenvalue lies
+    further than gram_tol off the unit circle: the unitary was then not
+    formed to that accuracy, and neither would the rule be."""
+    atoms = _clark_atoms(theta)
+    drift = float(np.max(np.abs(np.abs(atoms) - 1.0)))
+    if drift > gram_tol:
+        raise ModelSpaceError(
+            f"Clark unitary has eigenvalues {drift:.3e} off the unit circle "
+            f"(tolerance {gram_tol:g})")
+    atoms = atoms / np.abs(atoms)
+    return ClarkRule(atoms, 1.0 / theta.boundary_derivative_modulus(atoms))
+
+
 class BasisCombination(Symbol):
     """Linear combination sum_k c_k e_k, evaluated via the fast sampler."""
 
@@ -131,32 +163,27 @@ class ModelSpaceBasis:
     exact d-node rule, with no grid: for f, g in the model space,
     (f, g) = sum_xi f(xi) conj(g(xi)) / |theta'(xi)| over the level set
     {theta = 1}, and that level set is the spectrum of the Clark unitary
-    built from the closed-form compressed shift (see `_clark_atoms`).
-    `gram` keeps that matrix, `gram_defect` its largest deviation from the
-    identity.  Projections of other functions onto the space use adaptive
-    quadrature.
+    built from the closed-form compressed shift (see `clark_rule`).
+    `rule` keeps that rule, `gram` the matrix and `gram_defect` its
+    largest deviation from the identity.  `project` integrates other
+    functions against the basis by adaptive quadrature.
     """
 
     def __init__(self, theta: BlaschkeProduct, quad: QuadratureSettings = DEFAULT_QUADRATURE,
                  gram_tol: float = 1e-10):
         self.theta = theta
         self.quad = quad
+        self.gram_tol = gram_tol
         self.size = theta.degree
+        self.rule = ClarkRule(np.zeros(0, dtype=complex), np.zeros(0))
         self.gram = np.zeros((0, 0), dtype=complex)
         self.gram_defect = 0.0
         if self.size == 0:
             return
-        atoms = _clark_atoms(theta)
-        drift = float(np.max(np.abs(np.abs(atoms) - 1.0)))
-        if drift > gram_tol:
-            raise ModelSpaceError(
-                f"Clark unitary has eigenvalues {drift:.3e} off the unit circle "
-                f"(tolerance {gram_tol:g})")
-        atoms = atoms / np.abs(atoms)
-        samples = self.sample(atoms)
-        weights = 1.0 / theta.boundary_derivative_modulus(atoms)
+        self.rule = clark_rule(theta, gram_tol)
+        samples = self.sample(self.rule.atoms)
         # gram[j, k] = (e_k, e_j), the orientation of harmonic.matrix_integral
-        gram = (np.conj(samples) * weights) @ samples.T
+        gram = (np.conj(samples) * self.rule.weights) @ samples.T
         defect = float(np.max(np.abs(gram - np.eye(self.size))))
         if defect > gram_tol:
             raise ModelSpaceError(
@@ -197,11 +224,48 @@ def build_basis(theta: BlaschkeProduct, quad: QuadratureSettings = DEFAULT_QUADR
 
 def vanishing_at_origin_subspace(basis: ModelSpaceBasis) -> np.ndarray:
     """Orthonormal coordinate basis (columns) of the subspace of functions
-    vanishing at the origin; its dimension is one less than the space."""
-    from scipy import linalg as sla
+    vanishing at the origin; its dimension is one less than the space.
 
+    The columns are the last ones of a complete QR factorisation of
+    conj(e(0)): they are orthonormal and orthogonal to conj(e(0)), that is
+    sum_j v_j e_j(0) = 0.
+    """
     at_zero = basis.sample(np.array([0.0 + 0.0j]))[:, 0]
-    return sla.null_space(at_zero[None, :].conj())
+    return np.linalg.qr(np.conj(at_zero)[:, None], mode="complete")[0][:, 1:]
+
+
+def subspace_pairing(phi: Symbol, basis: ModelSpaceBasis, subspace: np.ndarray,
+                     quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
+    """Pairings ∫ phi g_m dm with g_m = sum_i subspace[i, m] e_i, for
+    columns spanning functions that vanish at the origin.
+
+    For a trigonometric polynomial phi = sum c_n z^n only the negative
+    frequencies pair with g_m in zH^2, and ∫ z^-n g_m dm is the n-th
+    Taylor coefficient of g_m, so the pairing is
+    subspace^T sum_{n>=1} c_-n t_n with t_n the Taylor rows of the basis.
+    Every other symbol goes through `subspace_pairing_by_quadrature`.
+    """
+    if not isinstance(phi, TrigPoly):
+        return subspace_pairing_by_quadrature(phi, basis, subspace, quad)
+    depth = max(0, -min(phi.coeffs, default=0))
+    rows = taylor_rows(basis, depth + 1)[1:]
+    weights = np.array([phi.coeffs.get(-n, 0.0) for n in range(1, depth + 1)],
+                       dtype=complex)
+    return subspace.T @ (weights @ rows)
+
+
+def subspace_pairing_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
+                                   subspace: np.ndarray,
+                                   quad: QuadratureSettings = DEFAULT_QUADRATURE
+                                   ) -> np.ndarray:
+    """∫ phi g_m dm by adaptive quadrature: works for any bounded symbol and
+    is the independent check on the closed form."""
+
+    def sample(nodes):
+        return phi(nodes)[None, :] * (subspace.T @ basis.sample(nodes))
+
+    q, _ = adaptive_boundary_mean(sample, quad)
+    return np.asarray(q, dtype=complex).ravel()
 
 
 class ReproducingKernel(Symbol):

@@ -32,7 +32,8 @@ from .blaschke import BlaschkeProduct
 from .harmonic import (DEFAULT_QUADRATURE, QuadratureSettings, Symbol,
                        TrigPoly, adaptive_boundary_mean, unit_nodes)
 from .modelspace import (BasisCombination, ModelSpaceBasis, build_basis,
-                         taylor_rows, vanishing_at_origin_subspace)
+                         subspace_pairing, subspace_pairing_by_quadrature,
+                         vanishing_at_origin_subspace)
 from .truncops import hankel_matrix
 
 
@@ -67,33 +68,17 @@ def dual_basis(theta: BlaschkeProduct,
 
 def dual_pairing(phi: Symbol, dual: DualBasis,
                  quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
-    """∫ phi h_i dm against the dual basis h_i.
-
-    For a trigonometric polynomial phi = sum c_n z^n only the negative
-    frequencies pair with h_i in zH^2, and ∫ z^-n h_i dm is the n-th
-    Taylor coefficient of h_i, so the pairing is U^T sum_{n>=1} c_-n t_n
-    with t_n the Taylor rows of the basis and U the dual coefficients.
-    Every other symbol goes through `dual_pairing_by_quadrature`.
-    """
-    if not isinstance(phi, TrigPoly):
-        return dual_pairing_by_quadrature(phi, dual, quad)
-    depth = max(0, -min(phi.coeffs, default=0))
-    rows = taylor_rows(dual.basis, depth + 1)[1:]
-    weights = np.array([phi.coeffs.get(-n, 0.0) for n in range(1, depth + 1)],
-                       dtype=complex)
-    return dual.coeffs.T @ (weights @ rows)
+    """∫ phi h_i dm against the dual basis h_i: a closed form in the Taylor
+    rows of the basis for a trigonometric polynomial, quadrature otherwise
+    (`modelspace.subspace_pairing`)."""
+    return subspace_pairing(phi, dual.basis, dual.coeffs, quad)
 
 
 def dual_pairing_by_quadrature(phi: Symbol, dual: DualBasis,
                                quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
     """∫ phi h_i dm by adaptive quadrature: works for any bounded symbol and
     is the independent check on the closed form."""
-
-    def sample(nodes):
-        return phi(nodes)[None, :] * dual.sample(nodes)
-
-    q, _ = adaptive_boundary_mean(sample, quad)
-    return np.asarray(q, dtype=complex).ravel()
+    return subspace_pairing_by_quadrature(phi, dual.basis, dual.coeffs, quad)
 
 
 @dataclass(frozen=True)

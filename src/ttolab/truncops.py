@@ -6,6 +6,17 @@ operator (multiply, then project onto the conjugate space conj(z * K)).
 Both are represented as dense matrices in the orthonormal model-space
 basis; the Hankel codomain is spanned by conj(z e_j), fixed once and for
 all so that different construction routes can be compared entrywise.
+
+Three routes build the matrices.  Trigonometric polynomials are
+compressed in closed form through the compressed shift and the Taylor
+rows of the basis.  Integrals whose two factors lie in one model space
+K_Theta are finite sums over Clark's exact rule of Theta
+(`modelspace.clark_rule`): the Hankel matrix of conj(u) for a
+model-space function u (the standard symbol among them), and the two
+factors of the Hankel-Toeplitz link for a trigonometric polynomial.
+Every other symbol is integrated by adaptive quadrature, and the
+quadrature builders stay as the independent check on the other two
+routes.
 """
 from __future__ import annotations
 
@@ -15,12 +26,12 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .harmonic import (DEFAULT_QUADRATURE, ConjSymbol, QuadratureSettings,
-                       RationalSymbol, Symbol, TrigPoly,
-                       adaptive_boundary_mean, matrix_integral,
+                       RationalSymbol, Symbol, TrigPoly, matrix_integral,
                        poisson_extension, unit_nodes)
 from .modelspace import (BasisCombination, ConjugateKernel, ModelSpaceBasis,
-                         build_basis, compressed_shift, conjugate_kernel,
-                         taylor_rows, vanishing_at_origin_subspace)
+                         build_basis, clark_rule, compressed_shift,
+                         conjugate_kernel, subspace_pairing, taylor_rows,
+                         vanishing_at_origin_subspace)
 
 
 @dataclass
@@ -147,9 +158,13 @@ def hankel_matrix(phi: Symbol, basis: ModelSpaceBasis,
     For a trigonometric polynomial that is sum_m c_{-m} times the
     coefficient of z^{m-1} in e_j e_k, assembled in closed form from the
     Taylor coefficients t_n = conj(S^n k_0) of the basis (k_0 holds
-    conj(e_j(0)), the projection of 1); every other symbol goes through
+    conj(e_j(0)), the projection of 1).  The conjugate of a model-space
+    function (`BasisCombination`) goes through Clark's rule
+    (`_conjugate_combination_hankel`); every other symbol goes through
     `hankel_by_quadrature`.
     """
+    if isinstance(phi, ConjSymbol) and isinstance(phi.inner, BasisCombination):
+        return _conjugate_combination_hankel(phi.inner, basis)
     if not isinstance(phi, TrigPoly):
         return hankel_by_quadrature(phi, basis, quad)
     depth = max(0, -min(phi.coeffs, default=0))
@@ -160,6 +175,25 @@ def hankel_matrix(phi: Symbol, basis: ModelSpaceBasis,
     entries = taylor.T @ coeffs @ taylor
     return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
                           "hankel:compressed-shift")
+
+
+def _conjugate_combination_hankel(u: BasisCombination,
+                                  basis: ModelSpaceBasis) -> OperatorMatrix:
+    """Hankel matrix of conj(u), u = sum_i c_i f_i in K_{B_Z} with Z = u.zeros,
+    by Clark's rule.
+
+    Entry (j, k) is (z e_j e_k, u).  For e_j, e_k in K_theta the product
+    z e_j e_k lies in K_{theta^2}, so the rule of theta^2 B_Z integrates
+    the entry exactly; when Z is theta^2's own zero list, as for the
+    standard symbol, the rule of theta^2 does.
+    """
+    square = basis.theta.square().zeros
+    zeros = square if u.zeros == square else square + u.zeros
+    atoms, weights = clark_rule(BlaschkeProduct(zeros), basis.gram_tol)
+    samples = basis.sample(atoms)
+    entries = (samples * (weights * atoms * np.conj(u(atoms)))) @ samples.T
+    return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
+                          "hankel:clark-rule")
 
 
 def hankel_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
@@ -187,16 +221,59 @@ def conjugate_multiplier_matrix(basis: ModelSpaceBasis,
                           "conj-theta-multiplier")
 
 
+def conjugate_multiplier_by_rule(basis: ModelSpaceBasis) -> OperatorMatrix:
+    """`conjugate_multiplier_matrix` by theta's own Clark rule.
+
+    Entry (j, k) is (e_j, C e_k) with C e_k = theta conj(z e_k) in K_theta;
+    theta = 1 on the rule's atoms, so the entry is
+    sum_i w_i xi_i e_j(xi_i) e_k(xi_i).
+    """
+    atoms, weights = basis.rule
+    samples = basis.sample(atoms)
+    entries = (samples * (weights * atoms)) @ samples.T
+    return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
+                          "conj-theta-multiplier:clark-rule")
+
+
+def lifted_toeplitz_by_rule(phi: TrigPoly, basis: ModelSpaceBasis) -> OperatorMatrix:
+    """Toeplitz matrix of theta * phi for a trigonometric polynomial phi, by
+    Clark's rule.
+
+    For n >= 0, theta z^n e_k lies in theta H^2, orthogonal to K_theta, so
+    only the terms c_{-m} of phi survive: entry (j, k) is
+    sum_{m>=1} c_{-m} (theta e_k, z^m e_j).  Both factors lie in
+    K_{z^B theta^2} for B = -min frequency, whose rule sums the entry
+    exactly.
+    """
+    depth = max(0, -min(phi.coeffs, default=0))
+    theta = basis.theta
+    atoms, weights = clark_rule(BlaschkeProduct((0.0,) * depth + theta.square().zeros),
+                                basis.gram_tol)
+    co_analytic = TrigPoly({k: c for k, c in phi.coeffs.items() if k < 0})
+    samples = basis.sample(atoms)
+    entries = (np.conj(samples) * (weights * theta(atoms) * co_analytic(atoms))) @ samples.T
+    tag = basis.space_tag()
+    return OperatorMatrix(entries, tag, tag, "toeplitz:clark-rule")
+
+
 def hankel_toeplitz_defect(phi: Symbol, basis: ModelSpaceBasis,
                            quad: QuadratureSettings | None = None) -> float:
     """Norm of Hankel(phi) - conj(theta) * Toeplitz(theta * phi).
 
     The two constructions agree identically for bounded symbols; the
     returned defect is a pure consistency measurement of the pipeline.
+    For a trigonometric polynomial the Hankel matrix is the Taylor-row
+    closed form and both factors of the right side come from Clark
+    rules, which share no code with it; other symbols are integrated by
+    quadrature.
     """
     gamma = hankel_matrix(phi, basis, quad)
-    lifted = toeplitz_matrix(basis.theta * phi, basis, quad)
-    link = conjugate_multiplier_matrix(basis, quad)
+    if isinstance(phi, TrigPoly):
+        lifted = lifted_toeplitz_by_rule(phi, basis)
+        link = conjugate_multiplier_by_rule(basis)
+    else:
+        lifted = toeplitz_matrix(basis.theta * phi, basis, quad)
+        link = conjugate_multiplier_matrix(basis, quad)
     diff = gamma.entries - (link @ lifted).entries
     return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
 
@@ -244,16 +321,16 @@ class StandardSymbol:
 
 def standard_symbol(phi: Symbol, theta: BlaschkeProduct,
                     quad: QuadratureSettings = DEFAULT_QUADRATURE) -> StandardSymbol:
-    """Standard representative of phi modulo symbols with zero Hankel part."""
+    """Standard representative of phi modulo symbols with zero Hankel part.
+
+    Its coordinates are the pairings ∫ phi g_m dm = (phi, conj(g_m)) with
+    the basis g_m of K_{theta^2} ∩ zH^2, a closed form in the Taylor rows
+    for a trigonometric polynomial and quadrature otherwise
+    (`modelspace.subspace_pairing`).
+    """
     square_basis = build_basis(theta.square(), quad)
     U = vanishing_at_origin_subspace(square_basis)
-
-    def sample(nodes):
-        subspace = U.T @ square_basis.sample(nodes)  # g_m = sum_i U[i, m] f_i
-        return phi(nodes)[None, :] * subspace
-
-    # coeffs[m] = int phi g_m dm = (phi, conj(g_m))
-    coeffs, _ = adaptive_boundary_mean(sample, quad)
+    coeffs = subspace_pairing(phi, square_basis, U, quad)
     # realized symbol: sum_m coeffs[m] conj(g_m) = conj(combination)
     combo = BasisCombination(theta.square().zeros, U @ np.conj(coeffs))
     return StandardSymbol(theta, coeffs, U, ConjSymbol(combo))

@@ -21,13 +21,16 @@ from .config import RunConfig
 from .corpus import (random_blaschke, random_conjugate_square_symbol,
                      random_interior_points, random_trig_poly,
                      random_unimodular, random_zero_hankel_symbol, spawn_rngs)
-from .harmonic import boundary_norm, inner_product, matrix_integral
-from .modelspace import build_basis, conjugate_kernel, reproducing_kernel
+from .harmonic import ConjSymbol, boundary_norm, inner_product, matrix_integral
+from .modelspace import (BasisCombination, build_basis, conjugate_kernel,
+                         reproducing_kernel, subspace_pairing_by_quadrature)
 from .nehari import (NehariError, dual_basis, dual_pairing,
                      dual_pairing_by_quadrature, nehari_gap)
 from .spectra import matched_distance
-from .truncops import (hankel_by_quadrature, hankel_matrix,
-                       hankel_toeplitz_defect, rank_one_matrix,
+from .truncops import (conjugate_multiplier_by_rule,
+                       conjugate_multiplier_matrix, hankel_by_quadrature,
+                       hankel_matrix, hankel_toeplitz_defect,
+                       lifted_toeplitz_by_rule, rank_one_matrix,
                        rank_one_symbol, standard_symbol,
                        toeplitz_by_quadrature, toeplitz_matrix,
                        zero_symbol_test)
@@ -299,8 +302,42 @@ def _suite_nehari_pairing(config: RunConfig, rng) -> tuple:
     return worst, n, "Taylor-row closed form vs quadrature for the Nehari pairing"
 
 
-# verify gates the closed-form pairing tighter than the identity tolerance
-_PAIRING_TOL = 1e-12
+def _suite_clark_rule(config: RunConfig, rng) -> tuple:
+    quad = config.quadrature.settings()
+    worst, n = 0.0, 0
+    for degree in (1, 2, 3, 4, 5, 6):
+        zeros = list(random_blaschke(rng, degree, config.sweep.max_zero_modulus,
+                                     config.sweep.min_zero_gap).zeros)
+        if degree == 2:
+            zeros[0] = 0.0           # the factor z
+        elif degree == 3:
+            zeros[2] = zeros[0]      # a repeated zero
+        theta = BlaschkeProduct(zeros)
+        basis = build_basis(theta, quad)
+        phi = random_trig_poly(rng, 3)
+        std = standard_symbol(phi, theta, quad)
+        integrated = subspace_pairing_by_quadrature(phi, build_basis(theta.square(), quad),
+                                                    std.subspace, quad)
+        other = random_blaschke(rng, 2, config.sweep.max_zero_modulus,
+                                config.sweep.min_zero_gap).zeros
+        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        # the rule of theta^2 for the standard symbol, of theta^2 B_Z otherwise
+        conjugates = (std.symbol, ConjSymbol(BasisCombination(other, c)))
+        pairs = [(hankel_matrix(u, basis).entries,
+                  hankel_by_quadrature(u, basis, quad).entries) for u in conjugates]
+        pairs.append((lifted_toeplitz_by_rule(phi, basis).entries,
+                      toeplitz_by_quadrature(theta * phi, basis, quad).entries))
+        pairs.append((conjugate_multiplier_by_rule(basis).entries,
+                      conjugate_multiplier_matrix(basis, quad).entries))
+        pairs.append((std.coeffs, integrated))
+        for rule, reference in pairs:
+            worst = max(worst, float(np.max(np.abs(rule - reference))))
+            n += 1
+    return worst, n, "Clark-rule builders vs quadrature for Gamma, A, the link and the standard symbol"
+
+
+# verify gates the closed forms and exact rules tighter than the identity tolerance
+_EXACT_ROUTE_TOL = 1e-12
 
 _SUITES = [
     ("basis-orthonormality", _suite_basis, "identity"),
@@ -316,7 +353,8 @@ _SUITES = [
     ("standard-symbol", _suite_standard_symbol, "identity"),
     ("nehari-bound", _suite_nehari, "nehari_slack"),
     ("compressed-shift-route", _suite_compressed_shift, "identity"),
-    ("nehari-pairing-route", _suite_nehari_pairing, _PAIRING_TOL),
+    ("nehari-pairing-route", _suite_nehari_pairing, _EXACT_ROUTE_TOL),
+    ("clark-rule-route", _suite_clark_rule, _EXACT_ROUTE_TOL),
 ]
 
 

@@ -10,6 +10,7 @@ from ttolab.clark import (
     ClarkError,
     ClarkMeasure,
     clark_measure,
+    clark_pair,
     clark_reconstruct,
     clark_unitary,
     commutator_route_defect,
@@ -21,7 +22,8 @@ from ttolab.clark import (
     poisson_identity_defect,
     square_clark_measure,
 )
-from ttolab.corpus import random_conjugate_square_symbol
+from ttolab.corpus import (random_blaschke, random_conjugate_square_symbol,
+                           random_unimodular)
 from ttolab.modelspace import _clark_atoms, build_basis
 
 THETA = BlaschkeProduct([0.3, -0.4j, 0.1 + 0.5j])
@@ -203,9 +205,31 @@ def test_phase_evaluations_on_boundary_family(alpha):
 
 def test_phase_evaluations_default_and_square():
     assert ClarkMeasure(1.0, np.ones(1), np.ones(1)).phase_evaluations == 0
-    plus, minus = clark_measure(THETA, ALPHA), clark_measure(THETA, -ALPHA)
+    # the square's atoms come from the one pass that solves theta = +-alpha
+    plus, minus = clark_pair(THETA, ALPHA)
     nu = square_clark_measure(THETA, ALPHA)
-    assert nu.phase_evaluations == plus.phase_evaluations + minus.phase_evaluations
+    assert nu.phase_evaluations == plus.phase_evaluations == minus.phase_evaluations
+
+
+def test_pair_pass_matches_two_solves():
+    # the sweep's zero sets (modulus <= 0.9, gap >= 0.12), with the factor z
+    # or a repeated zero added to some
+    rng = np.random.default_rng(2027)
+    for degree in range(1, 9):
+        for case in range(24):
+            lam = list(random_blaschke(rng, degree).zeros)
+            if case % 3 == 1:
+                lam.append(0.0)
+            elif case % 3 == 2:
+                lam.append(lam[0])
+            theta = BlaschkeProduct(lam, gamma=random_unimodular(rng))
+            alpha = random_unimodular(rng)
+            for paired, single in zip(clark_pair(theta, alpha),
+                                      (clark_measure(theta, alpha),
+                                       clark_measure(theta, -alpha))):
+                assert paired.alpha == single.alpha
+                assert np.max(np.abs(paired.atoms - single.atoms)) < 1e-14
+                assert np.max(np.abs(paired.weights / single.weights - 1.0)) < 1e-14
 
 
 near_boundary_zero = st.tuples(st.floats(-12.0, np.log10(0.5)),   # log10 of 1 - |lam|

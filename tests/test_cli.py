@@ -32,6 +32,20 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_dual_basis_loads_no_scipy():
+    # the subspace vanishing at the origin comes from a numpy QR
+    src = str(Path(ttolab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from ttolab import BlaschkeProduct; "
+            "from ttolab.nehari import dual_basis; "
+            "dual_basis(BlaschkeProduct([0.3, -0.5j, 0.0])); "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # ------------------------------------------------------------ parsers
 
 def test_parse_theta_shorthand():
@@ -255,3 +269,22 @@ def test_conjecture_command(tmp_path):
     assert (tmp_path / "conjecture.csv").exists()
     payload = json.loads((tmp_path / "conjecture.json").read_text())
     assert "exploratory" in payload["note"]
+
+
+def test_conjecture_needs_no_quadrature(tmp_path, monkeypatch):
+    from ttolab import harmonic
+
+    calls = []
+    levels = harmonic._adaptive_levels
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "_adaptive_levels", counting)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert run(["conjecture", "--output-dir", str(out)]) == 0
+    assert calls == []
+    for name in ("conjecture.csv", "conjecture.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

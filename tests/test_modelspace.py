@@ -7,6 +7,7 @@ from ttolab.harmonic import TrigPoly, inner_product, unit_nodes
 from ttolab.modelspace import (
     ModelSpaceError,
     build_basis,
+    clark_rule,
     conjugate_kernel,
     reproducing_kernel,
     tm_samples,
@@ -134,6 +135,17 @@ def test_broken_sampler_fails_validation(monkeypatch):
     monkeypatch.setattr(modelspace, "tm_samples", broken)
     with pytest.raises(ModelSpaceError):
         build_basis(THETA)
+
+
+def test_clark_rule_refuses_drifting_atoms(monkeypatch):
+    rule = clark_rule(THETA)
+    assert np.max(np.abs(THETA(rule.atoms) - 1.0)) < 1e-13
+    assert abs(rule.weights.sum() - build_basis(THETA).rule.weights.sum()) < 1e-15
+    atoms = modelspace._clark_atoms
+    monkeypatch.setattr(modelspace, "_clark_atoms", lambda theta: atoms(theta) * (1 + 1e-8))
+    with pytest.raises(ModelSpaceError, match="off the unit circle"):
+        clark_rule(THETA)
+    assert clark_rule(THETA, gram_tol=1e-7).atoms.size == THETA.degree
 
 
 def test_subnormal_zero_keeps_factor_unimodular():

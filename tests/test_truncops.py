@@ -9,9 +9,12 @@ from ttolab.harmonic import (RationalSymbol, TrigPoly, adaptive_boundary_mean,
                              matrix_integral)
 from ttolab.modelspace import ConjugateKernel, build_basis, conjugate_kernel
 from ttolab.truncops import (
+    conjugate_multiplier_by_rule,
+    conjugate_multiplier_matrix,
     hankel_by_quadrature,
     hankel_matrix,
     hankel_toeplitz_defect,
+    lifted_toeplitz_by_rule,
     rank_one_matrix,
     rank_one_symbol,
     standard_symbol,
@@ -233,6 +236,39 @@ def test_boundary_family_needs_no_quadrature(monkeypatch):
     assert abs(est.zeta1 - zeros[-1]) < 1e-12
     assert 0 < est.ratio < 0.05
     assert est.ratio <= np.sqrt(2 * (est.poisson_bound + est.multiplier_bound))
+
+
+def test_interior_pipeline_needs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called on the interior path")
+
+    monkeypatch.setattr(harmonic, "_adaptive_levels", refuse)
+    theta = BlaschkeProduct([0.3, -0.4j, 0.0, 0.3])
+    basis = build_basis(theta)
+    phi = TrigPoly({-3: 1.0, -1: -2.0j, 0: 0.5, 2: 0.7})
+    std = standard_symbol(phi, theta)
+    gamma = hankel_matrix(std.symbol, basis)
+    assert gamma.provenance == "hankel:clark-rule"
+    assert np.max(np.abs(gamma.entries - hankel_matrix(phi, basis).entries)) < 1e-12
+    assert hankel_toeplitz_defect(phi, basis) < 1e-12
+
+
+def test_rule_builders_match_quadrature(generic_basis):
+    theta = generic_basis.theta
+    phi = TrigPoly({-4: 0.5, -1: 1.0j, 0: 2.0, 3: -1.0})
+    for rule, reference in (
+            (lifted_toeplitz_by_rule(phi, generic_basis),
+             toeplitz_by_quadrature(theta * phi, generic_basis)),
+            (conjugate_multiplier_by_rule(generic_basis),
+             conjugate_multiplier_matrix(generic_basis))):
+        assert (rule.domain, rule.codomain) == (reference.domain, reference.codomain)
+        assert np.max(np.abs(rule.entries - reference.entries)) < 1e-13
+    # the conjugate of a combination with zeros of its own: the rule of theta^2 B_Z
+    u = harmonic.ConjSymbol(modelspace.BasisCombination([0.5, -0.2 + 0.6j], [1.0, 2.0j]))
+    rule = hankel_matrix(u, generic_basis)
+    assert rule.provenance == "hankel:clark-rule"
+    reference = hankel_by_quadrature(u, generic_basis)
+    assert np.max(np.abs(rule.entries - reference.entries)) < 1e-13
 
 
 def test_test_vector_requires_some_symbol(generic_basis):
