@@ -226,12 +226,14 @@ def vanishing_at_origin_subspace(basis: ModelSpaceBasis) -> np.ndarray:
     """Orthonormal coordinate basis (columns) of the subspace of functions
     vanishing at the origin; its dimension is one less than the space.
 
-    The columns are the last ones of a complete QR factorisation of
-    conj(e(0)): they are orthonormal and orthogonal to conj(e(0)), that is
-    sum_j v_j e_j(0) = 0.
+    The columns are the last right singular vectors of the row conj(e(0)):
+    they are orthonormal and orthogonal to conj(e(0)), that is
+    sum_j v_j e_j(0) = 0.  This is the basis `scipy.linalg.null_space`
+    returns, in its row-major layout (products with it round the same way).
     """
     at_zero = basis.sample(np.array([0.0 + 0.0j]))[:, 0]
-    return np.linalg.qr(np.conj(at_zero)[:, None], mode="complete")[0][:, 1:]
+    vh = np.linalg.svd(np.conj(at_zero)[None, :], full_matrices=True)[2]
+    return np.ascontiguousarray(vh[1:].conj().T)
 
 
 def subspace_pairing(phi: Symbol, basis: ModelSpaceBasis, subspace: np.ndarray,

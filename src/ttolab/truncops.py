@@ -264,16 +264,16 @@ def hankel_toeplitz_defect(phi: Symbol, basis: ModelSpaceBasis,
     returned defect is a pure consistency measurement of the pipeline.
     For a trigonometric polynomial the Hankel matrix is the Taylor-row
     closed form and both factors of the right side come from Clark
-    rules, which share no code with it; other symbols are integrated by
-    quadrature.
+    rules, which share no code with it.  The link depends on theta alone,
+    so it always comes from theta's rule; for other symbols the lifted
+    Toeplitz factor is integrated by quadrature.
     """
     gamma = hankel_matrix(phi, basis, quad)
+    link = conjugate_multiplier_by_rule(basis)
     if isinstance(phi, TrigPoly):
         lifted = lifted_toeplitz_by_rule(phi, basis)
-        link = conjugate_multiplier_by_rule(basis)
     else:
         lifted = toeplitz_matrix(basis.theta * phi, basis, quad)
-        link = conjugate_multiplier_matrix(basis, quad)
     diff = gamma.entries - (link @ lifted).entries
     return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
 

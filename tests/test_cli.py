@@ -33,7 +33,7 @@ def test_import_loads_no_scipy():
 
 
 def test_dual_basis_loads_no_scipy():
-    # the subspace vanishing at the origin comes from a numpy QR
+    # the subspace vanishing at the origin comes from a numpy SVD
     src = str(Path(ttolab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

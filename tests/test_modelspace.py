@@ -113,6 +113,20 @@ def test_vanishing_subspace():
         assert abs(f(0.0)) < 1e-12
 
 
+@pytest.mark.parametrize("zeros", [(0.3, -0.5j, 0.0), (0.5, 0.5, -0.2 + 0.6j, 0.9j), (0.0,)])
+def test_vanishing_subspace_is_scipy_null_space(zeros):
+    # the same orthonormal basis, not only the same span: the Nehari and
+    # standard-symbol reports depend on it through last-digit arithmetic
+    from scipy.linalg import null_space
+
+    basis = build_basis(BlaschkeProduct(list(zeros)))
+    at_zero = basis.sample(np.array([0.0 + 0.0j]))[:, 0]
+    ref = null_space(at_zero[None, :].conj())
+    cols = vanishing_at_origin_subspace(basis)
+    assert cols.flags["C_CONTIGUOUS"] == ref.flags["C_CONTIGUOUS"]
+    assert np.max(np.abs(cols - ref), initial=0.0) < 1e-15
+
+
 def test_degree_zero_gives_trivial_space():
     basis = build_basis(BlaschkeProduct([]))
     assert basis.size == 0

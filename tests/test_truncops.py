@@ -157,6 +157,13 @@ def test_hankel_toeplitz_link(generic_basis):
     assert hankel_toeplitz_defect(phi, generic_basis) < 1e-11
 
 
+def test_hankel_toeplitz_link_of_rational_symbol(generic_basis):
+    # the lifted factor by quadrature, the link by theta's rule
+    phi = RationalSymbol(TrigPoly({0: 1.0, -1: -0.3j, 2: 0.4}), TrigPoly({0: 2.0, -1: 0.5}))
+    assert hankel_matrix(phi, generic_basis).norm() > 0.1
+    assert hankel_toeplitz_defect(phi, generic_basis) < 1e-11
+
+
 def test_rank_one_identity(generic_basis):
     lam = 0.25 - 0.35j
     theta = generic_basis.theta
