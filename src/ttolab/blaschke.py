@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,13 +89,22 @@ class BlaschkeProduct(Symbol):
         """|theta'(xi)| for |xi| = 1, i.e. the boundary phase speed.
 
         Equals sum_i (1 - |lam_i|^2) / |1 - conj(lam_i) xi|^2, which is
-        strictly positive and integrates to the degree.
+        strictly positive and integrates to the degree; one broadcast sum
+        over the zeros.
         """
         xi = np.asarray(xi, dtype=complex)
-        out = np.zeros(xi.shape, dtype=float)
-        for lam in self.zeros:
-            out += (1.0 - abs(lam) ** 2) / np.abs(1.0 - np.conj(lam) * xi) ** 2
-        return out
+        conj, tops = self._speed_terms
+        column = (-1,) + (1,) * xi.ndim
+        return np.sum(tops.reshape(column) / np.abs(1.0 - conj.reshape(column) * xi) ** 2,
+                      axis=0)
+
+    @cached_property
+    def _speed_terms(self):
+        """conj(lam_i) and 1 - |lam_i|^2 of every zero.  |lam_i| comes from
+        Python's complex abs: numpy's rounds differently in the last digit,
+        which 1 - |lam|^2 magnifies as the zero nears T."""
+        return (np.conj(np.asarray(self.zeros, dtype=complex)),
+                np.array([1.0 - abs(lam) ** 2 for lam in self.zeros]))
 
     def square(self) -> "BlaschkeProduct":
         """The product theta^2 (doubled zero list, squared constant)."""

@@ -102,19 +102,21 @@ def _starts(zeros, base, per_turn):
     """Turn counts of the targets, brackets and starting angles for the
     per_turn * d roots.
 
-    Phi is evaluated once at the sorted breakpoints 0, 2 pi, beta and
-    beta -+ (1 - r) of every zero r e^{i beta}, which resolve the scale on
-    which the phase turns near each zero.  Each target base + 2 pi j in
-    [Phi(0), Phi(0) + 2 pi d), with j a multiple of 1 / per_turn, is
-    located among those values, and its root starts at the linear
-    interpolant inside the bracket found.  The index is clipped because a
-    target can equal Phi(0) or Phi(2 pi) up to rounding.
+    Phi and its speed |theta'| are evaluated once at the sorted breakpoints
+    0, 2 pi, beta and beta -+ (1 - r) of every zero r e^{i beta}, which
+    resolve the scale on which the phase turns near each zero.  Each
+    target base + 2 pi j in [Phi(0), Phi(0) + 2 pi d), with j a multiple of
+    1 / per_turn, is located among those values, and its root starts at
+    the inverse cubic Hermite interpolant of the bracket found: the cubic
+    t(Phi) through both ends with slopes 1 / |theta'|, clipped to the
+    bracket.  The index is clipped because a target can equal Phi(0) or
+    Phi(2 pi) up to rounding.
     """
     lam = np.asarray(zeros, dtype=complex)
     beta, delta = np.mod(np.angle(lam), TWO_PI), 1.0 - np.abs(lam)
     cuts = np.unique(np.concatenate(
         [[0.0, TWO_PI], np.mod(np.concatenate([beta, beta - delta, beta + delta]), TWO_PI)]))
-    turns, rest, _ = _boundary_phase(_factors(zeros), cuts)
+    turns, rest, speed = _boundary_phase(_factors(zeros), cuts)
     phase = TWO_PI * turns + rest
     # theta = alpha where the zero factors' phase is base mod 2 pi
     j = (np.ceil((phase[0] - base) * per_turn / TWO_PI)
@@ -123,8 +125,10 @@ def _starts(zeros, base, per_turn):
     k = np.clip(np.searchsorted(phase, targets, side="right"), 1, cuts.size - 1)
     lo, hi = cuts[k - 1], cuts[k]
     rise = np.maximum(phase[k] - phase[k - 1], np.finfo(float).tiny)
-    t = lo + np.clip((targets - phase[k - 1]) / rise, 0.0, 1.0) * (hi - lo)
-    return j, lo, hi, t
+    u = np.clip((targets - phase[k - 1]) / rise, 0.0, 1.0)
+    t = (lo + (hi - lo) * u * u * (3.0 - 2.0 * u)
+         + rise * u * (1.0 - u) * ((1.0 - u) / speed[k - 1] - u / speed[k]))
+    return j, lo, hi, np.clip(t, lo, hi)
 
 
 def _level_angles(theta: BlaschkeProduct, alpha: complex, per_turn: int):

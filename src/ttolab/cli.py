@@ -325,8 +325,10 @@ def cmd_nehari(args) -> int:
             max_ratio = max(max_ratio, gap.ratio)
         rows.append((idx, degree, gap.hankel_norm, gap.dual.value, ratio,
                      gap.dual.iterations))
-    conv = convolution_table(TrigPoly({-1: 1.0}), BlaschkeProduct([0.0, 0.0]),
-                             neh.r_list, grid_m=neh.grid_m)
+    shift, square_shift = TrigPoly({-1: 1.0}), BlaschkeProduct([0.0, 0.0])
+    cert = minimax_certificate(shift, square_shift, grid_m=neh.grid_m)
+    conv = convolution_table(shift, square_shift, neh.r_list, certificate=cert,
+                             grid_m=neh.grid_m)
     passed = not errors     # violations are filed under errors too
     payload = {
         "seed": config.sweep.seed,
@@ -336,6 +338,8 @@ def cmd_nehari(args) -> int:
         "errors": errors,
         "passed": passed,
         "convolution": [(r.r, r.sup_gap, r.theta_gap) for r in conv],
+        "certificate": {"value": cert.value, "iterations": cert.iterations,
+                        "band": cert.band, "grid_m": cert.grid_m},
     }
     write_text(out / "nehari.csv", csv_table(
         ("instance", "degree", "hankel_norm", "dual_distance", "ratio",

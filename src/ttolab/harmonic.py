@@ -149,9 +149,19 @@ class TrigPoly(Symbol):
         return max((abs(k) for k in self.coeffs), default=0)
 
     def eval(self, z):
-        out = np.zeros(np.shape(z), dtype=complex)
-        for k, c in self.coeffs.items():
-            out += c * z**k
+        """Horner's rule in z over the frequencies k >= 0 and in 1/z over
+        k < 0: one multiplication per frequency in the band, no powers."""
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros(z.shape, dtype=complex)
+        for k in range(max(self.coeffs, default=0), -1, -1):
+            out = out * z + self.coeffs.get(k, 0.0)
+        low = min(self.coeffs, default=0)
+        if low < 0:
+            w = 1.0 / z
+            tail = np.zeros_like(out)
+            for k in range(low, 0):
+                tail = (tail + self.coeffs.get(k, 0.0)) * w
+            out = out + tail
         return out
 
     def poisson(self, z: complex) -> complex:

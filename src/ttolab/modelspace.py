@@ -14,10 +14,17 @@ the level set {Theta = 1}.  Pairings of trigonometric polynomials with
 subspaces of functions vanishing at the origin are closed forms in the
 Taylor rows of the basis (`subspace_pairing`).  Projections of other
 functions, and pairings of other symbols, use adaptive quadrature.
+
+A `ModelSpaceBasis` computes what it derives from theta once and keeps
+it: the compressed shift, the Clark rule formed from it, the basis
+sampled at the rule's atoms, and the Taylor rows, which grow when a call
+needs more of them.  A combination made by the basis keeps the basis, so
+its values at the atoms need no second sampling.
 """
 from __future__ import annotations
 
 import cmath
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -81,39 +88,25 @@ def compressed_shift(zeros) -> np.ndarray:
     return np.where(j > k, s[:, None] * (s * u) * gaps, np.diag(lam))
 
 
-def taylor_rows(basis: "ModelSpaceBasis", count: int) -> np.ndarray:
-    """Taylor coefficients of the basis: row n holds the coefficient of
-    z^n in every e_j, for n < count.
-
-    Row n is t_n = conj(S^n k_0), with S the compressed shift and k_0 the
-    coordinates conj(e_j(0)) of the projection of 1 onto K_theta.
-    """
-    shift = compressed_shift(basis.theta.zeros)
-    column = np.conj(basis.sample(np.zeros(1, dtype=complex))[:, 0])  # k_0
-    rows = np.empty((count, basis.size), dtype=complex)
-    for n in range(count):
-        rows[n] = np.conj(column)
-        column = shift @ column
-    return rows
-
-
-def _clark_atoms(theta: BlaschkeProduct) -> np.ndarray:
+def _clark_atoms(theta: BlaschkeProduct, shift: np.ndarray | None = None) -> np.ndarray:
     """The d points of {theta = 1} as eigenvalues of the Clark unitary
     U = S + (1 - conj(theta(0)))^{-1} k_0 (x) C k_0 (Clark 1972).
 
-    S is the compressed shift, k_0 = conj(e(0)) the reproducing kernel at
-    the origin and C k_0 the conjugate kernel there, so that
-    (f, C k_0) = (z f, theta).  In exact arithmetic U is unitary; the
-    returned eigenvalues are not normalised, so callers can check how far
-    they drift off the circle.
+    S is the compressed shift (built here unless passed in), k_0 = conj(e(0))
+    the reproducing kernel at the origin and C k_0 the conjugate kernel
+    there, so that (f, C k_0) = (z f, theta).  In exact arithmetic U is
+    unitary; the returned eigenvalues are not normalised, so callers can
+    check how far they drift off the circle.
     """
+    if shift is None:
+        shift = compressed_shift(theta.zeros)
     mod = np.abs(np.asarray(theta.zeros, dtype=complex))
     # b_l(0) = |lam_l|, so e_j(0) = s_j prod_{l<j} |lam_l| and theta(0) = gamma prod |lam_l|
     heads = np.cumprod(np.append(1.0, mod))
     k0 = np.sqrt(1.0 - mod**2) * heads[:-1]
     ck0 = ConjugateKernel(theta, 0.0).coordinates()
     scale = 1.0 / (1.0 - np.conj(theta.gamma) * heads[-1])
-    unitary = compressed_shift(theta.zeros) + scale * np.outer(k0, np.conj(ck0))
+    unitary = shift + scale * np.outer(k0, np.conj(ck0))
     return np.linalg.eigvals(unitary)
 
 
@@ -131,7 +124,10 @@ def clark_rule(theta: BlaschkeProduct, gram_tol: float = 1e-10) -> ClarkRule:
     (`_clark_atoms`).  Raises ModelSpaceError when an eigenvalue lies
     further than gram_tol off the unit circle: the unitary was then not
     formed to that accuracy, and neither would the rule be."""
-    atoms = _clark_atoms(theta)
+    return _checked_rule(theta, _clark_atoms(theta), gram_tol)
+
+
+def _checked_rule(theta: BlaschkeProduct, atoms: np.ndarray, gram_tol: float) -> ClarkRule:
     drift = float(np.max(np.abs(np.abs(atoms) - 1.0)))
     if drift > gram_tol:
         raise ModelSpaceError(
@@ -142,11 +138,17 @@ def clark_rule(theta: BlaschkeProduct, gram_tol: float = 1e-10) -> ClarkRule:
 
 
 class BasisCombination(Symbol):
-    """Linear combination sum_k c_k e_k, evaluated via the fast sampler."""
+    """Linear combination sum_k c_k e_k, evaluated via the fast sampler.
 
-    def __init__(self, zeros, coeffs):
+    A combination made by `ModelSpaceBasis.combination` keeps that basis
+    (`basis`, None otherwise), and with it the basis's Clark rule and its
+    samples at the rule's atoms.
+    """
+
+    def __init__(self, zeros, coeffs, basis: "ModelSpaceBasis | None" = None):
         self.zeros = tuple(zeros)
         self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.basis = basis
         if self.coeffs.shape != (len(self.zeros),):
             raise ValueError("coefficient count must match basis size")
 
@@ -154,6 +156,12 @@ class BasisCombination(Symbol):
         z = np.asarray(z, dtype=complex)
         samples = tm_samples(self.zeros, z.ravel())
         return (self.coeffs @ samples).reshape(z.shape)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The array itself, made read-only: later calls read it as kept."""
+    array.flags.writeable = False
+    return array
 
 
 class ModelSpaceBasis:
@@ -164,8 +172,14 @@ class ModelSpaceBasis:
     (f, g) = sum_xi f(xi) conj(g(xi)) / |theta'(xi)| over the level set
     {theta = 1}, and that level set is the spectrum of the Clark unitary
     built from the closed-form compressed shift (see `clark_rule`).
-    `rule` keeps that rule, `gram` the matrix and `gram_defect` its
-    largest deviation from the identity.  `project` integrates other
+
+    Everything the basis derives from theta is computed once and kept:
+    `shift` the compressed shift S_theta, `rule` the Clark rule formed from
+    it, `rule_samples` the basis sampled at the rule's atoms (row k holds
+    e_k), `gram` the Gram matrix and `gram_defect` its largest deviation
+    from the identity; `at_origin` (e(0)) and the rows of `taylor_rows`
+    are computed on first use and kept.  The shift, the rule samples, e(0)
+    and the Taylor rows are read-only.  `project` integrates other
     functions against the basis by adaptive quadrature.
     """
 
@@ -175,12 +189,15 @@ class ModelSpaceBasis:
         self.quad = quad
         self.gram_tol = gram_tol
         self.size = theta.degree
+        self.shift = _frozen(compressed_shift(theta.zeros))
         self.rule = ClarkRule(np.zeros(0, dtype=complex), np.zeros(0))
+        self.rule_samples = np.zeros((0, 0), dtype=complex)
         self.gram = np.zeros((0, 0), dtype=complex)
         self.gram_defect = 0.0
+        self._taylor = np.zeros((0, self.size), dtype=complex)
         if self.size == 0:
             return
-        self.rule = clark_rule(theta, gram_tol)
+        self.rule = _checked_rule(theta, _clark_atoms(theta, self.shift), gram_tol)
         samples = self.sample(self.rule.atoms)
         # gram[j, k] = (e_k, e_j), the orientation of harmonic.matrix_integral
         gram = (np.conj(samples) * self.rule.weights) @ samples.T
@@ -189,14 +206,40 @@ class ModelSpaceBasis:
             raise ModelSpaceError(
                 f"basis Gram matrix deviates from identity by {defect:.3e} "
                 f"(tolerance {gram_tol:g}) under the {self.size}-node Clark rule")
+        self.rule_samples = _frozen(samples)
         self.gram = gram
         self.gram_defect = defect
 
     def sample(self, nodes) -> np.ndarray:
         return tm_samples(self.theta.zeros, nodes)
 
+    def taylor_rows(self, count: int) -> np.ndarray:
+        """Taylor coefficients of the basis: row n holds the coefficient of
+        z^n in every e_j, for n < count.
+
+        Row n is t_n = conj(S^n k_0), with S the compressed shift and k_0
+        the coordinates conj(e_j(0)) of the projection of 1 onto K_theta,
+        so t_0 = e(0) and t_n = conj(S conj(t_{n-1})).  Rows already
+        computed are kept; a longer request continues from the last.
+        """
+        have = self._taylor.shape[0]
+        if count > have:
+            rows = np.empty((count, self.size), dtype=complex)
+            rows[:have] = self._taylor
+            if have == 0:
+                rows[0] = self.at_origin
+            for n in range(max(have, 1), count):
+                rows[n] = np.conj(self.shift @ np.conj(rows[n - 1]))
+            self._taylor = _frozen(rows)
+        return self._taylor[:count]
+
+    @cached_property
+    def at_origin(self) -> np.ndarray:
+        """e(0): every basis element at the origin (read-only)."""
+        return _frozen(self.sample(np.zeros(1, dtype=complex))[:, 0])
+
     def combination(self, coeffs) -> BasisCombination:
-        return BasisCombination(self.theta.zeros, coeffs)
+        return BasisCombination(self.theta.zeros, coeffs, self)
 
     def space_tag(self) -> str:
         return f"K[{self.theta.label()}]"
@@ -231,8 +274,7 @@ def vanishing_at_origin_subspace(basis: ModelSpaceBasis) -> np.ndarray:
     sum_j v_j e_j(0) = 0.  This is the basis `scipy.linalg.null_space`
     returns, in its row-major layout (products with it round the same way).
     """
-    at_zero = basis.sample(np.array([0.0 + 0.0j]))[:, 0]
-    vh = np.linalg.svd(np.conj(at_zero)[None, :], full_matrices=True)[2]
+    vh = np.linalg.svd(np.conj(basis.at_origin)[None, :], full_matrices=True)[2]
     return np.ascontiguousarray(vh[1:].conj().T)
 
 
@@ -250,7 +292,7 @@ def subspace_pairing(phi: Symbol, basis: ModelSpaceBasis, subspace: np.ndarray,
     if not isinstance(phi, TrigPoly):
         return subspace_pairing_by_quadrature(phi, basis, subspace, quad)
     depth = max(0, -min(phi.coeffs, default=0))
-    rows = taylor_rows(basis, depth + 1)[1:]
+    rows = basis.taylor_rows(depth + 1)[1:]
     weights = np.array([phi.coeffs.get(-n, 0.0) for n in range(1, depth + 1)],
                        dtype=complex)
     return subspace.T @ (weights @ rows)
@@ -270,8 +312,9 @@ def subspace_pairing_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
     return np.asarray(q, dtype=complex).ravel()
 
 
-class ReproducingKernel(Symbol):
-    """Reproducing kernel of the model space at an interior point."""
+class _KernelAt(Symbol):
+    """A kernel of the model space at an interior point lam.  theta(lam) is
+    evaluated on first use: the closed-form coordinates do not need it."""
 
     def __init__(self, theta: BlaschkeProduct, lam: complex):
         lam = complex(lam)
@@ -279,30 +322,30 @@ class ReproducingKernel(Symbol):
             raise ValueError("kernel point must lie inside the open disk")
         self.theta = theta
         self.lam = lam
-        self._tl = complex(theta(lam))
+
+    @cached_property
+    def _tl(self) -> complex:
+        return complex(self.theta(self.lam))
+
+    def norm(self) -> float:
+        """Exact L2 norm: ((1 - |theta(lam)|^2) / (1 - |lam|^2))^(1/2)."""
+        return float(np.sqrt((1.0 - abs(self._tl) ** 2) / (1.0 - abs(self.lam) ** 2)))
+
+
+class ReproducingKernel(_KernelAt):
+    """Reproducing kernel of the model space at an interior point."""
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
         return (1.0 - np.conj(self._tl) * self.theta.eval(z)) / (1.0 - np.conj(self.lam) * z)
 
-    def norm(self) -> float:
-        return float(np.sqrt((1.0 - abs(self._tl) ** 2) / (1.0 - abs(self.lam) ** 2)))
 
-
-class ConjugateKernel(Symbol):
+class ConjugateKernel(_KernelAt):
     """Difference-quotient kernel (theta(z) - theta(lam)) / (z - lam).
 
     The singularity at z = lam is removable; evaluation switches to the
     analytic derivative of theta when z comes within 1e-6 of lam.
     """
-
-    def __init__(self, theta: BlaschkeProduct, lam: complex):
-        lam = complex(lam)
-        if not abs(lam) < 1:
-            raise ValueError("kernel point must lie inside the open disk")
-        self.theta = theta
-        self.lam = lam
-        self._tl = complex(theta(lam))
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
@@ -314,10 +357,6 @@ class ConjugateKernel(Symbol):
             mid = self.lam + 0.5 * np.where(near, w, 0.0)
             out = np.where(near, self.theta.derivative(mid), out)
         return out
-
-    def norm(self) -> float:
-        """Exact L2 norm: ((1 - |theta(lam)|^2) / (1 - |lam|^2))^(1/2)."""
-        return float(np.sqrt((1.0 - abs(self._tl) ** 2) / (1.0 - abs(self.lam) ** 2)))
 
     def coordinates(self) -> np.ndarray:
         """Coefficients (ktilde_lam, e_k) in the basis of theta's zero order,

@@ -264,7 +264,10 @@ def minimax_certificate(phi: Symbol, theta: BlaschkeProduct,
             band = max(band, max(abs(k) for k in phi.coeffs) + theta.degree)
     nodes = unit_nodes(grid_m)
     target = np.asarray(phi(nodes), dtype=complex)
-    powers = nodes[None, :] ** np.arange(band + 1)[:, None]
+    powers = np.empty((band + 1, grid_m), dtype=complex)   # powers[k] = nodes^k
+    powers[0] = 1.0
+    powers[1:] = nodes
+    np.cumprod(powers, axis=0, out=powers)
     columns = [powers[k] for k in range(band + 1)]
     tvals = np.asarray(theta(nodes), dtype=complex)
     columns.extend(np.conj(tvals * powers[k]) for k in range(band + 1))

@@ -9,10 +9,11 @@ all so that different construction routes can be compared entrywise.
 
 Three routes build the matrices.  Trigonometric polynomials are
 compressed in closed form through the compressed shift and the Taylor
-rows of the basis.  Integrals whose two factors lie in one model space
-K_Theta are finite sums over Clark's exact rule of Theta
-(`modelspace.clark_rule`): the Hankel matrix of conj(u) for a
-model-space function u (the standard symbol among them), and the two
+rows that the basis computes once and keeps.  Integrals whose two
+factors lie in one model space K_Theta are finite sums over Clark's
+exact rule of Theta (`modelspace.clark_rule`): the Hankel matrix of
+conj(u) for a model-space function u (the standard symbol among them,
+whose theta^2 basis brings its rule and samples along), and the two
 factors of the Hankel-Toeplitz link for a trigonometric polynomial.
 Every other symbol is integrated by adaptive quadrature, and the
 quadrature builders stay as the independent check on the other two
@@ -21,6 +22,7 @@ routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,18 +31,19 @@ from .harmonic import (DEFAULT_QUADRATURE, ConjSymbol, QuadratureSettings,
                        RationalSymbol, Symbol, TrigPoly, matrix_integral,
                        poisson_extension, unit_nodes)
 from .modelspace import (BasisCombination, ConjugateKernel, ModelSpaceBasis,
-                         build_basis, clark_rule, compressed_shift,
-                         conjugate_kernel, subspace_pairing, taylor_rows,
-                         vanishing_at_origin_subspace)
+                         build_basis, clark_rule, conjugate_kernel,
+                         subspace_pairing, vanishing_at_origin_subspace)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorMatrix:
     """Dense operator matrix with typed domain/codomain tags.
 
     Tags are plain strings derived from the underlying Blaschke product;
     composition refuses mismatched tags, which catches most
-    wrong-space bugs at desk scale.
+    wrong-space bugs at desk scale.  The matrix takes over the array it
+    is given and makes it read-only, so its singular values are computed
+    once, on first use, and cannot go stale.
     """
 
     entries: np.ndarray
@@ -49,18 +52,28 @@ class OperatorMatrix:
     provenance: str = ""
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2:
+        entries = np.asarray(self.entries, dtype=complex)
+        if entries.ndim != 2:
             raise ValueError("operator entries must form a 2-d array")
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     @property
     def shape(self):
         return self.entries.shape
 
-    def singular_values(self) -> np.ndarray:
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
         if 0 in self.entries.shape:
-            return np.zeros(0)
-        return np.linalg.svd(self.entries, compute_uv=False)
+            sv = np.zeros(0)
+        else:
+            sv = np.linalg.svd(self.entries, compute_uv=False)
+        sv.flags.writeable = False
+        return sv
+
+    def singular_values(self) -> np.ndarray:
+        """Singular values in descending order (read-only)."""
+        return self._singular_values
 
     def norm(self) -> float:
         """Operator (spectral) norm."""
@@ -116,7 +129,7 @@ def toeplitz_matrix(phi: Symbol, basis: ModelSpaceBasis,
     """
     if not isinstance(phi, TrigPoly):
         return toeplitz_by_quadrature(phi, basis, quad)
-    shift = compressed_shift(basis.theta.zeros)
+    shift = basis.shift
     entries = np.zeros_like(shift)
     power = np.eye(basis.size, dtype=complex)
     for k in range(phi.band + 1):
@@ -168,7 +181,7 @@ def hankel_matrix(phi: Symbol, basis: ModelSpaceBasis,
     if not isinstance(phi, TrigPoly):
         return hankel_by_quadrature(phi, basis, quad)
     depth = max(0, -min(phi.coeffs, default=0))
-    taylor = taylor_rows(basis, depth)
+    taylor = basis.taylor_rows(depth)
     # Gamma = T^T H T with the coefficient Hankel matrix H[a, b] = c_{-(a+b+1)}
     coeffs = np.array([[phi.coeffs.get(-(a + b + 1), 0.0) for b in range(depth)]
                        for a in range(depth)], dtype=complex).reshape(depth, depth)
@@ -185,13 +198,21 @@ def _conjugate_combination_hankel(u: BasisCombination,
     Entry (j, k) is (z e_j e_k, u).  For e_j, e_k in K_theta the product
     z e_j e_k lies in K_{theta^2}, so the rule of theta^2 B_Z integrates
     the entry exactly; when Z is theta^2's own zero list, as for the
-    standard symbol, the rule of theta^2 does.
+    standard symbol, the rule of theta^2 does.  A combination that keeps
+    its theta^2 basis, checked at least as tightly as `basis`, brings that
+    rule and the basis sampled at its atoms: theta^2's zero list begins
+    with theta's, so the first d rows are the samples of `basis`.
     """
     square = basis.theta.square().zeros
-    zeros = square if u.zeros == square else square + u.zeros
-    atoms, weights = clark_rule(BlaschkeProduct(zeros), basis.gram_tol)
-    samples = basis.sample(atoms)
-    entries = (samples * (weights * atoms * np.conj(u(atoms)))) @ samples.T
+    kept = u.basis
+    if u.zeros == square and kept is not None and kept.gram_tol <= basis.gram_tol:
+        atoms, weights = kept.rule
+        samples, values = kept.rule_samples[:basis.size], u.coeffs @ kept.rule_samples
+    else:
+        zeros = square if u.zeros == square else square + u.zeros
+        atoms, weights = clark_rule(BlaschkeProduct(zeros), basis.gram_tol)
+        samples, values = basis.sample(atoms), u(atoms)
+    entries = (samples * (weights * atoms * np.conj(values))) @ samples.T
     return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
                           "hankel:clark-rule")
 
@@ -229,7 +250,7 @@ def conjugate_multiplier_by_rule(basis: ModelSpaceBasis) -> OperatorMatrix:
     sum_i w_i xi_i e_j(xi_i) e_k(xi_i).
     """
     atoms, weights = basis.rule
-    samples = basis.sample(atoms)
+    samples = basis.rule_samples
     entries = (samples * (weights * atoms)) @ samples.T
     return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
                           "conj-theta-multiplier:clark-rule")
@@ -326,13 +347,15 @@ def standard_symbol(phi: Symbol, theta: BlaschkeProduct,
     Its coordinates are the pairings ∫ phi g_m dm = (phi, conj(g_m)) with
     the basis g_m of K_{theta^2} ∩ zH^2, a closed form in the Taylor rows
     for a trigonometric polynomial and quadrature otherwise
-    (`modelspace.subspace_pairing`).
+    (`modelspace.subspace_pairing`).  The realised symbol keeps the
+    theta^2 basis, whose Clark rule and samples then serve its Hankel
+    matrix (`hankel_matrix`).
     """
     square_basis = build_basis(theta.square(), quad)
     U = vanishing_at_origin_subspace(square_basis)
     coeffs = subspace_pairing(phi, square_basis, U, quad)
     # realized symbol: sum_m coeffs[m] conj(g_m) = conj(combination)
-    combo = BasisCombination(theta.square().zeros, U @ np.conj(coeffs))
+    combo = square_basis.combination(U @ np.conj(coeffs))
     return StandardSymbol(theta, coeffs, U, ConjSymbol(combo))
 
 

@@ -45,6 +45,25 @@ def test_derivative_matches_finite_difference():
     assert abs(theta.derivative(z) - fd) < 1e-8
 
 
+def test_boundary_derivative_modulus_matches_per_zero_sum():
+    # the broadcast sum against one term per zero, on sets with the factor
+    # z, a repeated zero and 1 - |lam| down to 1e-12
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        d = int(rng.integers(1, 20))
+        lam = list((1.0 - 10.0 ** rng.uniform(-12.0, 0.0, d))
+                   * np.exp(2j * np.pi * rng.uniform(size=d)))
+        lam[0] = 0.0
+        lam.append(lam[-1])
+        xi = np.exp(2j * np.pi * rng.uniform(size=int(rng.integers(1, 40))))
+        speed = BlaschkeProduct(lam).boundary_derivative_modulus(xi)
+        terms = sum((1.0 - abs(complex(a)) ** 2) / np.abs(1.0 - np.conj(a) * xi) ** 2
+                    for a in lam)
+        assert speed.shape == xi.shape
+        assert np.max(np.abs(speed / terms - 1.0)) < 2e-15
+    assert BlaschkeProduct([]).boundary_derivative_modulus(np.ones((2, 3))).shape == (2, 3)
+
+
 def test_boundary_derivative_modulus_monomial():
     theta = BlaschkeProduct([0, 0, 0, 0])
     nodes = unit_nodes(16)

@@ -203,6 +203,15 @@ def test_phase_evaluations_on_boundary_family(alpha):
         assert 2 <= mu.phase_evaluations <= 12, n
 
 
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+def test_hermite_starts_on_boundary_family(alpha):
+    # each start interpolates t(Phi) with the bracket's slopes 1/|theta'|,
+    # so no root of the family needs more than a few Newton steps
+    for n in range(2, 33):
+        theta = BlaschkeProduct([1.0 - 2.0**-k for k in range(1, n + 1)])
+        assert clark_measure(theta, alpha).phase_evaluations <= 6, n
+
+
 def test_phase_evaluations_default_and_square():
     assert ClarkMeasure(1.0, np.ones(1), np.ones(1)).phase_evaluations == 0
     # the square's atoms come from the one pass that solves theta = +-alpha

@@ -250,6 +250,11 @@ def test_nehari_reruns_byte_identical(tmp_path):
     header, *rows = (a / "nehari.csv").read_text().splitlines()
     assert header.split(",")[-1] == "iterations"
     assert len(rows) == 6 and all(int(row.split(",")[-1]) >= 0 for row in rows)
+    # so are the minimax certificate's value, iterations, band and grid
+    cert = json.loads((a / "nehari.json").read_text())["certificate"]
+    assert sorted(cert) == ["band", "grid_m", "iterations", "value"]
+    assert 0.0 < cert["value"] < 1.0 + 1e-12 and cert["iterations"] >= 1
+    assert cert["band"] == 10 and cert["grid_m"] == 4096
 
 
 def test_nehari_errors_fail_the_run(tmp_path):

@@ -53,6 +53,19 @@ def test_trig_poly_eval_matches_series(rng):
     assert np.allclose(f(nodes), direct)
 
 
+@pytest.mark.parametrize("r", [1.0, 0.9])
+def test_trig_poly_horner_matches_term_by_term(r):
+    rng = np.random.default_rng(31)
+    z = r * unit_nodes(256)
+    for _ in range(200):
+        band = int(rng.integers(0, 12))
+        freqs = rng.integers(-band, band + 1, size=int(rng.integers(0, 2 * band + 2)))
+        f = TrigPoly({int(k): complex(*rng.standard_normal(2)) for k in freqs})
+        direct = sum((c * z**k for k, c in f.coeffs.items()), np.zeros(z.shape, complex))
+        scale = sum((abs(c) * r**k for k, c in f.coeffs.items()), 1.0)
+        assert np.max(np.abs(f(z) - direct)) <= 1e-13 * scale
+
+
 def test_boundary_mean_of_powers():
     for k in (-3, -1, 1, 2, 5):
         assert abs(boundary_mean(TrigPoly.z(k))) < 1e-14

@@ -8,6 +8,7 @@ from ttolab.modelspace import (
     ModelSpaceError,
     build_basis,
     clark_rule,
+    compressed_shift,
     conjugate_kernel,
     reproducing_kernel,
     tm_samples,
@@ -160,6 +161,25 @@ def test_clark_rule_refuses_drifting_atoms(monkeypatch):
     with pytest.raises(ModelSpaceError, match="off the unit circle"):
         clark_rule(THETA)
     assert clark_rule(THETA, gram_tol=1e-7).atoms.size == THETA.degree
+
+
+def test_basis_keeps_shift_and_taylor_rows():
+    basis = build_basis(THETA)
+    assert np.array_equal(basis.shift, compressed_shift(THETA.zeros))
+    short = basis.taylor_rows(3).copy()
+    longer = basis.taylor_rows(7)
+    # extending the kept rows gives the rows of a fresh computation
+    assert np.array_equal(longer, build_basis(THETA).taylor_rows(7))
+    assert np.array_equal(longer[:3], short)
+    assert np.shares_memory(basis.taylor_rows(5), longer)
+    assert basis.taylor_rows(0).shape == (0, 3)
+    for kept in (basis.shift, longer, basis.rule_samples):
+        assert not kept.flags.writeable
+    # row n holds the z^n Taylor coefficients of the basis
+    m = 1 << 10
+    coefficients = np.fft.fft(basis.sample(unit_nodes(m)), axis=1) / m
+    assert np.max(np.abs(longer - coefficients[:, :7].T)) < 1e-14
+    assert np.array_equal(basis.rule_samples, basis.sample(basis.rule.atoms))
 
 
 def test_subnormal_zero_keeps_factor_unimodular():

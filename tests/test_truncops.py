@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttolab import harmonic, modelspace, truncops
+from ttolab import clark, harmonic, modelspace, spectra, truncops
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.harmonic import (RationalSymbol, TrigPoly, adaptive_boundary_mean,
                              matrix_integral)
@@ -258,6 +260,89 @@ def test_interior_pipeline_needs_no_quadrature(monkeypatch):
     assert gamma.provenance == "hankel:clark-rule"
     assert np.max(np.abs(gamma.entries - hankel_matrix(phi, basis).entries)) < 1e-12
     assert hankel_toeplitz_defect(phi, basis) < 1e-12
+
+
+def test_pipeline_builds_each_structure_once(monkeypatch):
+    # one operation of the S^p pipeline: the spectral report of a Toeplitz
+    # matrix, the Hankel-Toeplitz link, the cross-route check, Gamma, the
+    # standard symbol and its Gamma, the square's Clark measure and three
+    # Schatten norms
+    calls = {"_clark_atoms": 0, "compressed_shift": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(modelspace, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(modelspace, name, counted)
+    decomposed = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        decomposed.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    theta = BlaschkeProduct([0.3, -0.4j, 0.0, 0.5 + 0.5j], gamma=np.exp(0.7j))
+    phi = TrigPoly({-3: 1.0, -1: -2.0j, 0: 0.5, 2: 0.7})
+    c = np.linspace(1.0, 2.0, 8) + 1j * np.linspace(-1.0, 0.5, 8)
+    psi = harmonic.ConjSymbol(modelspace.BasisCombination(theta.square().zeros, c))
+    basis = build_basis(theta)
+    spectra.spectral_report(toeplitz_matrix(TrigPoly({0: 1.0, 1: 0.5j, 3: 0.2}), basis))
+    hankel_toeplitz_defect(phi, basis)
+    clark.cross_route_equivalence(psi, basis, 1j)
+    gamma = hankel_matrix(phi, basis)
+    std = standard_symbol(phi, theta)
+    hankel_matrix(std.symbol, basis)
+    clark.square_clark_measure(theta, 1j)
+    [gamma.schatten_norm(p) for p in (0.5, 1.0, 2.0)]
+    # the shifts and rules of theta, theta^2 and z^3 theta^2 (the lifted factor)
+    assert calls == {"_clark_atoms": 3, "compressed_shift": 3}
+    # the Toeplitz matrix, Gamma, the cross-route check's two matrices and
+    # the row e(0) of the theta^2 basis, each decomposed once
+    assert len(decomposed) == 5
+    assert len({id(a) for a in decomposed}) == 5
+
+
+def test_standard_symbol_hankel_from_kept_basis(monkeypatch):
+    # the standard symbol brings its theta^2 basis's rule and samples; a
+    # combination without a basis builds the rule of theta^2 (gamma = 1)
+    for gamma in (1.0, np.exp(0.7j)):
+        theta = BlaschkeProduct([0.3, -0.4j, 0.0, 0.3], gamma=gamma)
+        basis = build_basis(theta)
+        std = standard_symbol(TrigPoly({-3: 1.0, -1: -2.0j, 0: 0.5, 2: 0.7}), theta)
+        kept = std.symbol.inner
+        assert kept.basis is not None
+        bare = modelspace.BasisCombination(kept.zeros, kept.coeffs)
+        gamma_kept = hankel_matrix(std.symbol, basis)
+        gamma_bare = hankel_matrix(harmonic.ConjSymbol(bare), basis)
+        assert gamma_kept.provenance == gamma_bare.provenance == "hankel:clark-rule"
+        assert np.max(np.abs(gamma_kept.entries - gamma_bare.entries)) < 1e-14
+    # a basis checked more loosely than the codomain's is not trusted: the
+    # Hankel matrix then forms a rule of its own
+    loose = build_basis(theta.square(), gram_tol=1e-6).combination(kept.coeffs)
+    strict = build_basis(theta, gram_tol=1e-12)
+    rules = []
+    atoms = modelspace._clark_atoms
+    monkeypatch.setattr(modelspace, "_clark_atoms", lambda t: rules.append(t) or atoms(t))
+    hankel_matrix(std.symbol, basis)
+    assert rules == []
+    gamma_loose = hankel_matrix(harmonic.ConjSymbol(loose), strict)
+    assert len(rules) == 1
+    assert np.max(np.abs(gamma_loose.entries - gamma_bare.entries)) < 1e-14
+
+
+def test_operator_matrix_is_read_only_and_decomposed_once(monkeypatch, generic_basis):
+    op = toeplitz_matrix(TrigPoly({-1: 1.0, 0: 0.5, 2: 0.25j}), generic_basis)
+    with pytest.raises(ValueError):
+        op.entries[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.entries = np.eye(3)
+    svd, count = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: count.append(1) or svd(*a, **k))
+    sv = op.singular_values()
+    assert op.norm() == sv[0] and op.schatten_norm(np.inf) == sv[0]
+    assert abs(op.schatten_norm(2.0) - np.linalg.norm(op.entries)) < 1e-14
+    assert op.schatten_norm(1.0) == pytest.approx(np.sum(sv), rel=1e-15)
+    assert len(count) == 1 and not sv.flags.writeable
 
 
 def test_rule_builders_match_quadrature(generic_basis):
