@@ -13,15 +13,20 @@ and `weights` and everything below is a finite weighted sum.
 A Besov profile does no per-arc work in Python.  Each dyadic generation
 is a pair of arrays of arc starts and ends, built only until the profile
 stops; every atom is assigned to its arc once per generation by one
-searchsorted, and masses and counts are bincounts.  The moment fits of
-all generations are then solved together: one batched rank check and one
-batched solve, with moment_polynomial only for the Grams that fail the
-check.  `oscillation` is the same kernel on one arc.
+searchsorted, and masses and counts are bincounts.  A ClarkMeasure or a
+LebesgueGrid keeps these assignments for the whole-circle family at
+anchor 0 (`DyadicPartition`), as deep as any profile has needed, so its
+profiles at several exponents share them.  The moment fits of all
+generations are then solved together: all Gram entries from one
+reduceat, one batched rank check and one batched solve, with
+moment_polynomial only for the Grams that fail the check.  `oscillation`
+is the same kernel on one arc.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +78,12 @@ class LebesgueGrid:
 
     def space_tag(self) -> str:
         return f"lebesgue[m={self.m}]"
+
+    @cached_property
+    def partition(self) -> "DyadicPartition":
+        """The whole-circle dyadic partition of the nodes at anchor 0, kept
+        for every Besov profile of this grid."""
+        return DyadicPartition(self.atoms)
 
 
 def _measure_label(nu) -> str:
@@ -144,12 +155,23 @@ def _arc_of(angles, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.where(_inside(angles, starts[arc], ends[arc]), arc, -1)
 
 
+def _wrap_start(angle) -> float:
+    """The angle reduced into [0, 2*pi] and moved by at most an ulp to a
+    value a for which a + 2*pi is a double, so that the end a + 2*pi of an
+    arc wrapping past a reduces to a exactly."""
+    return (float(np.mod(angle, TWO_PI)) + TWO_PI) - TWO_PI
+
+
 def _components(marked_angles, anchor: float) -> tuple:
     """(start, end) of each component of the circle minus the marked
-    angles; the whole circle from `anchor` when nothing is marked."""
-    marked = sorted(float(np.mod(a, TWO_PI)) for a in marked_angles)
+    angles; the whole circle from `anchor` when nothing is marked.  The
+    starts are taken by `_wrap_start`, so the last component ends exactly
+    where the first begins and the dyadic arcs partition the atoms there
+    too."""
+    marked = sorted(_wrap_start(a) for a in marked_angles)
     if not marked:
-        return ((float(anchor), float(anchor) + TWO_PI),)
+        start = _wrap_start(anchor)
+        return ((start, start + TWO_PI),)
     ends = marked[1:] + [marked[0] + TWO_PI]
     return tuple((a, b) for a, b in zip(marked, ends) if b - a > 1e-14)
 
@@ -158,6 +180,38 @@ def _halve(starts: np.ndarray, ends: np.ndarray):
     """The next dyadic generation, in the order of Arc.halves."""
     mids = 0.5 * (starts + ends)
     return np.ravel([starts, mids], order="F"), np.ravel([mids, ends], order="F")
+
+
+class DyadicPartition:
+    """The dyadic partition of a measure's atoms, one generation at a time.
+
+    Generation k halves every arc of generation k - 1, starting from the
+    components of the circle minus the marked angles (the whole circle
+    from `anchor` when nothing is marked).  Per generation it keeps the
+    number of arcs, the arc index of every atom (-1 for an atom in a
+    component gap) and the largest number of atoms on one arc.
+    Generations are built when first asked for and kept, so the profiles
+    of one measure share them: `ClarkMeasure.partition` and
+    `LebesgueGrid.partition` hold the whole-circle partition at anchor 0.
+    """
+
+    def __init__(self, atoms, marked_angles=(), anchor: float = 0.0):
+        self.angles = np.mod(np.angle(np.asarray(atoms, dtype=complex)), TWO_PI)
+        self._starts, self._ends = (np.array(side) for side in
+                                    zip(*_components(marked_angles, anchor)))
+        self.sizes, self.arcs, self.fills = [], [], []
+
+    def generation(self, k: int):
+        """Arc count, arc index of every atom and largest arc fill of
+        generation k."""
+        while len(self.arcs) <= k:
+            if self.arcs:
+                self._starts, self._ends = _halve(self._starts, self._ends)
+            arc = _arc_of(self.angles, self._starts, self._ends)
+            self.sizes.append(self._starts.size)
+            self.arcs.append(arc)
+            self.fills.append(int(np.bincount(arc[arc >= 0]).max(initial=0)))
+        return self.sizes[k], self.arcs[k], self.fills[k]
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +255,8 @@ def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
     x, ws, fs = xi[members], w[members], fv[members]
     powers = x[:, None] ** np.arange(r + 1)
     weighted = powers.conj() * ws[:, None]
-    gram = np.empty((count.size, r + 1, r + 1), dtype=complex)
-    for k in range(r + 1):
-        for j in range(r + 1):
-            gram[:, k, j] = np.add.reduceat(weighted[:, k] * powers[:, j], seg)
+    outer = (weighted[:, :, None] * powers[:, None, :]).reshape(members.size, -1)
+    gram = np.add.reduceat(outer, seg, axis=0).reshape(count.size, r + 1, r + 1)
     rhs = np.add.reduceat(weighted * fs[:, None], seg, axis=0)
     tol = 1e-10 * np.maximum(1.0, np.abs(gram).max(axis=(1, 2)))
     full = np.linalg.svd(gram, compute_uv=False)[:, -1] > tol
@@ -375,8 +427,10 @@ def besov_profile(f, nu, p: float, max_generation: int | None = None,
 
     The generations of dyadic_family are built lazily, as arrays of arc
     starts and ends, and only up to that point.  Each generation assigns
-    every atom to its arc by one searchsorted; the moment fits of all
-    generations then go to the oscillation kernel together.
+    every atom to its arc by one searchsorted (`DyadicPartition`); a
+    ClarkMeasure or LebesgueGrid keeps the assignments of its
+    whole-circle family at anchor 0 for its later profiles.  The moment
+    fits of all generations then go to the oscillation kernel together.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -385,21 +439,22 @@ def besov_profile(f, nu, p: float, max_generation: int | None = None,
         max_generation = default_generation_cap(nu)
     if max_generation < 0:
         raise ValueError("max_generation must be >= 0")
-    components = _components(marked_angles, anchor)
     atoms = np.asarray(nu.atoms, dtype=complex)
-    angles = np.mod(np.angle(atoms), TWO_PI)
-    starts, ends = (np.array(side) for side in zip(*components))
+    marked_angles = tuple(marked_angles)
+    if isinstance(nu, (ClarkMeasure, LebesgueGrid)) and not marked_angles and anchor == 0.0:
+        partition = nu.partition
+    else:
+        partition = DyadicPartition(atoms, marked_angles, anchor)
     stops = isinstance(nu, ClarkMeasure) and convention == "projection"
     owners, first = [], [0]
     terminated = False
-    for _ in range(max_generation + 1):
-        arc = _arc_of(angles, starts, ends)
+    for k in range(max_generation + 1):
+        size, arc, fill = partition.generation(k)
         owners.append(np.where(arc >= 0, arc + first[-1], -1))
-        first.append(first[-1] + starts.size)
-        if stops and np.bincount(arc[arc >= 0]).max(initial=0) <= r + 1:
+        first.append(first[-1] + size)
+        if stops and fill <= r + 1:
             terminated = True
             break
-        starts, ends = _halve(starts, ends)
     osc = _oscillations(atoms, np.asarray(nu.weights, dtype=float),
                         _values_on(f, atoms), np.array(owners), first[-1], r,
                         convention)

@@ -141,6 +141,11 @@ class BlaschkeProduct(Symbol):
 
     def label(self) -> str:
         """Short deterministic identifier used in operator space tags."""
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        """The label, formatted once: the product is immutable."""
         parts = [f"{lam.real:.12g}{lam.imag:+.12g}j" for lam in self.zeros]
         parts.append(f"g{self.gamma.real:.12g}{self.gamma.imag:+.12g}j")
         return ";".join(parts)

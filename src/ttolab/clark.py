@@ -3,14 +3,18 @@
 For a degree-d Blaschke product theta and a unimodular anchor alpha, the
 level set {theta = alpha} on the circle consists of exactly d points (the
 boundary phase increases strictly and winds d times).  They are found
-without any grid: the continuous boundary phase has a closed form per
-zero, its values at O(d) breakpoints set by the zeros give every atom a
-bracket and a start of its own, and one vectorised, safeguarded Newton
-iteration (rtsafe) refines all d at once in O(d^2) memory.  The Clark
+without any grid: the continuous boundary phase and its first two
+derivatives have a closed form per zero, its values at O(d) breakpoints
+set by the zeros give every atom a bracket and a start of its own, and
+one vectorised Halley iteration with the safeguards of rtsafe refines all
+d at once in O(d^2) memory, stopping each root once the second
+derivative predicts its remaining error below two ulp.  The Clark
 measure places weight 1/|theta'| at each atom; the induced embedding of
 the model space into L2 of that measure is unitary.  The level sets at
-alpha and -alpha come from one Newton pass over 2d targets
-(`clark_pair`).  Combining the embeddings at alpha and -alpha yields a
+alpha and -alpha come from one pass over 2d targets, one sort and one
+evaluation of |theta'| (`clark_pair`).  A measure keeps the dyadic
+partition of its atoms that Besov profiles share (`partition`).
+Combining the embeddings at alpha and -alpha yields a
 unitary Hilbert transform with an explicit Cauchy-type kernel, and a
 commutator construction that reproduces truncated Hankel operators from
 values of the symbol at the atoms.  This route shares no code with the
@@ -23,6 +27,8 @@ the two pipelines is the strongest end-to-end check in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +50,19 @@ class ClarkMeasure:
     atoms: np.ndarray    # unit-modulus positions, sorted by angle
     weights: np.ndarray  # 1 / |theta'| at each atom
     phase_evaluations: int = 0  # vectorised boundary-phase evaluations behind the atoms
+    bisections: int = 0         # moves of that pass that bisected a bracket
 
     @property
     def mass(self) -> float:
         return float(np.sum(self.weights))
+
+    @cached_property
+    def partition(self):
+        """The whole-circle dyadic partition of the atoms at anchor 0
+        (`besov.DyadicPartition`), kept for every Besov profile of this
+        measure."""
+        from .besov import DyadicPartition   # besov imports this module
+        return DyadicPartition(self.atoms)
 
     def space_tag(self) -> str:
         return f"L2[a={self.alpha.real:.12g}{self.alpha.imag:+.12g}j;n={len(self.atoms)}]"
@@ -62,7 +77,8 @@ class ClarkMeasure:
         }
 
 
-_NEWTON_CAP = 200
+_STEP_CAP = 200
+_TINY = np.finfo(float).tiny
 
 
 def _factors(zeros):
@@ -75,16 +91,18 @@ def _factors(zeros):
 
 def _boundary_phase(factors, t):
     """Continuous boundary phase Phi of the zero factors at angles t, as
-    whole turns plus a remainder, and its derivative |theta'|, each of
-    shape t.shape: Phi(t) = 2 pi turns + rest.
+    whole turns plus a remainder, its derivative |theta'| and its second
+    derivative, each of shape t.shape: Phi(t) = 2 pi turns + rest.
 
     With t - beta = v + 2 pi m, v in [0, 2 pi), a zero lam = r e^{i beta}
     contributes 2 pi (m + 1) - 2 atan2((1 - r) cos(v/2), (1 + r) sin(v/2))
-    (t alone when r = 0) and (1 - r)(1 + r) / ((1 - r)^2 + 4 r sin^2(v/2))
-    to the derivative.  Neither form cancels as r -> 1, and the atan2
-    term is O(1 - r) wherever the factor's phase is flat, so the remainder
-    keeps its relative precision there instead of the absolute rounding
-    of a sum of O(1) angles, which would move a root by eps / |theta'|.
+    (t alone when r = 0), (1 - r)(1 + r) / den to the derivative and
+    -(1 - r)(1 + r) 4 r sin(v/2) cos(v/2) / den^2 to the second, with
+    den = (1 - r)^2 + 4 r sin^2(v/2).  Neither form cancels as r -> 1,
+    and the atan2 term is O(1 - r) wherever the factor's phase is flat,
+    so the remainder keeps its relative precision there instead of the
+    absolute rounding of a sum of O(1) angles, which would move a root by
+    eps / |theta'|.
     """
     beta, below, above, four_r, origin = factors
     half = 0.5 * (t[..., None] - beta)
@@ -94,13 +112,16 @@ def _boundary_phase(factors, t):
     turns = np.sum(m, axis=-1) + beta.size
     # at r = 0 the term is pi + t, so each zero at the origin takes pi off
     rest = -2.0 * np.sum(np.arctan2(below * cos, above * sin), axis=-1) - origin
-    speed = np.sum(below * above / (below**2 + four_r * sin**2), axis=-1)
-    return turns, rest, speed
+    den = below**2 + four_r * sin**2
+    term = below * above / den
+    speed = np.sum(term, axis=-1)
+    bend = -np.sum(term * four_r * sin * cos / den, axis=-1)
+    return turns, rest, speed, bend
 
 
-def _starts(zeros, base, per_turn):
+def _starts(factors, base, per_turn):
     """Turn counts of the targets, brackets and starting angles for the
-    per_turn * d roots.
+    per_turn * d roots, from the `_factors` of the zeros.
 
     Phi and its speed |theta'| are evaluated once at the sorted breakpoints
     0, 2 pi, beta and beta -+ (1 - r) of every zero r e^{i beta}, which
@@ -112,37 +133,57 @@ def _starts(zeros, base, per_turn):
     bracket.  The index is clipped because a target can equal Phi(0) or
     Phi(2 pi) up to rounding.
     """
-    lam = np.asarray(zeros, dtype=complex)
-    beta, delta = np.mod(np.angle(lam), TWO_PI), 1.0 - np.abs(lam)
+    beta, delta = np.mod(factors[0], TWO_PI), factors[1]
     cuts = np.unique(np.concatenate(
         [[0.0, TWO_PI], np.mod(np.concatenate([beta, beta - delta, beta + delta]), TWO_PI)]))
-    turns, rest, speed = _boundary_phase(_factors(zeros), cuts)
+    turns, rest, speed, _ = _boundary_phase(factors, cuts)
     phase = TWO_PI * turns + rest
     # theta = alpha where the zero factors' phase is base mod 2 pi
     j = (np.ceil((phase[0] - base) * per_turn / TWO_PI)
-         + np.arange(per_turn * lam.size)) / per_turn
+         + np.arange(per_turn * beta.size)) / per_turn
     targets = base + TWO_PI * j
     k = np.clip(np.searchsorted(phase, targets, side="right"), 1, cuts.size - 1)
     lo, hi = cuts[k - 1], cuts[k]
-    rise = np.maximum(phase[k] - phase[k - 1], np.finfo(float).tiny)
+    rise = np.maximum(phase[k] - phase[k - 1], _TINY)
     u = np.clip((targets - phase[k - 1]) / rise, 0.0, 1.0)
     t = (lo + (hi - lo) * u * u * (3.0 - 2.0 * u)
          + rise * u * (1.0 - u) * ((1.0 - u) / speed[k - 1] - u / speed[k]))
     return j, lo, hi, np.clip(t, lo, hi)
 
 
-def _level_angles(theta: BlaschkeProduct, alpha: complex, per_turn: int):
+class _LevelSets(NamedTuple):
+    """The roots of one pass of `_level_sets`, sorted by angle."""
+
+    alpha: complex        # the normalised anchor
+    angles: np.ndarray    # in [0, 2 pi)
+    atoms: np.ndarray     # e^{i angles}
+    weights: np.ndarray   # 1 / |theta'| at the atoms
+    j: np.ndarray         # turn index of each root's target
+    evaluations: int      # vectorised evaluations of Phi
+    bisections: int       # bisection moves
+
+    def measure(self, anchor: complex, side=slice(None)) -> ClarkMeasure:
+        """The Clark measure at anchor on the roots picked by side,
+        refused when two of them coincide."""
+        if not np.all(np.diff(self.angles[side]) > 0.0):
+            raise ClarkError("atoms collide: zeros too close to the circle for double precision")
+        return ClarkMeasure(anchor, self.atoms[side], self.weights[side], self.evaluations,
+                            self.bisections)
+
+
+def _level_sets(theta: BlaschkeProduct, alpha: complex, per_turn: int) -> _LevelSets:
     """Angles t where the boundary phase Phi(t) of theta meets
     arg(alpha) - arg(gamma) + 2 pi j, for the per_turn * d values of j in
     steps of 1 / per_turn, in the order of j: per_turn = 1 gives the level
     set {theta = alpha}, per_turn = 2 that of theta = +-alpha, with whole
-    j at alpha and half-integer j at -alpha.  Returns the normalised
-    anchor, the angles, j and the count of phase evaluations.
+    j at alpha and half-integer j at -alpha, as a `_LevelSets` sorted by
+    angle.
 
     Each root starts inside its own bracket (`_starts`), and all are
-    refined at once by the safeguarded Newton rule of rtsafe (see
-    `clark_measure`).  Half-integer j keep the residual exact: 2 pi (turns
-    - j) is one rounding of an odd multiple of pi.
+    refined at once, under a mask of the unsettled roots, by the
+    safeguarded Halley rule described in `clark_measure`.  Half-integer j
+    keep the residual exact: 2 pi (turns - j) is one rounding of an odd
+    multiple of pi.
     """
     d = theta.degree
     if d == 0:
@@ -152,51 +193,52 @@ def _level_angles(theta: BlaschkeProduct, alpha: complex, per_turn: int):
         raise ClarkError("anchor must be unimodular")
     alpha /= abs(alpha)
 
-    zeros = theta.zeros
-    factors = _factors(zeros)
+    factors = _factors(theta.zeros)
     base = float(np.angle(alpha) - np.angle(theta.gamma))
-    j, lo, hi, t = _starts(zeros, base, per_turn)
+    j, lo, hi, t = _starts(factors, base, per_turn)
     count = t.size
     last = np.full(count, np.inf)   # |residual| one step earlier
-    todo = np.arange(count)
+    active = np.ones(count, dtype=bool)
     tiny = 2.0 * np.spacing(TWO_PI)
     noise = 8.0 * np.spacing(TWO_PI * d)   # rounding floor of Phi
-    evaluations = 1
-    for _ in range(_NEWTON_CAP):
-        if todo.size == 0:
+    evaluations, bisections = 1, 0
+    for _ in range(_STEP_CAP):
+        if not active.any():
             break
-        turns, rest, speed = _boundary_phase(factors, t[todo])
+        turns, rest, speed, bend = _boundary_phase(factors, t)
         evaluations += 1
         # whole turns cancel exactly, so err keeps the precision of rest
-        err = (TWO_PI * (turns - j[todo]) - base) + rest
-        x = t[todo]
-        trial = x - err / speed
-        a = lo[todo] = np.where(err < 0.0, x, lo[todo])
-        b = hi[todo] = np.where(err > 0.0, x, hi[todo])
-        inside = (a < trial) & (trial < b)
-        # a Newton step within tiny is converged even where it lands on the
+        err = (TWO_PI * (turns - j) - base) + rest
+        newton = err / speed
+        # Halley's step, unless it would be more than twice Newton's
+        shrink = 1.0 - 0.5 * newton * bend / speed
+        step = np.where(shrink >= 0.5, newton / shrink, newton)
+        trial = t - step
+        np.copyto(lo, t, where=active & (err < 0.0))
+        np.copyto(hi, t, where=active & (err > 0.0))
+        inside = (lo < trial) & (trial < hi)
+        # a step within tiny is converged even where it lands on the
         # bracket's end; so is one inside the bracket from a residual at
-        # the rounding floor, which no further step can reduce
-        settled = (np.abs(trial - x) <= tiny) | (inside & (np.abs(err) <= noise))
-        bisect = ~settled & (~inside | (np.abs(err) > 0.5 * last[todo]))
-        trial = np.where(bisect, 0.5 * (a + b), trial)
-        last[todo] = np.abs(err)
-        t[todo] = trial
-        todo = todo[~settled & (np.abs(trial - x) > tiny)]
-    if todo.size:
-        raise ClarkError(f"boundary phase Newton did not settle {todo.size} "
-                         f"of {count} roots in {_NEWTON_CAP} steps")
-    return alpha, t, j, evaluations
-
-
-def _measure(theta: BlaschkeProduct, alpha: complex, t, evaluations: int) -> ClarkMeasure:
-    """Clark measure with atoms at the angles t, sorted, and weights 1/|theta'|."""
-    roots = np.sort(np.mod(t, TWO_PI))
-    if not np.all(np.diff(roots) > 0.0):
-        raise ClarkError("atoms collide: zeros too close to the circle for double precision")
-    atoms = np.exp(1j * roots)
-    weights = 1.0 / theta.boundary_derivative_modulus(atoms)
-    return ClarkMeasure(alpha, atoms, weights, evaluations)
+        # the rounding floor, which no further step can reduce, or one
+        # whose predicted remaining error |Phi''/Phi'| step^2 is within tiny
+        settled = (np.abs(trial - t) <= tiny) | (inside & ((np.abs(err) <= noise)
+                                               | (np.abs(bend / speed) * step**2 <= tiny)))
+        bisect = active & ~settled & (~inside | (np.abs(err) > 0.5 * last))
+        bisections += int(np.count_nonzero(bisect))
+        trial = np.where(bisect, 0.5 * (lo + hi), trial)
+        np.copyto(last, np.abs(err), where=active)
+        keep = ~settled & (np.abs(trial - t) > tiny)
+        np.copyto(t, trial, where=active)
+        active &= keep
+    if active.any():
+        raise ClarkError(f"boundary phase solve did not settle {np.count_nonzero(active)} "
+                         f"of {count} roots in {_STEP_CAP} steps")
+    angles = np.mod(t, TWO_PI)
+    order = np.argsort(angles)
+    angles = angles[order]
+    atoms = np.exp(1j * angles)
+    return _LevelSets(alpha, angles, atoms, 1.0 / theta.boundary_derivative_modulus(atoms),
+                      j[order], evaluations, bisections)
 
 
 def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
@@ -206,32 +248,36 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     2 pi d over [0, 2 pi], so the level set consists of the d solutions of
     Phi(t) = arg(alpha) - arg(gamma) + 2 pi j in that interval.  Each root
     starts inside its own bracket, found from Phi at O(d) breakpoints set
-    by the zeros (`_starts`), and all d are refined at once by the
-    safeguarded Newton rule of rtsafe (Numerical Recipes 9.4) on Phi, whose
-    derivative is |theta'| > 0.  A root is settled as soon as its Newton
-    step is within two ulp of 2 pi, tested before the bracket, so that a
-    converged step landing on the bracket's end is not mistaken for an
-    escape; a Newton step inside the bracket from a residual at the
-    rounding floor of Phi (8 ulp of 2 pi d) settles it too.  Otherwise the
-    root bisects its bracket when the Newton step leaves it or the
-    residual has not halved since the previous step, and is settled once
-    the bracket has shrunk to two ulp.  Memory is O(d^2) however close
-    the zeros lie to T; `phase_evaluations` counts the vectorised
-    evaluations of Phi.
+    by the zeros (`_starts`), and all d are refined at once by Halley's
+    method on Phi, whose derivative is |theta'| > 0 and whose second
+    derivative comes from the same closed form (`_boundary_phase`), with
+    the safeguards of rtsafe (Numerical Recipes 9.4).  Where Halley's step
+    would be more than twice the Newton step, the Newton step is taken.
+    A root is settled as soon as its step is within two ulp of 2 pi,
+    tested before the bracket, so that a converged step landing on the
+    bracket's end is not mistaken for an escape.  A step inside the
+    bracket settles it too, from a residual at the rounding floor of Phi
+    (8 ulp of 2 pi d) or with a predicted remaining error |Phi''/Phi'|
+    step^2 within two ulp of 2 pi, which saves the pass that would only
+    confirm convergence.  Otherwise the root bisects its bracket when the
+    step leaves it or the residual has not halved since the previous
+    step, and is settled once the bracket has shrunk to two ulp.  Memory
+    is O(d^2) however close the zeros lie to T; `phase_evaluations` counts
+    the vectorised evaluations of Phi and `bisections` the bisection moves.
     """
-    alpha, t, _, evaluations = _level_angles(theta, alpha, 1)
-    return _measure(theta, alpha, t, evaluations)
+    roots = _level_sets(theta, alpha, 1)
+    return roots.measure(roots.alpha)
 
 
 def clark_pair(theta: BlaschkeProduct, alpha: complex) -> tuple[ClarkMeasure, ClarkMeasure]:
     """The Clark measures of theta at alpha and at -alpha, from one
-    vectorised Newton pass over the 2d targets Phi = base + pi k (even k
-    at alpha, odd k at -alpha).  Both carry the phase evaluations of that
-    pass."""
-    alpha, t, j, evaluations = _level_angles(theta, alpha, 2)
-    whole = j == np.floor(j)
-    return (_measure(theta, alpha, t[whole], evaluations),
-            _measure(theta, -alpha, t[~whole], evaluations))
+    vectorised pass over the 2d targets Phi = base + pi k (even k at
+    alpha, odd k at -alpha), one sort of their angles and one evaluation
+    of |theta'|.  Both carry the phase evaluations and the bisections of
+    that pass."""
+    roots = _level_sets(theta, alpha, 2)
+    whole = roots.j == np.floor(roots.j)
+    return roots.measure(roots.alpha, whole), roots.measure(-roots.alpha, ~whole)
 
 
 def expected_mass(theta: BlaschkeProduct, alpha: complex) -> float:
@@ -254,19 +300,16 @@ def poisson_identity_defect(measure: ClarkMeasure, theta: BlaschkeProduct,
 
 def square_clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     """Clark measure of theta^2 at alpha^2: its atoms are those of theta at
-    alpha and -alpha (`clark_pair`), with weights 1/|(theta^2)'| =
-    1/(2 |theta'|)."""
-    plus, minus = clark_pair(theta, alpha)
-    atoms = np.concatenate([plus.atoms, minus.atoms])
-    weights = 0.5 * np.concatenate([plus.weights, minus.weights])
-    angles = np.mod(np.angle(atoms), TWO_PI)
-    order = np.argsort(angles)
-    atoms, weights, angles = atoms[order], weights[order], angles[order]
-    if len(atoms) > 1:
+    alpha and -alpha, taken sorted from the one pass that solves both
+    (`clark_pair`), with weights 1/|(theta^2)'| = 1/(2 |theta'|)."""
+    roots = _level_sets(theta, alpha, 2)
+    angles = roots.angles
+    if len(angles) > 1:
         gaps = np.diff(angles, append=angles[0] + TWO_PI)
         if float(np.min(gaps)) < 1e-10:
             raise ClarkError("atoms of the two half measures collide")
-    return ClarkMeasure(complex(alpha) ** 2, atoms, weights, plus.phase_evaluations)
+    return ClarkMeasure(complex(alpha) ** 2, roots.atoms, 0.5 * roots.weights,
+                        roots.evaluations, roots.bisections)
 
 
 # ---------------------------------------------------------------------------

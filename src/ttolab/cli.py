@@ -205,6 +205,7 @@ def cmd_clark(args) -> int:
         "poisson_defect": poisson_identity_defect(measure, theta, pts),
         "unitarity_defect": unitary.unitarity_defect(),
         "phase_evaluations": measure.phase_evaluations,
+        "bisections": measure.bisections,
     }
     _emit(args, out / "clark.json", payload)
     return 0

@@ -88,24 +88,39 @@ def compressed_shift(zeros) -> np.ndarray:
     return np.where(j > k, s[:, None] * (s * u) * gaps, np.diag(lam))
 
 
+def _origin_kernels(theta: BlaschkeProduct):
+    """k_0 = conj(e(0)), the coordinates of C k_0 and theta(0), in closed
+    form from the moduli of the zeros.
+
+    b_l(0) = |lam_l|, so e_j(0) = s_j prod_{l<j} |lam_l| and theta(0) =
+    gamma prod |lam_l|; at the origin `ConjugateKernel.coordinates` is
+    gamma u_k s_k prod_{j>k} |lam_j| with u_k = -e^{-i arg lam_k} (1 for a
+    zero at the origin) and s_k = sqrt(1 - |lam_k|^2).
+    """
+    lam = np.asarray(theta.zeros, dtype=complex)
+    mod = np.abs(lam)
+    s = np.sqrt(1.0 - mod**2)
+    heads = np.cumprod(np.append(1.0, mod))
+    tails = np.append(np.cumprod(mod[::-1])[-2::-1], 1.0)      # prod_{j>k} |lam_j|
+    u = np.where(mod > 0, -np.exp(-1j * np.angle(lam)), 1.0)
+    return s * heads[:-1], theta.gamma * u * s * tails, theta.gamma * heads[-1]
+
+
 def _clark_atoms(theta: BlaschkeProduct, shift: np.ndarray | None = None) -> np.ndarray:
     """The d points of {theta = 1} as eigenvalues of the Clark unitary
     U = S + (1 - conj(theta(0)))^{-1} k_0 (x) C k_0 (Clark 1972).
 
     S is the compressed shift (built here unless passed in), k_0 = conj(e(0))
     the reproducing kernel at the origin and C k_0 the conjugate kernel
-    there, so that (f, C k_0) = (z f, theta).  In exact arithmetic U is
+    there, so that (f, C k_0) = (z f, theta); both are closed forms in the
+    moduli of the zeros (`_origin_kernels`).  In exact arithmetic U is
     unitary; the returned eigenvalues are not normalised, so callers can
     check how far they drift off the circle.
     """
     if shift is None:
         shift = compressed_shift(theta.zeros)
-    mod = np.abs(np.asarray(theta.zeros, dtype=complex))
-    # b_l(0) = |lam_l|, so e_j(0) = s_j prod_{l<j} |lam_l| and theta(0) = gamma prod |lam_l|
-    heads = np.cumprod(np.append(1.0, mod))
-    k0 = np.sqrt(1.0 - mod**2) * heads[:-1]
-    ck0 = ConjugateKernel(theta, 0.0).coordinates()
-    scale = 1.0 / (1.0 - np.conj(theta.gamma) * heads[-1])
+    k0, ck0, at_origin = _origin_kernels(theta)
+    scale = 1.0 / (1.0 - np.conj(at_origin))
     unitary = shift + scale * np.outer(k0, np.conj(ck0))
     return np.linalg.eigvals(unitary)
 

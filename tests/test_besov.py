@@ -351,3 +351,58 @@ def test_dyadic_halves_split_grid_nodes_exactly():
     for generation in fam.generations:
         assert list(generation) == arcs
         arcs = [half for arc in arcs for half in arc.halves()]
+
+
+def _counting_arc_of(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return arc_of(*args)
+
+    arc_of = besov._arc_of
+    monkeypatch.setattr(besov, "_arc_of", counting)
+    return calls
+
+
+def _copy(nu):
+    if isinstance(nu, LebesgueGrid):
+        return LebesgueGrid(nu.m)
+    return ClarkMeasure(nu.alpha, nu.atoms.copy(), nu.weights.copy())
+
+
+@pytest.mark.parametrize("kind", ["square", "grid", "marked"])
+def test_profiles_share_the_measure_partition(kind, monkeypatch):
+    # the profiles of one measure take the dyadic generations the deepest
+    # of them needs once, and agree bit for bit with a fresh measure's
+    if kind == "grid":
+        nu = LebesgueGrid(4096)
+    else:
+        nu = square_clark_measure(BlaschkeProduct([0.5, -0.3 + 0.6j, 0.8j, -0.7]), np.exp(0.3j))
+    kwargs = {"marked_angles": (0.4, 3.0)} if kind == "marked" else {}
+    rng = np.random.default_rng(12)
+    fv = rng.standard_normal(len(nu.atoms)) + 1j * rng.standard_normal(len(nu.atoms))
+    calls = _counting_arc_of(monkeypatch)
+    profiles = [besov_profile(fv, nu, p, **kwargs) for p in (0.5, 1.0, 2.0)]
+    depths = [len(prof.generation_sums) for prof in profiles]
+    # a marked or anchored family is not kept: every profile builds its own
+    assert len(calls) == (sum(depths) if kind == "marked" else max(depths))
+    assert max(depths) > min(depths) or kind == "grid"
+    for p, prof in zip((0.5, 1.0, 2.0), profiles):
+        fresh = besov_profile(fv, _copy(nu), p, **kwargs)
+        assert prof == fresh
+        assert besov_norm(fv, nu, p, **kwargs) == prof.norm
+
+
+@pytest.mark.parametrize("kwargs", [{"marked_angles": (1.7752513746435095,)},
+                                    {"anchor": 1.7752513746435095},
+                                    {"anchor": 1.7752513746435095 - 2 * np.pi}])
+def test_arcs_partition_atoms_at_the_wrap(kwargs):
+    # the atom sits on the marked angle or the anchor, where the last arc
+    # of each generation wraps around to the first: with its end a + 2 pi
+    # rounded, the atom fell in both arcs (or in neither)
+    nu = clark_measure(BlaschkeProduct([0.0]), np.exp(1.7752513746435095j))
+    for arcs in dyadic_family(nu, 4, **kwargs).generations:
+        assert sum(arc.contains(nu.atoms).astype(int) for arc in arcs).tolist() == [1]
+    assert_matches_per_arc_loop(np.array([1.0 + 2.0j]), nu, 0.25, convention="verbatim",
+                                **kwargs)

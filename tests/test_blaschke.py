@@ -125,3 +125,9 @@ def test_union_roots_joins_pairs():
     assert roots[0] == roots[2] == roots[5]
     assert roots[3] == roots[4]
     assert len(set(roots)) == 3
+
+
+def test_label_formats_once():
+    theta = BlaschkeProduct([0.5, -0.25j, 0.0], gamma=1j)
+    assert theta.label() == "0.5+0j;-0-0.25j;0+0j;g0+1j"
+    assert theta.label() is theta.label()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.clark import (
+    _boundary_phase,
+    _factors,
     ClarkError,
     ClarkMeasure,
     clark_measure,
@@ -206,39 +208,96 @@ def test_phase_evaluations_on_boundary_family(alpha):
 @pytest.mark.parametrize("alpha", [1.0, -1.0])
 def test_hermite_starts_on_boundary_family(alpha):
     # each start interpolates t(Phi) with the bracket's slopes 1/|theta'|,
-    # so no root of the family needs more than a few Newton steps
+    # so no root of the family needs more than a few Halley steps
     for n in range(2, 33):
         theta = BlaschkeProduct([1.0 - 2.0**-k for k in range(1, n + 1)])
-        assert clark_measure(theta, alpha).phase_evaluations <= 6, n
+        assert clark_measure(theta, alpha).phase_evaluations <= 4, n
 
 
 def test_phase_evaluations_default_and_square():
     assert ClarkMeasure(1.0, np.ones(1), np.ones(1)).phase_evaluations == 0
+    assert ClarkMeasure(1.0, np.ones(1), np.ones(1)).bisections == 0
     # the square's atoms come from the one pass that solves theta = +-alpha
     plus, minus = clark_pair(THETA, ALPHA)
     nu = square_clark_measure(THETA, ALPHA)
     assert nu.phase_evaluations == plus.phase_evaluations == minus.phase_evaluations
+    assert nu.bisections == plus.bisections == minus.bisections
 
 
 def test_pair_pass_matches_two_solves():
-    # the sweep's zero sets (modulus <= 0.9, gap >= 0.12), with the factor z
-    # or a repeated zero added to some
+    for theta, alpha in _sweep_zero_sets():
+        for paired, single in zip(clark_pair(theta, alpha),
+                                  (clark_measure(theta, alpha),
+                                   clark_measure(theta, -alpha))):
+            assert paired.alpha == single.alpha
+            assert np.max(np.abs(paired.atoms - single.atoms)) < 1e-14
+            assert np.max(np.abs(paired.weights / single.weights - 1.0)) < 1e-14
+
+
+def _sweep_zero_sets(augment: bool = True):
+    """The sweep's zero sets (modulus <= 0.9, gap >= 0.12), each with a
+    constant and an anchor; with augment, the factor z or a repeated zero
+    is added to two in three."""
     rng = np.random.default_rng(2027)
     for degree in range(1, 9):
         for case in range(24):
             lam = list(random_blaschke(rng, degree).zeros)
-            if case % 3 == 1:
+            if augment and case % 3 == 1:
                 lam.append(0.0)
-            elif case % 3 == 2:
+            elif augment and case % 3 == 2:
                 lam.append(lam[0])
-            theta = BlaschkeProduct(lam, gamma=random_unimodular(rng))
-            alpha = random_unimodular(rng)
-            for paired, single in zip(clark_pair(theta, alpha),
-                                      (clark_measure(theta, alpha),
-                                       clark_measure(theta, -alpha))):
-                assert paired.alpha == single.alpha
-                assert np.max(np.abs(paired.atoms - single.atoms)) < 1e-14
-                assert np.max(np.abs(paired.weights / single.weights - 1.0)) < 1e-14
+            yield BlaschkeProduct(lam, gamma=random_unimodular(rng)), random_unimodular(rng)
+
+
+def test_no_bisections_on_boundary_family_and_sweep():
+    # every Halley step from a Hermite start stays inside its bracket and
+    # at least halves the residual
+    for n in range(2, 33):
+        theta = BlaschkeProduct([1.0 - 2.0**-k for k in range(1, n + 1)])
+        for alpha in (1.0, -1.0):
+            assert clark_measure(theta, alpha).bisections == 0, (n, alpha)
+        assert clark_pair(theta, 1.0)[0].bisections == 0, n
+    for theta, alpha in _sweep_zero_sets(augment=False):
+        assert clark_measure(theta, alpha).bisections == 0
+
+
+def _second_derivative_cases():
+    rng = np.random.default_rng(41)
+    cases = {}
+    for i in range(4):
+        cases[f"random{i}"] = list(random_blaschke(rng, 1 + 2 * i, 0.95, 0.0).zeros)
+    for exponent in (-2.0, -5.0, -8.0):
+        delta = 10.0 ** rng.uniform(exponent, 0.0, 6)
+        delta[0] = 10.0**exponent
+        cases[f"cluster{exponent:g}"] = list((1.0 - delta)
+                                            * np.exp(1j * (2.0 + 0.05 * rng.uniform(-1, 1, 6))))
+    cases["origin"] = [0.0, 0.5j, -0.7 + 0.1j]
+    cases["repeated"] = [0.9 * np.exp(1.0j)] * 2 + [-0.3]
+    return cases
+
+
+@pytest.mark.parametrize("name, zeros", list(_second_derivative_cases().items()))
+def test_second_derivative_matches_difference_of_speed(name, zeros):
+    # Phi'' against a central difference of Phi' = |theta'|, with a step set
+    # by the distance to the nearest zero, at random angles and at angles
+    # on the scale 1 - |lam| past each zero's angle beta.  (Just below beta
+    # the half angle is reduced by pi, which rounds it to ulp(pi): too
+    # coarse for a difference quotient on the scale 1e-8.)
+    factors = _factors(zeros)
+    beta, below = factors[0], factors[1]
+    rng = np.random.default_rng(len(zeros))
+    t = np.concatenate([rng.uniform(0.0, 2 * np.pi, 40),
+                        (beta[:, None] + below[:, None] * np.array([0.3, 0.7, 1.5, 4.0])).ravel()])
+    lam = np.asarray(zeros, dtype=complex)
+    reach = np.min(np.abs(np.exp(1j * t)[:, None] - lam[None, :]), axis=1)
+    ahead, behind = t + 1e-4 * reach, t - 1e-4 * reach
+    _, _, _, bend = _boundary_phase(factors, t)
+    _, _, up, _ = _boundary_phase(factors, ahead)
+    _, _, down, _ = _boundary_phase(factors, behind)
+    difference = (up - down) / (ahead - behind)
+    # the scale: the same sum with every zero's term taken by its size
+    size = np.sum(np.abs(np.stack([_boundary_phase(_factors([z]), t)[3] for z in zeros])), axis=0)
+    assert np.max(np.abs(bend - difference) / size) <= 1e-6, name
 
 
 near_boundary_zero = st.tuples(st.floats(-12.0, np.log10(0.5)),   # log10 of 1 - |lam|

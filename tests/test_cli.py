@@ -169,6 +169,7 @@ def test_clark_dump(tmp_path):
     assert payload["unitarity_defect"] < 1e-10
     assert isinstance(payload["phase_evaluations"], int)
     assert 2 <= payload["phase_evaluations"] <= 12
+    assert payload["bisections"] == 0
 
 
 def test_spectrum_dump(tmp_path):

@@ -190,3 +190,16 @@ def test_subnormal_zero_keeps_factor_unimodular():
     assert np.allclose(np.abs(modelspace.tm_samples([lam, 0.5], nodes)[1]),
                        np.sqrt(0.75) / np.abs(1 - 0.5 * nodes), rtol=1e-15)
     assert build_basis(theta).gram_defect < 1e-14
+
+
+@pytest.mark.parametrize("zeros", [[0.3, -0.5j, 0.2 + 0.4j],
+                                   [0.0, 0.6, 0.0, -0.3j],
+                                   [0.5 + 0.5j, 0.5 + 0.5j, -0.2],
+                                   [5e-324 * np.exp(2.5j), 0.7j, 1e-310],
+                                   [0.999999 * np.exp(1.0j), -0.9]])
+def test_origin_kernels_match_conjugate_kernel(zeros):
+    theta = BlaschkeProduct(zeros, gamma=np.exp(0.4j))
+    k0, ck0, at_origin = modelspace._origin_kernels(theta)
+    assert np.max(np.abs(ck0 - conjugate_kernel(theta, 0.0).coordinates())) <= 1e-15
+    assert np.max(np.abs(k0 - np.conj(tm_samples(theta.zeros, np.zeros(1))[:, 0]))) <= 1e-15
+    assert abs(at_origin - complex(theta(0.0))) <= 1e-15
