@@ -506,6 +506,7 @@ class ProbeRow:
     schatten: dict              # p -> Schatten norm of the Hankel matrix
     besov: dict                 # p -> Besov norm of the standard symbol
     ratio: dict                 # p -> schatten / besov (nan when besov = 0)
+    terminated: dict            # p -> whether the Besov profile terminated
 
 
 def conjecture_probe(theta: BlaschkeProduct, alpha: complex, p_list,
@@ -513,8 +514,9 @@ def conjecture_probe(theta: BlaschkeProduct, alpha: complex, p_list,
                      quad: QuadratureSettings = DEFAULT_QUADRATURE):
     """Pair Schatten norms of truncated Hankel operators with dyadic
     Besov norms of their standard symbols against the squared-product
-    Clark measure.  Exploratory: emits the table and summary statistics,
-    decides nothing.
+    Clark measure.  Each row also says whether each Besov profile
+    terminated or stopped at the default generation cap.  Exploratory:
+    emits the table and summary statistics, decides nothing.
 
     symbol_corpus: iterable of (tag, symbol) pairs.
     """
@@ -522,18 +524,20 @@ def conjecture_probe(theta: BlaschkeProduct, alpha: complex, p_list,
     nu = square_clark_measure(theta, alpha)
     rows = []
     for tag, phi in symbol_corpus:
-        gamma = hankel_matrix(phi, basis, quad)
+        gamma = hankel_matrix(phi, basis)
         std = standard_symbol(phi, theta, quad)
         values = np.asarray(std.symbol(nu.atoms), dtype=complex)
-        srow, brow, rrow = {}, {}, {}
+        srow, brow, rrow, trow = {}, {}, {}, {}
         for p in p_list:
             p = float(p)
             s = gamma.schatten_norm(p)
-            b = besov_norm(values, nu, p)
+            profile = besov_profile(values, nu, p)
+            b = profile.norm
             srow[p] = s
             brow[p] = b
             rrow[p] = s / b if b > 0.0 else float("nan")
-        rows.append(ProbeRow(str(tag), srow, brow, rrow))
+            trow[p] = profile.terminated
+        rows.append(ProbeRow(str(tag), srow, brow, rrow, trow))
     return rows
 
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .harmonic import TWO_PI, QuadratureSettings, Symbol
+from .harmonic import TWO_PI, Symbol
 from .modelspace import ModelSpaceBasis
 from .truncops import OperatorMatrix, hankel_by_quadrature
 
@@ -442,11 +442,12 @@ class EquivalenceReport:
     clark_route: OperatorMatrix
 
 
-def cross_route_equivalence(phi: Symbol, basis: ModelSpaceBasis, alpha: complex,
-                            quad: QuadratureSettings | None = None) -> EquivalenceReport:
+def cross_route_equivalence(phi: Symbol, basis: ModelSpaceBasis,
+                            alpha: complex) -> EquivalenceReport:
     """Build the truncated Hankel operator twice and compare.
 
-    Route one integrates phi against basis products over the circle.
+    Route one integrates phi against basis products over the circle, at
+    the basis's quadrature settings.
     Route two never integrates: it samples phi at the level sets
     {theta = alpha} and {theta = -alpha}, forms the commutator-type
     kernel there, and conjugates back with the Clark embeddings.  For
@@ -454,7 +455,7 @@ def cross_route_equivalence(phi: Symbol, basis: ModelSpaceBasis, alpha: complex,
     matrices must agree entrywise.
     """
     theta = basis.theta
-    gamma = hankel_by_quadrature(phi, basis, quad)
+    gamma = hankel_by_quadrature(phi, basis)
 
     plus, minus = clark_pair(theta, alpha)
     embed = clark_unitary(basis, plus)

@@ -176,7 +176,7 @@ def cmd_op_matrix(args) -> int:
     phi = parse_symbol(args.symbol)
     basis = build_basis(theta, config.quadrature.settings())
     build = hankel_matrix if args.kind == "hankel" else toeplitz_matrix
-    op = build(phi, basis, config.quadrature.settings())
+    op = build(phi, basis)
     payload = {
         "inner_function": theta.to_dict(),
         "symbol": {str(k): v for k, v in phi.coeffs.items()},
@@ -217,7 +217,7 @@ def cmd_spectrum(args) -> int:
     phi = parse_symbol(args.symbol)
     quad = config.quadrature.settings()
     basis = build_basis(theta, quad)
-    toep = toeplitz_matrix(phi, basis, quad)
+    toep = toeplitz_matrix(phi, basis)
     p_list = [float(p) for p in (args.p_list.split(",") if args.p_list
                                  else ("1", "2"))]
     rep = spectral_report(toep, p_list)
@@ -228,7 +228,7 @@ def cmd_spectrum(args) -> int:
         "singular_values": rep.singular_values,
         "schatten": {f"{p:g}": v for p, v in rep.schatten.items()},
         "hankel_singular_values":
-            hankel_matrix(phi, basis, quad).singular_values(),
+            hankel_matrix(phi, basis).singular_values(),
     }
     _emit(args, out / "spectrum.json", payload)
     return 0
@@ -355,13 +355,12 @@ def cmd_nehari(args) -> int:
 def cmd_besov(args) -> int:
     config, out = _prepare(args)
     bes = config.besov
-    quad = config.quadrature.settings()
     rng = np.random.default_rng(config.sweep.seed)
     theta = random_blaschke(rng, bes.degree, config.sweep.max_zero_modulus,
                             config.sweep.min_zero_gap)
     alpha = complex(np.exp(1j * bes.alpha_angle))
     nu = square_clark_measure(theta, alpha)
-    phi = random_conjugate_square_symbol(rng, theta, quad, zero_mean=True)
+    phi = random_conjugate_square_symbol(rng, theta, zero_mean=True)
     values = np.asarray(phi(nu.atoms), dtype=complex)
     report = oscillation_report(values, nu, bes.eps_grid, bes.p_list,
                                 bes.max_generation)
@@ -403,7 +402,7 @@ def cmd_conjecture(args) -> int:
         for row in rows:
             for p in p_list:
                 rows_csv.append((f"z^{degree}", row.tag, p, row.schatten[p],
-                                 row.besov[p], row.ratio[p]))
+                                 row.besov[p], row.ratio[p], row.terminated[p]))
     payload = {
         "seed": config.sweep.seed,
         "alpha_angle": con.alpha_angle,
@@ -413,7 +412,7 @@ def cmd_conjecture(args) -> int:
         "note": "exploratory: paired quantities only, no pass/fail",
     }
     write_text(out / "conjecture.csv", csv_table(
-        ("theta", "tag", "p", "schatten_norm", "besov_norm", "ratio"),
+        ("theta", "tag", "p", "schatten_norm", "besov_norm", "ratio", "terminated"),
         rows_csv))
     _emit(args, out / "conjecture.json", payload)
     return 0

@@ -46,19 +46,12 @@ class ToleranceConfig:
 @dataclass
 class SweepConfig:
     seed: int = 20250815
-    instances: int = 100
-    max_degree: int = 8
-    max_band: int = 6
     max_zero_modulus: float = 0.9
     min_zero_gap: float = 0.12
 
     def validate(self):
-        if self.instances < 1:
-            raise ConfigError("sweep.instances must be >= 1")
         if not 0 < self.max_zero_modulus < 1:
             raise ConfigError("sweep.max_zero_modulus must lie in (0, 1)")
-        if self.max_degree < 1 or self.max_band < 1:
-            raise ConfigError("sweep degree/band caps must be >= 1")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .harmonic import DEFAULT_QUADRATURE, ConjSymbol, Symbol, TrigPoly
+from .harmonic import ConjSymbol, Symbol, TrigPoly
 from .modelspace import build_basis, vanishing_at_origin_subspace
 
 
@@ -72,12 +72,12 @@ def random_interior_points(rng: np.random.Generator, n: int,
 
 
 def random_conjugate_square_symbol(rng: np.random.Generator,
-                                   theta: BlaschkeProduct,
-                                   quad=DEFAULT_QUADRATURE,
+                                   theta: BlaschkeProduct, *,
                                    zero_mean: bool = False) -> Symbol:
     """phi with conj(phi) in K_{theta^2}; with zero_mean, additionally
-    conj(phi) in zH^2, i.e. phi is already a standard symbol."""
-    basis = build_basis(theta.square(), quad)
+    conj(phi) in zH^2, i.e. phi is already a standard symbol.  The theta^2
+    basis is only sampled, never integrated."""
+    basis = build_basis(theta.square())
     if zero_mean:
         u = vanishing_at_origin_subspace(basis)
         c = (rng.standard_normal(u.shape[1])

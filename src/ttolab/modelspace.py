@@ -13,7 +13,8 @@ d-node rule (`clark_rule`) integrates f conj(g) for f, g in K_Theta over
 the level set {Theta = 1}.  Pairings of trigonometric polynomials with
 subspaces of functions vanishing at the origin are closed forms in the
 Taylor rows of the basis (`subspace_pairing`).  Projections of other
-functions, and pairings of other symbols, use adaptive quadrature.
+functions, and pairings of other symbols, use adaptive quadrature at the
+basis's own settings (`ModelSpaceBasis.quad`).
 
 A `ModelSpaceBasis` computes what it derives from theta once and keeps
 it: the compressed shift, the Clark rule formed from it, the basis
@@ -195,7 +196,8 @@ class ModelSpaceBasis:
     from the identity; `at_origin` (e(0)) and the rows of `taylor_rows`
     are computed on first use and kept.  The shift, the rule samples, e(0)
     and the Taylor rows are read-only.  `project` integrates other
-    functions against the basis by adaptive quadrature.
+    functions against the basis by adaptive quadrature at `quad`, the
+    settings that every quadrature route built on the basis reads.
     """
 
     def __init__(self, theta: BlaschkeProduct, quad: QuadratureSettings = DEFAULT_QUADRATURE,
@@ -293,8 +295,7 @@ def vanishing_at_origin_subspace(basis: ModelSpaceBasis) -> np.ndarray:
     return np.ascontiguousarray(vh[1:].conj().T)
 
 
-def subspace_pairing(phi: Symbol, basis: ModelSpaceBasis, subspace: np.ndarray,
-                     quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
+def subspace_pairing(phi: Symbol, basis: ModelSpaceBasis, subspace: np.ndarray) -> np.ndarray:
     """Pairings ∫ phi g_m dm with g_m = sum_i subspace[i, m] e_i, for
     columns spanning functions that vanish at the origin.
 
@@ -305,7 +306,7 @@ def subspace_pairing(phi: Symbol, basis: ModelSpaceBasis, subspace: np.ndarray,
     Every other symbol goes through `subspace_pairing_by_quadrature`.
     """
     if not isinstance(phi, TrigPoly):
-        return subspace_pairing_by_quadrature(phi, basis, subspace, quad)
+        return subspace_pairing_by_quadrature(phi, basis, subspace)
     depth = max(0, -min(phi.coeffs, default=0))
     rows = basis.taylor_rows(depth + 1)[1:]
     weights = np.array([phi.coeffs.get(-n, 0.0) for n in range(1, depth + 1)],
@@ -314,16 +315,15 @@ def subspace_pairing(phi: Symbol, basis: ModelSpaceBasis, subspace: np.ndarray,
 
 
 def subspace_pairing_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
-                                   subspace: np.ndarray,
-                                   quad: QuadratureSettings = DEFAULT_QUADRATURE
-                                   ) -> np.ndarray:
-    """∫ phi g_m dm by adaptive quadrature: works for any bounded symbol and
-    is the independent check on the closed form."""
+                                   subspace: np.ndarray) -> np.ndarray:
+    """∫ phi g_m dm by adaptive quadrature at the basis's settings: works
+    for any bounded symbol and is the independent check on the closed
+    form."""
 
     def sample(nodes):
         return phi(nodes)[None, :] * (subspace.T @ basis.sample(nodes))
 
-    q, _ = adaptive_boundary_mean(sample, quad)
+    q, _ = adaptive_boundary_mean(sample, basis.quad)
     return np.asarray(q, dtype=complex).ravel()
 
 

@@ -15,9 +15,9 @@ minimized under one affine constraint: a convex problem with a single
 global optimum, solved on a grid by a damped Newton method whose
 safeguard is one iteratively reweighted least-squares (IRLS) step.  The
 pairing ∫ phi h dm is a closed form in the Taylor coefficients of the
-basis when phi is a trigonometric polynomial.  Every h certifies the
-lower bound |∫ phi h| / ||h||_1, and at the optimum it is the distance
-itself, up to grid and quadrature error.
+basis when phi is a trigonometric polynomial.  Every h gives the lower
+bound |∫ phi h| / ||h||_1 when ||h||_1 is exact, and at the optimum it is
+the distance itself, up to grid and quadrature error.
 A Lawson-style IRLS pass produces primal certificates
 f = f1 + conj(Theta f2) for the upper side, and the Poisson convolution
 table smooths those certificates toward continuous near-minimizers.
@@ -32,8 +32,7 @@ from .blaschke import BlaschkeProduct
 from .harmonic import (DEFAULT_QUADRATURE, QuadratureSettings, Symbol,
                        TrigPoly, adaptive_boundary_mean, unit_nodes)
 from .modelspace import (BasisCombination, ModelSpaceBasis, build_basis,
-                         subspace_pairing, subspace_pairing_by_quadrature,
-                         vanishing_at_origin_subspace)
+                         subspace_pairing, vanishing_at_origin_subspace)
 from .truncops import hankel_matrix
 
 
@@ -66,26 +65,11 @@ def dual_basis(theta: BlaschkeProduct,
     return DualBasis(basis, vanishing_at_origin_subspace(basis))
 
 
-def dual_pairing(phi: Symbol, dual: DualBasis,
-                 quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
-    """∫ phi h_i dm against the dual basis h_i: a closed form in the Taylor
-    rows of the basis for a trigonometric polynomial, quadrature otherwise
-    (`modelspace.subspace_pairing`)."""
-    return subspace_pairing(phi, dual.basis, dual.coeffs, quad)
-
-
-def dual_pairing_by_quadrature(phi: Symbol, dual: DualBasis,
-                               quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
-    """∫ phi h_i dm by adaptive quadrature: works for any bounded symbol and
-    is the independent check on the closed form."""
-    return subspace_pairing_by_quadrature(phi, dual.basis, dual.coeffs, quad)
-
-
 @dataclass(frozen=True)
 class DistanceReport:
     """Dual value of the grid L1 minimizer, with the solver's step count."""
 
-    value: float                # certified lower bound on the distance
+    value: float                # lower bound, up to the tolerance of its L1 integral
     coefficients: np.ndarray    # dual-basis coefficients of the minimizer
     pairing: np.ndarray         # ∫ phi h_i dm against the dual basis
     grid_value: float           # |c.q| / mean|h| on the optimization grid
@@ -162,16 +146,18 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     The distance is 1 / min{ ||h||_1 : ∫ phi h = 1 } over the dual space,
     a convex problem solved on `grid_m` nodes by one deterministic damped
     Newton run with IRLS fallback steps (`_newton_l1`).  Every h yields
-    the rigorous lower bound |∫ phi h| / ||h||_1; the final value pairs
-    the minimizer exactly with phi (`dual_pairing`) and integrates its L1
-    norm adaptively rather than trusting the optimization grid.
+    the lower bound |∫ phi h| / ||h||_1; the final value pairs the
+    minimizer exactly with phi (`modelspace.subspace_pairing`) and
+    integrates its L1 norm adaptively at tol max(quad.tol, 1e-9) rather
+    than trusting the optimization grid.  Nothing bounds the error of that
+    integral, so the value is a lower bound only up to its tolerance.
     `multistart` and `seed` are accepted for compatibility and ignored.
     """
     if theta.degree < 2:
         empty = np.zeros(0, dtype=complex)
         return DistanceReport(0.0, empty, empty, 0.0, grid_m, 0, 0, 0)
     dual = dual_basis(theta, quad)
-    q = dual_pairing(phi, dual, quad)
+    q = subspace_pairing(phi, dual.basis, dual.coeffs)
     if float(np.linalg.norm(q)) < 1e-14:
         zero = np.zeros(dual.dimension, dtype=complex)
         return DistanceReport(0.0, zero, q, 0.0, grid_m, 0, 0, 0)
@@ -217,7 +203,7 @@ def nehari_gap(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     and `seed` are passed through to `dual_distance`, which ignores them.
     """
     basis = build_basis(theta, quad)
-    norm = hankel_matrix(phi, basis, quad).norm()
+    norm = hankel_matrix(phi, basis).norm()
     report = dual_distance(phi, theta.square(), multistart, seed, grid_m,
                            quad)
     if norm > report.value + slack:

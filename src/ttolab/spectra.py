@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct, boundary_zero_closure, union_roots
-from .harmonic import QuadratureSettings, Symbol
+from .harmonic import DEFAULT_QUADRATURE, QuadratureSettings, Symbol
 from .modelspace import build_basis
 from .truncops import (OperatorMatrix, TestVectorEstimate, test_vector_ratio,
                        toeplitz_matrix)
@@ -116,11 +116,7 @@ def essential_spectrum_experiment(zero_generator, phi: Symbol, n_list,
 
     reports = []
     for n in n_list:
-        theta = BlaschkeProduct(zeros[:n])
-        kwargs = {"gram_tol": gram_tol}
-        if quad is not None:
-            kwargs["quad"] = quad
-        basis = build_basis(theta, **kwargs)
+        basis = build_basis(BlaschkeProduct(zeros[:n]), quad or DEFAULT_QUADRATURE, gram_tol)
         eigs = np.linalg.eigvals(toeplitz_matrix(phi, basis).entries)
         eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
         clusters = _single_linkage(eigs, delta)
@@ -161,11 +157,7 @@ def test_vector_decay_experiment(zero_generator, phi1, phi2, zeta: complex,
     zeros: list[complex] = []
     for n in range(1, n_max + 1):
         zeros.append(complex(zero_generator(n)))
-        theta = BlaschkeProduct(zeros)
-        kwargs = {"gram_tol": gram_tol}
-        if quad is not None:
-            kwargs["quad"] = quad
-        basis = build_basis(theta, **kwargs)
+        basis = build_basis(BlaschkeProduct(zeros), quad or DEFAULT_QUADRATURE, gram_tol)
         est = test_vector_ratio(basis, phi1, phi2, zeros[-1], zeta)
         rows.append(DecayRow(n, zeros[-1], est))
     return rows

@@ -15,9 +15,9 @@ exact rule of Theta (`modelspace.clark_rule`): the Hankel matrix of
 conj(u) for a model-space function u (the standard symbol among them,
 whose theta^2 basis brings its rule and samples along), and the two
 factors of the Hankel-Toeplitz link for a trigonometric polynomial.
-Every other symbol is integrated by adaptive quadrature, and the
-quadrature builders stay as the independent check on the other two
-routes.
+Every other symbol is integrated by adaptive quadrature at the basis's
+own settings (`ModelSpaceBasis.quad`), and the quadrature builders stay
+as the independent check on the other two routes.
 """
 from __future__ import annotations
 
@@ -118,8 +118,7 @@ class OperatorMatrix:
         }
 
 
-def toeplitz_matrix(phi: Symbol, basis: ModelSpaceBasis,
-                    quad: QuadratureSettings | None = None) -> OperatorMatrix:
+def toeplitz_matrix(phi: Symbol, basis: ModelSpaceBasis) -> OperatorMatrix:
     """Matrix of the truncated Toeplitz operator of phi on the model space.
 
     A trigonometric polynomial is compressed in closed form,
@@ -128,7 +127,7 @@ def toeplitz_matrix(phi: Symbol, basis: ModelSpaceBasis,
     `toeplitz_by_quadrature`.
     """
     if not isinstance(phi, TrigPoly):
-        return toeplitz_by_quadrature(phi, basis, quad)
+        return toeplitz_by_quadrature(phi, basis)
     shift = basis.shift
     entries = np.zeros_like(shift)
     power = np.eye(basis.size, dtype=complex)
@@ -141,14 +140,12 @@ def toeplitz_matrix(phi: Symbol, basis: ModelSpaceBasis,
     return OperatorMatrix(entries, tag, tag, "toeplitz:compressed-shift")
 
 
-def toeplitz_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
-                           quad: QuadratureSettings | None = None) -> OperatorMatrix:
+def toeplitz_by_quadrature(phi: Symbol, basis: ModelSpaceBasis) -> OperatorMatrix:
     """Toeplitz matrix with entry (j, k) the inner product of phi * e_k
-    against e_j, the integrals evaluated together by adaptive quadrature.
-    Works for any bounded symbol and is the independent check on the
-    closed form."""
-    quad = quad or basis.quad
-    entries, _ = matrix_integral(basis.sample, basis.sample, phi, quad)
+    against e_j, the integrals evaluated together by adaptive quadrature
+    at the basis's settings.  Works for any bounded symbol and is the
+    independent check on the closed form."""
+    entries, _ = matrix_integral(basis.sample, basis.sample, phi, basis.quad)
     tag = basis.space_tag()
     return OperatorMatrix(entries, tag, tag, "toeplitz:boundary-quadrature")
 
@@ -162,8 +159,7 @@ def _conjugate_row_sample(basis: ModelSpaceBasis):
     return sample
 
 
-def hankel_matrix(phi: Symbol, basis: ModelSpaceBasis,
-                  quad: QuadratureSettings | None = None) -> OperatorMatrix:
+def hankel_matrix(phi: Symbol, basis: ModelSpaceBasis) -> OperatorMatrix:
     """Matrix of the truncated Hankel operator of phi.
 
     The operator sends the model space into conj(z * K); in the bases
@@ -179,7 +175,7 @@ def hankel_matrix(phi: Symbol, basis: ModelSpaceBasis,
     if isinstance(phi, ConjSymbol) and isinstance(phi.inner, BasisCombination):
         return _conjugate_combination_hankel(phi.inner, basis)
     if not isinstance(phi, TrigPoly):
-        return hankel_by_quadrature(phi, basis, quad)
+        return hankel_by_quadrature(phi, basis)
     depth = max(0, -min(phi.coeffs, default=0))
     taylor = basis.taylor_rows(depth)
     # Gamma = T^T H T with the coefficient Hankel matrix H[a, b] = c_{-(a+b+1)}
@@ -217,27 +213,24 @@ def _conjugate_combination_hankel(u: BasisCombination,
                           "hankel:clark-rule")
 
 
-def hankel_by_quadrature(phi: Symbol, basis: ModelSpaceBasis,
-                         quad: QuadratureSettings | None = None) -> OperatorMatrix:
+def hankel_by_quadrature(phi: Symbol, basis: ModelSpaceBasis) -> OperatorMatrix:
     """Hankel matrix with entry (j, k) = int phi e_k z e_j dm evaluated by
-    adaptive quadrature.  Works for any bounded symbol and is the
-    independent check on the closed form."""
-    quad = quad or basis.quad
-    entries, _ = matrix_integral(_conjugate_row_sample(basis), basis.sample, phi, quad)
+    adaptive quadrature at the basis's settings.  Works for any bounded
+    symbol and is the independent check on the closed form."""
+    entries, _ = matrix_integral(_conjugate_row_sample(basis), basis.sample, phi,
+                                 basis.quad)
     return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
                           "hankel:boundary-quadrature")
 
 
-def conjugate_multiplier_matrix(basis: ModelSpaceBasis,
-                                quad: QuadratureSettings | None = None) -> OperatorMatrix:
+def conjugate_multiplier_matrix(basis: ModelSpaceBasis) -> OperatorMatrix:
     """Matrix of multiplication by conj(theta): model space -> conj(z * K).
 
     This map is a surjective isometry (it implements the canonical
     conjugation up to the fixed codomain basis), so the matrix is unitary.
     """
-    quad = quad or basis.quad
     entries, _ = matrix_integral(_conjugate_row_sample(basis), basis.sample,
-                                 basis.theta.conj(), quad)
+                                 basis.theta.conj(), basis.quad)
     return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
                           "conj-theta-multiplier")
 
@@ -277,8 +270,7 @@ def lifted_toeplitz_by_rule(phi: TrigPoly, basis: ModelSpaceBasis) -> OperatorMa
     return OperatorMatrix(entries, tag, tag, "toeplitz:clark-rule")
 
 
-def hankel_toeplitz_defect(phi: Symbol, basis: ModelSpaceBasis,
-                           quad: QuadratureSettings | None = None) -> float:
+def hankel_toeplitz_defect(phi: Symbol, basis: ModelSpaceBasis) -> float:
     """Norm of Hankel(phi) - conj(theta) * Toeplitz(theta * phi).
 
     The two constructions agree identically for bounded symbols; the
@@ -289,12 +281,12 @@ def hankel_toeplitz_defect(phi: Symbol, basis: ModelSpaceBasis,
     so it always comes from theta's rule; for other symbols the lifted
     Toeplitz factor is integrated by quadrature.
     """
-    gamma = hankel_matrix(phi, basis, quad)
+    gamma = hankel_matrix(phi, basis)
     link = conjugate_multiplier_by_rule(basis)
     if isinstance(phi, TrigPoly):
         lifted = lifted_toeplitz_by_rule(phi, basis)
     else:
-        lifted = toeplitz_matrix(basis.theta * phi, basis, quad)
+        lifted = toeplitz_matrix(basis.theta * phi, basis)
     diff = gamma.entries - (link @ lifted).entries
     return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
 
@@ -353,21 +345,20 @@ def standard_symbol(phi: Symbol, theta: BlaschkeProduct,
     """
     square_basis = build_basis(theta.square(), quad)
     U = vanishing_at_origin_subspace(square_basis)
-    coeffs = subspace_pairing(phi, square_basis, U, quad)
+    coeffs = subspace_pairing(phi, square_basis, U)
     # realized symbol: sum_m coeffs[m] conj(g_m) = conj(combination)
     combo = square_basis.combination(U @ np.conj(coeffs))
     return StandardSymbol(theta, coeffs, U, ConjSymbol(combo))
 
 
-def zero_symbol_test(phi: Symbol, basis: ModelSpaceBasis, tol: float = 1e-10,
-                     quad: QuadratureSettings | None = None):
+def zero_symbol_test(phi: Symbol, basis: ModelSpaceBasis, tol: float = 1e-10):
     """Decide whether the truncated Hankel operator of phi vanishes.
 
     Returns (is_zero, norm) where norm is the operator norm of the
     Hankel matrix; phi annihilates exactly when it lies in the direct sum
     of conj(theta^2 H^2) and H^2 (bounded parts).
     """
-    norm = hankel_matrix(phi, basis, quad).norm()
+    norm = hankel_matrix(phi, basis).norm()
     return norm < tol, norm
 
 
@@ -384,16 +375,16 @@ class TestVectorEstimate:
 
 def test_vector_ratio(basis: ModelSpaceBasis, phi1: Symbol | None,
                       phi2: Symbol | None, lam: complex, zeta: complex,
-                      zeta1: complex | None = None,
-                      quad: QuadratureSettings | None = None) -> TestVectorEstimate:
+                      zeta1: complex | None = None) -> TestVectorEstimate:
     """How nearly the kernel at lam is a zeta-eigenvector of the operator.
 
     The symbol splits as phi = phi1 + phi2 with phi2 analytic; zeta
     splits accordingly as zeta1 + zeta2.  When zeta1 is not supplied it
     defaults to the harmonic extension of phi1 at lam.  The two
     diagnostic bounds control the contributions of the split parts.
+    Poisson integrals run at the basis's quadrature settings.
     """
-    quad = quad or basis.quad
+    quad = basis.quad
     theta = basis.theta
     lam = complex(lam)
     zeta = complex(zeta)
@@ -408,7 +399,7 @@ def test_vector_ratio(basis: ModelSpaceBasis, phi1: Symbol | None,
     zeta2 = zeta - zeta1
 
     phi = _combine(phi1, phi2)
-    matrix = toeplitz_matrix(phi, basis, quad)
+    matrix = toeplitz_matrix(phi, basis)
     coeffs = ConjugateKernel(theta, lam).coordinates()
     shifted = matrix.entries @ coeffs - zeta * coeffs
     ratio = float(np.linalg.norm(shifted) / np.linalg.norm(coeffs))

@@ -23,9 +23,9 @@ from .corpus import (random_blaschke, random_conjugate_square_symbol,
                      random_unimodular, random_zero_hankel_symbol, spawn_rngs)
 from .harmonic import ConjSymbol, boundary_norm, inner_product, matrix_integral
 from .modelspace import (BasisCombination, build_basis, conjugate_kernel,
-                         reproducing_kernel, subspace_pairing_by_quadrature)
-from .nehari import (NehariError, dual_basis, dual_pairing,
-                     dual_pairing_by_quadrature, nehari_gap)
+                         reproducing_kernel, subspace_pairing,
+                         subspace_pairing_by_quadrature)
+from .nehari import NehariError, dual_basis, nehari_gap
 from .spectra import matched_distance
 from .truncops import (conjugate_multiplier_by_rule,
                        conjugate_multiplier_matrix, hankel_by_quadrature,
@@ -100,9 +100,8 @@ def _suite_toeplitz_algebra(config: RunConfig, rng) -> tuple:
         g = random_trig_poly(rng, 2, analytic=True)
         # by quadrature: the closed form is a polynomial in S and would
         # make this identity hold by construction
-        lhs = toeplitz_by_quadrature(f * g, basis, quad)
-        rhs = (toeplitz_by_quadrature(f, basis, quad)
-               @ toeplitz_by_quadrature(g, basis, quad))
+        lhs = toeplitz_by_quadrature(f * g, basis)
+        rhs = toeplitz_by_quadrature(f, basis) @ toeplitz_by_quadrature(g, basis)
         worst = max(worst, float(np.max(np.abs(lhs.entries - rhs.entries))))
         n += 1
     return worst, n, "multiplicativity of compressions of analytic symbols"
@@ -116,7 +115,7 @@ def _suite_link(config: RunConfig, rng) -> tuple:
                                 config.sweep.min_zero_gap)
         basis = build_basis(theta, quad)
         phi = random_trig_poly(rng, 3)
-        worst = max(worst, hankel_toeplitz_defect(phi, basis, quad))
+        worst = max(worst, hankel_toeplitz_defect(phi, basis))
         n += 1
     return worst, n, "Hankel matrix vs conjugate-multiplied Toeplitz route"
 
@@ -129,7 +128,7 @@ def _suite_rank_one(config: RunConfig, rng) -> tuple:
                                 config.sweep.min_zero_gap)
         basis = build_basis(theta, quad)
         for lam in random_interior_points(rng, 2, 0.8):
-            direct = toeplitz_matrix(rank_one_symbol(theta, lam), basis, quad)
+            direct = toeplitz_matrix(rank_one_symbol(theta, lam), basis)
             outer = rank_one_matrix(lam, basis)
             worst = max(worst, float(np.max(np.abs(direct.entries
                                                    - outer.entries))))
@@ -202,8 +201,8 @@ def _suite_cross_route(config: RunConfig, rng) -> tuple:
                                 config.sweep.min_zero_gap)
         basis = build_basis(theta, quad)
         alpha = random_unimodular(rng)
-        phi = random_conjugate_square_symbol(rng, theta, quad)
-        report = cross_route_equivalence(phi, basis, alpha, quad)
+        phi = random_conjugate_square_symbol(rng, theta)
+        report = cross_route_equivalence(phi, basis, alpha)
         worst = max(worst, report.deviation, report.singular_gap,
                     report.embedding_defect)
         worst = max(worst, commutator_route_defect(phi, clark_measure(theta, alpha),
@@ -222,7 +221,7 @@ def _suite_spectral_mapping(config: RunConfig, rng) -> tuple:
         phi = random_trig_poly(rng, 3, analytic=True)
         # by quadrature: the closed form phi(S) is triangular with diagonal
         # phi(zeros), which would make this check a tautology
-        eigs = np.linalg.eigvals(toeplitz_by_quadrature(phi, basis, quad).entries)
+        eigs = np.linalg.eigvals(toeplitz_by_quadrature(phi, basis).entries)
         targets = np.asarray(phi(np.asarray(theta.zeros)), dtype=complex)
         worst = max(worst, matched_distance(eigs, targets))
         n += 1
@@ -243,7 +242,7 @@ def _suite_compressed_shift(config: RunConfig, rng) -> tuple:
         phi = random_trig_poly(rng, 4)
         for closed, integrated in ((toeplitz_matrix, toeplitz_by_quadrature),
                                    (hankel_matrix, hankel_by_quadrature)):
-            diff = closed(phi, basis).entries - integrated(phi, basis, quad).entries
+            diff = closed(phi, basis).entries - integrated(phi, basis).entries
             worst = max(worst, float(np.max(np.abs(diff))))
             n += 1
     return worst, n, "compressed-shift closed form vs quadrature for A and Gamma"
@@ -257,13 +256,12 @@ def _suite_standard_symbol(config: RunConfig, rng) -> tuple:
                                 config.sweep.min_zero_gap)
         basis = build_basis(theta, quad)
         dead = random_zero_hankel_symbol(rng, theta, band=2)
-        _, norm = zero_symbol_test(dead, basis, config.tolerances.identity,
-                                   quad)
+        _, norm = zero_symbol_test(dead, basis, config.tolerances.identity)
         worst = max(worst, norm)
         phi = random_trig_poly(rng, 3)
         std = standard_symbol(phi, theta, quad)
-        diff = (hankel_matrix(phi, basis, quad).entries
-                - hankel_matrix(std.symbol, basis, quad).entries)
+        diff = (hankel_matrix(phi, basis).entries
+                - hankel_matrix(std.symbol, basis).entries)
         worst = max(worst, float(np.linalg.norm(diff, 2)))
         n += 2
     return worst, n, "zero-symbol annihilation and standard representatives"
@@ -296,7 +294,8 @@ def _suite_nehari_pairing(config: RunConfig, rng) -> tuple:
             zeros[0] = 0.0           # the factor z
         dual = dual_basis(BlaschkeProduct(zeros).square(), quad)
         phi = random_trig_poly(rng, 4)
-        diff = dual_pairing(phi, dual, quad) - dual_pairing_by_quadrature(phi, dual, quad)
+        diff = (subspace_pairing(phi, dual.basis, dual.coeffs)
+                - subspace_pairing_by_quadrature(phi, dual.basis, dual.coeffs))
         worst = max(worst, float(np.max(np.abs(diff))))
         n += 1
     return worst, n, "Taylor-row closed form vs quadrature for the Nehari pairing"
@@ -317,18 +316,18 @@ def _suite_clark_rule(config: RunConfig, rng) -> tuple:
         phi = random_trig_poly(rng, 3)
         std = standard_symbol(phi, theta, quad)
         integrated = subspace_pairing_by_quadrature(phi, build_basis(theta.square(), quad),
-                                                    std.subspace, quad)
+                                                    std.subspace)
         other = random_blaschke(rng, 2, config.sweep.max_zero_modulus,
                                 config.sweep.min_zero_gap).zeros
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         # the rule of theta^2 for the standard symbol, of theta^2 B_Z otherwise
         conjugates = (std.symbol, ConjSymbol(BasisCombination(other, c)))
         pairs = [(hankel_matrix(u, basis).entries,
-                  hankel_by_quadrature(u, basis, quad).entries) for u in conjugates]
+                  hankel_by_quadrature(u, basis).entries) for u in conjugates]
         pairs.append((lifted_toeplitz_by_rule(phi, basis).entries,
-                      toeplitz_by_quadrature(theta * phi, basis, quad).entries))
+                      toeplitz_by_quadrature(theta * phi, basis).entries))
         pairs.append((conjugate_multiplier_by_rule(basis).entries,
-                      conjugate_multiplier_matrix(basis, quad).entries))
+                      conjugate_multiplier_matrix(basis).entries))
         pairs.append((std.coeffs, integrated))
         for rule, reference in pairs:
             worst = max(worst, float(np.max(np.abs(rule - reference))))

@@ -96,7 +96,7 @@ def test_c02_cross_route_equivalence():
         theta = _random_theta(rng)
         basis = build_basis(theta)
         alpha = random_unimodular(rng)
-        phi = random_conjugate_square_symbol(rng, theta, basis.quad)
+        phi = random_conjugate_square_symbol(rng, theta)
         rep = cross_route_equivalence(phi, basis, alpha)
         worst_dev = max(worst_dev, rep.deviation)
         worst_sv = max(worst_sv, rep.singular_gap)
@@ -262,8 +262,7 @@ def test_c10_oscillation_identities_and_probe():
 
 
 def test_c11_deterministic_reports(tmp_path):
-    args = ["verify", "--set", "sweep.instances=4",
-            "--set", "nehari.multistart=6", "--set", "nehari.grid_m=512"]
+    args = ["verify", "--set", "nehari.multistart=6", "--set", "nehari.grid_m=512"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli_main(args + ["--output-dir", str(a)]) == 0
     assert cli_main(args + ["--output-dir", str(b)]) == 0

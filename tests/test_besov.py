@@ -25,6 +25,7 @@ from ttolab.besov import (
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.clark import ClarkError, ClarkMeasure, clark_measure, square_clark_measure
 from ttolab.harmonic import TrigPoly
+from ttolab.truncops import standard_symbol
 
 FULL = Arc(0.0, 2 * np.pi)
 
@@ -182,6 +183,23 @@ def test_conjecture_probe_frozen_point():
     assert abs(row.schatten[2.0] - 1.0) < 1e-12
     assert abs(row.besov[2.0] - 1.0) < 1e-12
     assert abs(row.ratio[2.0] - 1.0) < 1e-12
+
+
+def test_conjecture_probe_reports_termination():
+    # theta = z: two atoms, every profile terminates; zeros 1 - 2^-k at
+    # n = 16: the atoms cluster and every profile stops at the default cap
+    zbar = TrigPoly({-1: 1.0})
+    p_list = [0.5, 1.0, 2.0]
+    for zeros, terminated in (([0], True), ([1 - 2.0**-k for k in range(1, 17)], False)):
+        theta = BlaschkeProduct(zeros)
+        row = conjecture_probe(theta, 1.0, p_list, [("zbar", zbar)])[0]
+        nu = square_clark_measure(theta, 1.0)
+        values = standard_symbol(zbar, theta).symbol(nu.atoms)
+        for p in p_list:
+            assert row.terminated[p] is terminated
+            profile = besov_profile(values, nu, p)
+            assert profile.terminated is terminated
+            assert abs(row.besov[p] - profile.norm) <= 1e-12 * max(1.0, profile.norm)
 
 
 def test_probe_summary_stats():

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttolab import harmonic, modelspace
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.clark import (
     _boundary_phase,
@@ -15,6 +17,7 @@ from ttolab.clark import (
     clark_pair,
     clark_reconstruct,
     clark_unitary,
+    commutator_matrix,
     commutator_route_defect,
     conjugate_clark_unitary,
     cross_route_equivalence,
@@ -121,20 +124,50 @@ def test_hilbert_transform_intertwines_embeddings():
 
 
 def test_commutator_route_reproduces_hankel(rng):
-    basis = build_basis(THETA)
     plus = clark_measure(THETA, ALPHA)
     minus = clark_measure(THETA, -ALPHA)
-    phi = random_conjugate_square_symbol(rng, THETA, basis.quad)
+    phi = random_conjugate_square_symbol(rng, THETA)
     assert commutator_route_defect(phi, plus, minus) < 1e-10
 
 
 def test_cross_route_equivalence(rng):
     basis = build_basis(THETA)
-    phi = random_conjugate_square_symbol(rng, THETA, basis.quad)
+    phi = random_conjugate_square_symbol(rng, THETA)
     report = cross_route_equivalence(phi, basis, ALPHA)
     assert report.deviation < 1e-10
     assert report.singular_gap < 1e-10
     assert report.embedding_defect < 1e-12
+
+
+@pytest.mark.parametrize("zeros", [[0.0, 0.4 + 0.2j, -0.3j],
+                                   [0.5j, 0.5j, -0.2, 0.6],
+                                   [0.0, 0.0, 0.7 - 0.1j]],
+                         ids=["origin", "repeated", "origin-repeated"])
+def test_atomic_route_shares_no_code_with_quadrature(monkeypatch, rng, zeros):
+    # the atomic Clark route to Gamma must stay independent of the routes it
+    # checks: no quadrature and neither the compressed shift nor the Clark
+    # unitary's eigenvalues, which the basis and its Clark rule are built from
+    theta = BlaschkeProduct(zeros)
+    basis = build_basis(theta)
+    phi = random_conjugate_square_symbol(rng, theta)
+    built = cross_route_equivalence(phi, basis, ALPHA).clark_route.entries
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the atomic route reached a shared code path")
+
+    originals = [harmonic.matrix_integral, harmonic.adaptive_boundary_mean,
+                 modelspace.compressed_shift, modelspace._clark_atoms]
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ttolab"]:
+        for name, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        build_basis(theta)          # the refusals are live
+    plus, minus = clark_pair(theta, ALPHA)
+    core = commutator_matrix(phi, plus, minus)
+    rebuilt = (conjugate_clark_unitary(basis, minus).matrix.adjoint() @ core
+               @ clark_unitary(basis, plus).matrix)
+    assert np.array_equal(rebuilt.entries, built)
 
 
 @pytest.mark.parametrize("alpha", [1.0, -1.0])

@@ -12,8 +12,7 @@ from ttolab.cli import main, parse_alpha, parse_symbol, parse_theta
 from ttolab.config import ConfigError
 from ttolab.harmonic import unit_nodes
 
-FAST_VERIFY = ["--set", "sweep.instances=3", "--set", "nehari.multistart=6",
-               "--set", "nehari.grid_m=512"]
+FAST_VERIFY = ["--set", "nehari.multistart=6", "--set", "nehari.grid_m=512"]
 
 
 def run(argv):
@@ -137,7 +136,7 @@ def test_unknown_suite_is_config_error(tmp_path):
 
 
 def test_bad_override_is_config_error(tmp_path):
-    assert run(["verify", "--set", "sweep.instances=lots",
+    assert run(["verify", "--set", "nehari.instances=lots",
                 "--output-dir", str(tmp_path)]) == 2
     assert run(["verify", "--set", "nope.key=1",
                 "--output-dir", str(tmp_path)]) == 2
@@ -193,7 +192,7 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
 
 def test_config_file_feeds_run(tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"sweep": {"seed": 4242, "instances": 2}}))
+    cfg.write_text(json.dumps({"sweep": {"seed": 4242}}))
     out = tmp_path / "out"
     assert run(["verify", "--only", "rank-one-identity", "--config", str(cfg),
                 "--output-dir", str(out)]) == 0
@@ -272,7 +271,8 @@ def test_conjecture_command(tmp_path):
     code = run(["conjecture", "--set", "conjecture.degrees=[2]",
                 "--set", "conjecture.corpus=2", "--output-dir", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "conjecture.csv").exists()
+    header = (tmp_path / "conjecture.csv").read_text().splitlines()[0]
+    assert header.split(",")[-1] == "terminated"
     payload = json.loads((tmp_path / "conjecture.json").read_text())
     assert "exploratory" in payload["note"]
 

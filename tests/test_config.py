@@ -28,11 +28,14 @@ def test_unknown_key_rejected():
         config_from_dict({"swep": {"seed": 1}})
     with pytest.raises(ConfigError):
         config_from_dict({"sweep": {"sed": 1}})
+    # removed keys are refused by name, so an old config fails loudly
+    with pytest.raises(ConfigError, match="sweep.instances"):
+        config_from_dict({"sweep": {"instances": 100}})
 
 
 def test_validation_bounds():
     with pytest.raises(ConfigError):
-        config_from_dict({"sweep": {"instances": 0}})
+        config_from_dict({"nehari": {"instances": 0}})
     with pytest.raises(ConfigError):
         config_from_dict({"essential": {"ratio": 1.5}})
     with pytest.raises(ConfigError):
@@ -52,7 +55,7 @@ def test_override_type_coercion():
     assert config.sweep.seed == 12
     assert abs(config.decay.threshold - 0.1) < 1e-15
     with pytest.raises(ConfigError):
-        apply_overrides(config, {"sweep.instances": "many"})
+        apply_overrides(config, {"nehari.instances": "many"})
     with pytest.raises(ConfigError):
         apply_overrides(config, {"essential.n_list": "2,4"})
     with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -228,6 +229,38 @@ def test_test_vector_bounds_match_quadrature(generic_basis):
     assert abs(est.zeta1 - poisson_mean(phi1)) < 1e-12
     bound = 8 * poisson_mean(lambda nodes: np.abs(phi1(nodes) - est.zeta1) ** 2).real
     assert abs(est.poisson_bound - bound) < 1e-12 * bound
+
+
+def test_quadrature_fallbacks_use_the_basis_settings(monkeypatch):
+    # a basis carries the one quadrature policy of everything built on it
+    quad = harmonic.QuadratureSettings(m_init=128, m_cap=1 << 18, tol=1e-11)
+    basis = build_basis(BlaschkeProduct([0.3, -0.4j, 0.1 + 0.5j]), quad)
+    handed = []
+    for module in (harmonic, modelspace, truncops):
+        for name in ("matrix_integral", "adaptive_boundary_mean"):
+            if hasattr(module, name):
+                def recorded(*args, _original=getattr(module, name), **kwargs):
+                    bound = inspect.signature(_original).bind(*args, **kwargs)
+                    bound.apply_defaults()
+                    handed.append(bound.arguments["quad"])
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(module, name, recorded)
+    rational = RationalSymbol(TrigPoly.one(), TrigPoly({0: 2.0, 1: -1.0}))
+    subspace = modelspace.vanishing_at_origin_subspace(basis)
+    calls = {
+        "toeplitz_by_quadrature": lambda: toeplitz_by_quadrature(rational, basis),
+        "hankel_by_quadrature": lambda: hankel_by_quadrature(rational, basis),
+        "conjugate_multiplier_matrix": lambda: conjugate_multiplier_matrix(basis),
+        "subspace_pairing_by_quadrature":
+            lambda: modelspace.subspace_pairing_by_quadrature(rational, basis, subspace),
+        "subspace_pairing": lambda: modelspace.subspace_pairing(rational, basis, subspace),
+        "test_vector_ratio": lambda: vector_ratio(basis, rational, None, 0.2j, 0.5),
+    }
+    for name, call in calls.items():
+        handed.clear()
+        call()
+        assert handed, name
+        assert all(settings is quad for settings in handed), name
 
 
 def test_boundary_family_needs_no_quadrature(monkeypatch):
