@@ -34,7 +34,7 @@ from .blaschke import BlaschkeProduct
 from .clark import ClarkMeasure, square_clark_measure
 from .harmonic import TWO_PI, DEFAULT_QUADRATURE, QuadratureSettings, unit_nodes
 from .modelspace import build_basis
-from .truncops import hankel_matrix, standard_symbol
+from .truncops import hankel_matrix, standard_symbol_on
 
 
 @dataclass(frozen=True)
@@ -521,11 +521,12 @@ def conjecture_probe(theta: BlaschkeProduct, alpha: complex, p_list,
     symbol_corpus: iterable of (tag, symbol) pairs.
     """
     basis = build_basis(theta, quad)
+    square_basis = build_basis(theta.square(), quad)
     nu = square_clark_measure(theta, alpha)
     rows = []
     for tag, phi in symbol_corpus:
         gamma = hankel_matrix(phi, basis)
-        std = standard_symbol(phi, theta, quad)
+        std = standard_symbol_on(phi, theta, square_basis)
         values = np.asarray(std.symbol(nu.atoms), dtype=complex)
         srow, brow, rrow, trow = {}, {}, {}, {}
         for p in p_list:

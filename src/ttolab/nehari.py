@@ -14,10 +14,16 @@ Equivalently dist = 1 / min { ||h||_1 : ∫ phi h dm = 1 }, an L^1 norm
 minimized under one affine constraint: a convex problem with a single
 global optimum, solved on a grid by a damped Newton method whose
 safeguard is one iteratively reweighted least-squares (IRLS) step.  The
-pairing ∫ phi h dm is a closed form in the Taylor coefficients of the
-basis when phi is a trigonometric polynomial.  Every h gives the lower
-bound |∫ phi h| / ||h||_1 when ||h||_1 is exact, and at the optimum it is
-the distance itself, up to grid and quadrature error.
+solve stops once the squared Newton decrement is at most 1e-16 of the
+objective, and each step forms its move on the grid once, so the line
+search only scales it.  A solve that has not stopped in 40 steps, where
+the minimizer nearly vanishes on T, continues on the log-barrier path of
+the grid problem as a second-order cone program.  The pairing ∫ phi h dm is a closed form in the Taylor
+coefficients of the basis when phi is a trigonometric polynomial.  Every
+h gives the lower bound |∫ phi h| / ||h||_1 when ||h||_1 is exact, and at
+the optimum it is the distance itself, up to grid and quadrature error;
+the adaptive integral of ||h||_1 reads the levels whose nodes are the
+solve grid's (checked bitwise) off the minimizer's grid values.
 A Lawson-style IRLS pass produces primal certificates
 f = f1 + conj(Theta f2) for the upper side, and the Poisson convolution
 table smooths those certificates toward continuous near-minimizers.
@@ -80,10 +86,24 @@ class DistanceReport:
 
 
 # Weight floor, relative to mean|h|: 1/|h| is clamped at 1/(floor mean|h|)
-# in both steps.  The step cap only guards against a stalled iteration.
+# in both steps.  The solve stops once the squared Newton decrement is at
+# most _DECREMENT times mean|h|: the predicted decrease is then below
+# rounding.  A negative decrement comes from a singular Hessian and stops
+# nothing.  The Hessian is singular along directions where F is linear
+# (dh = h s with s real); the Newton step is then of order 1 / eps, and
+# _HALVINGS = 52 halvings span that range down to the kink where F stops
+# decreasing.  Where the minimizer nearly vanishes on T the halved steps
+# can still crawl: a solve with no decrement stop in _NEWTON_STEPS steps
+# (the default sweep needs at most 14) continues on the barrier path, mu =
+# _BARRIER_START F down to _BARRIER_END F.  The step cap only guards
+# against a stalled iteration.
 _EPS_FLOOR = 1e-12
+_DECREMENT = 1e-16
 _MAX_STEPS = 500
-_HALVINGS = 4
+_HALVINGS = 52
+_NEWTON_STEPS = 40
+_BARRIER_START = 1e-3
+_BARRIER_END = 1e-15
 
 
 def _newton_l1(q, samples):
@@ -94,13 +114,22 @@ def _newton_l1(q, samples):
     and y free.  In the real coordinates (Re y, Im y) the gradient of F is
     mean Re(conj(n) dh) with n = h / |h|, and its Hessian is
     mean r r^T / |h| with r = Im(conj(n) dh), the part of dh along i n;
-    1/|h| is clamped at 1/(1e-12 F).  Each step is a Newton step, halved
-    up to four times until F decreases (Boyd-Vandenberghe 9.5).  When none
-    decreases F, the step is one IRLS step with weights 1/max(|h|, 1e-12 F)
-    (Daubechies-DeVore-Fornasier-Gunturk, CPAM 2010), which majorizes F
-    and so descends from points where the quadratic model misleads Newton.
-    The iteration stops once neither step decreases F.  Returns c, F and
-    the number of accepted steps.
+    1/|h| is clamped at 1/(1e-12 F).  The iteration stops once the
+    squared Newton decrement -grad.dx lies in [0, 1e-16 F]
+    (Boyd-Vandenberghe 9.5.1), before any line search; a negative one
+    marks a singular Hessian.  Otherwise the step is the Newton step,
+    halved up to 52 times until F decreases (Boyd-Vandenberghe 9.5), which
+    also walks a near-unbounded step along a direction where F is linear
+    back to the kink where F stops decreasing; its move dy G on the grid
+    is formed once and only scaled by the halvings.
+    When none decreases F, the step is one IRLS step with weights
+    1/max(|h|, 1e-12 F) (Daubechies-DeVore-Fornasier-Gunturk, CPAM 2010),
+    which majorizes F and so descends from points where the quadratic
+    model misleads Newton; the iteration also stops once neither step
+    decreases F.  Without a decrement stop in 40 steps it continues on the
+    barrier path (`_barrier_path`), whose end is kept if it lowers F; the
+    steps of both count, at most 500.  h is carried as the sum of the
+    accepted moves.  Returns c, F and the number of accepted steps.
     """
     c0 = np.conj(q) / np.vdot(q, q)
     h0 = c0 @ samples
@@ -113,21 +142,25 @@ def _newton_l1(q, samples):
     grid = null.T @ samples
     y, h = np.zeros(free, dtype=complex), h0
     steps = 0
-    while steps < _MAX_STEPS:
+    while steps < _NEWTON_STEPS:
         mod = np.abs(h)
         w = 1.0 / np.maximum(mod, _EPS_FLOOR * l1)
         p = (np.conj(h) / np.where(mod > 0.0, mod, 1.0)) * grid  # conj(n) dh
         grad = np.concatenate((p.real.mean(axis=1), -p.imag.mean(axis=1)))
         r = np.concatenate((p.imag, p.real))
         dx = np.linalg.solve((r * w) @ r.T / m, -grad)
+        if 0.0 <= -float(grad @ dx) <= _DECREMENT * l1:
+            break
         newton = dx[:free] + 1j * dx[free:]
+        move = newton @ grid
         for k in range(_HALVINGS + 2):
             if k <= _HALVINGS:
                 dy = newton * 0.5**k
+                trial = h + 0.5**k * move
             else:               # IRLS: min sum w |h + dy G|^2
                 gw = grid.conj() * w
                 dy = np.linalg.solve(gw @ grid.T, -(gw @ h))
-            trial = h0 + (y + dy) @ grid
+                trial = h + dy @ grid
             value = float(np.mean(np.abs(trial)))
             if value < l1:
                 break
@@ -135,7 +168,65 @@ def _newton_l1(q, samples):
             break
         y, h, l1 = y + dy, trial, value
         steps += 1
+    else:                       # no decrement stop: follow the barrier path
+        y_path, h_path, more = _barrier_path(h, y, grid, l1)
+        steps += more
+        l1_path = float(np.mean(np.abs(h_path)))
+        if l1_path < l1:
+            y, l1 = y_path, l1_path
     return c0 + y @ null.T, l1, steps
+
+
+def _barrier_mean(h, mu):
+    rho = np.sqrt(np.abs(h)**2 + mu**2)
+    return float(np.mean(rho - mu * np.log(mu + rho)))
+
+
+def _barrier_path(h, y, grid, l1):
+    """Continue a stalled `_newton_l1` on the barrier path of the grid
+    problem as a second-order cone program, min mean t over t >= |h|.
+
+    With rho = sqrt(|h|^2 + mu^2), psi(|h|) = rho - mu log(mu + rho) is,
+    up to a constant and the factor mu, the barrier t / mu - log(t^2 - |h|^2)
+    minimized over t (at t = mu + rho), so the minimizer of mean psi has
+    mean|h| within 2 mu of min mean|h| (m cones of degree 2,
+    Boyd-Vandenberghe 11.2, 11.6).  Unlike |h|, psi has curvature
+    mu / (rho (rho + mu)) along n and is smooth at h = 0, so no direction
+    is linear and no node is a kink.  For mu = 1e-3 F down to 1e-15 F in
+    tenfold steps, damped Newton steps on mean psi (halved up to 52 times
+    until it decreases) centre each level until m lambda^2 / mu, the
+    barrier's squared decrement, is at most 1, or no halving decreases it.
+    Returns y, h and the number of accepted steps.
+    """
+    free, m = grid.shape
+    mu, steps = _BARRIER_START * l1, 0
+    while steps < _MAX_STEPS - _NEWTON_STEPS:
+        mod = np.abs(h)
+        rho = np.sqrt(mod**2 + mu**2)
+        level = _barrier_mean(h, mu)
+        p = (np.conj(h) / np.where(mod > 0.0, mod, 1.0)) * grid  # conj(n) dh
+        along = np.concatenate((p.real, -p.imag))       # Re(conj(n) dh)
+        across = np.concatenate((p.imag, p.real))       # Im(conj(n) dh)
+        grad = (along * (mod / (rho + mu))).mean(axis=1)
+        hess = ((across / (rho + mu)) @ across.T
+                + (along * (mu / (rho * (rho + mu)))) @ along.T) / m
+        dx = np.linalg.solve(hess, -grad)
+        centred = -float(grad @ dx) <= mu / m
+        if not centred:
+            newton = dx[:free] + 1j * dx[free:]
+            move = newton @ grid
+            for k in range(_HALVINGS + 1):
+                trial = h + 0.5**k * move
+                if _barrier_mean(trial, mu) < level:
+                    y, h, steps = y + 0.5**k * newton, trial, steps + 1
+                    break
+            else:
+                centred = True
+        if centred:
+            if mu <= _BARRIER_END * l1:
+                break
+            mu /= 10.0
+    return y, h, steps
 
 
 def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
@@ -145,12 +236,17 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
 
     The distance is 1 / min{ ||h||_1 : ∫ phi h = 1 } over the dual space,
     a convex problem solved on `grid_m` nodes by one deterministic damped
-    Newton run with IRLS fallback steps (`_newton_l1`).  Every h yields
-    the lower bound |∫ phi h| / ||h||_1; the final value pairs the
-    minimizer exactly with phi (`modelspace.subspace_pairing`) and
-    integrates its L1 norm adaptively at tol max(quad.tol, 1e-9) rather
-    than trusting the optimization grid.  Nothing bounds the error of that
-    integral, so the value is a lower bound only up to its tolerance.
+    Newton run with IRLS fallback steps, stopped on the Newton decrement
+    (`_newton_l1`).  Every h yields the lower bound |∫ phi h| / ||h||_1;
+    the final value pairs the minimizer exactly with phi
+    (`modelspace.subspace_pairing`) and integrates its L1 norm adaptively
+    at tol max(quad.tol, 1e-9) rather than trusting the optimization grid.
+    A level of that integral whose nodes are bitwise the solve grid's
+    strided nodes (as for every power-of-two m up to a power-of-two
+    `grid_m`) takes |h| from the minimizer's grid values, which also give
+    `grid_value`; every other level evaluates h afresh.  Nothing bounds
+    the error of that integral, so the value is a lower bound only up to
+    its tolerance.
     `multistart` and `seed` are accepted for compatibility and ignored.
     """
     if theta.degree < 2:
@@ -162,7 +258,10 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
         zero = np.zeros(dual.dimension, dtype=complex)
         return DistanceReport(0.0, zero, q, 0.0, grid_m, 0, 0, 0)
 
-    best_c, grid_l1, steps = _newton_l1(q, dual.sample(unit_nodes(grid_m)))
+    grid_nodes = unit_nodes(grid_m)
+    samples = dual.sample(grid_nodes)
+    best_c, _, steps = _newton_l1(q, samples)
+    grid_abs = np.abs(best_c @ samples)
 
     # honest final value: exact pairing, adaptively integrated L1 norm
     h_best = dual.element(best_c)
@@ -170,12 +269,17 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
                                  max(quad.tol, 1e-9))
 
     def abs_sample(nodes):
+        stride = grid_m // nodes.size
+        if (stride * nodes.size == grid_m
+                and np.array_equal(nodes, grid_nodes[::stride])):
+            return grid_abs[::stride]
         return np.abs(h_best(nodes))
 
     l1, _ = adaptive_boundary_mean(abs_sample, relaxed)
     l1 = float(np.real(l1))
     value = float(abs(best_c @ q) / l1) if l1 > 0.0 else 0.0
-    return DistanceReport(value, best_c, q, 1.0 / grid_l1, grid_m, 1, 0, steps)
+    grid_value = 1.0 / float(np.mean(grid_abs))
+    return DistanceReport(value, best_c, q, grid_value, grid_m, 1, 0, steps)
 
 
 @dataclass(frozen=True)

@@ -343,7 +343,13 @@ def standard_symbol(phi: Symbol, theta: BlaschkeProduct,
     theta^2 basis, whose Clark rule and samples then serve its Hankel
     matrix (`hankel_matrix`).
     """
-    square_basis = build_basis(theta.square(), quad)
+    return standard_symbol_on(phi, theta, build_basis(theta.square(), quad))
+
+
+def standard_symbol_on(phi: Symbol, theta: BlaschkeProduct,
+                       square_basis: ModelSpaceBasis) -> StandardSymbol:
+    """`standard_symbol` on a prebuilt basis of K_{theta^2}, so that callers
+    with many symbols and one theta build that basis once."""
     U = vanishing_at_origin_subspace(square_basis)
     coeffs = subspace_pairing(phi, square_basis, U)
     # realized symbol: sum_m coeffs[m] conj(g_m) = conj(combination)

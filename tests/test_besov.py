@@ -25,6 +25,7 @@ from ttolab.besov import (
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.clark import ClarkError, ClarkMeasure, clark_measure, square_clark_measure
 from ttolab.harmonic import TrigPoly
+from ttolab.modelspace import ModelSpaceBasis
 from ttolab.truncops import standard_symbol
 
 FULL = Arc(0.0, 2 * np.pi)
@@ -200,6 +201,28 @@ def test_conjecture_probe_reports_termination():
             profile = besov_profile(values, nu, p)
             assert profile.terminated is terminated
             assert abs(row.besov[p] - profile.norm) <= 1e-12 * max(1.0, profile.norm)
+
+
+def test_conjecture_probe_builds_each_basis_once(monkeypatch):
+    # one basis of theta and one of theta^2 however long the corpus, and
+    # the same rows as a standard symbol built per symbol
+    theta = BlaschkeProduct([0.3, -0.4j, 0.5])
+    corpus = [("a", TrigPoly({-1: 1.0})), ("b", TrigPoly({-2: 0.5, 1: 1.0})),
+              ("c", TrigPoly({-3: 1.0j, -1: 0.25}))]
+    builds = []
+    init = ModelSpaceBasis.__init__
+
+    def counted(self, theta, *args):
+        builds.append(theta.degree)
+        init(self, theta, *args)
+
+    monkeypatch.setattr(ModelSpaceBasis, "__init__", counted)
+    rows = conjecture_probe(theta, 1.0, [2.0], corpus)
+    assert sorted(builds) == [3, 6]
+    nu = square_clark_measure(theta, 1.0)
+    for row, (_, phi) in zip(rows, corpus):
+        values = standard_symbol(phi, theta).symbol(nu.atoms)
+        assert row.besov[2.0] == besov_profile(values, nu, 2.0).norm
 
 
 def test_probe_summary_stats():

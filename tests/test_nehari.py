@@ -7,8 +7,11 @@ from ttolab.blaschke import BlaschkeProduct
 from ttolab.config import RunConfig
 from ttolab.corpus import (random_blaschke, random_trig_poly,
                            random_zero_hankel_symbol, spawn_rngs)
-from ttolab.harmonic import TrigPoly, boundary_mean, inner_product, unit_nodes
-from ttolab.modelspace import subspace_pairing, subspace_pairing_by_quadrature
+from ttolab import nehari
+from ttolab.harmonic import (QuadratureSettings, TrigPoly, adaptive_boundary_mean,
+                             boundary_mean, inner_product, unit_nodes)
+from ttolab.modelspace import (BasisCombination, subspace_pairing,
+                               subspace_pairing_by_quadrature)
 from ttolab.nehari import (
     NehariError,
     _newton_l1,
@@ -180,6 +183,48 @@ def test_newton_settles_every_sweep_instance():
         assert report.iterations <= 40
 
 
+def test_step_count_belongs_to_the_instance():
+    # column-major samples round the products differently; the decrement
+    # stop leaves the count of steps to the instance, not to that rounding
+    grid_m = RunConfig().nehari.grid_m
+    for theta, phi in _sweep_instances(50):
+        if theta.degree < 2:
+            continue
+        dual = dual_basis(theta.square())
+        q = subspace_pairing(phi, dual.basis, dual.coeffs)
+        samples = dual.sample(unit_nodes(grid_m))
+        fortran = np.asfortranarray(samples)
+        assert _newton_l1(q, samples)[2] == _newton_l1(q, fortran)[2]
+
+
+@pytest.mark.parametrize("grid_m", [4096, 3000])
+def test_l1_levels_served_from_the_solve_grid(grid_m, monkeypatch):
+    # levels whose nodes are the solve grid's strided nodes read |h| off
+    # the grid (4096); on 3000 nodes no level's nodes are, so every level
+    # evaluates h afresh.  Either way the value is the formula with |h|
+    # evaluated afresh at every level.
+    levels, evaluations = [], []
+    evaluate = BasisCombination.eval
+    monkeypatch.setattr(BasisCombination, "eval",
+                        lambda self, z: evaluations.append(z.size) or evaluate(self, z))
+    monkeypatch.setattr(nehari, "adaptive_boundary_mean",
+                        lambda sample, quad: adaptive_boundary_mean(
+                            lambda nodes: levels.append(nodes.size) or sample(nodes), quad))
+    for theta, phi in _sweep_instances(8)[1::3]:
+        square = theta.square()
+        levels.clear()
+        evaluations.clear()
+        report = dual_distance(phi, square, grid_m=grid_m)
+        served = [m for m in levels if grid_m % m == 0]
+        assert sorted(evaluations + served) == sorted(levels)
+        assert bool(served) == (grid_m == 4096)
+        h = dual_basis(square).element(report.coefficients)
+        l1, _ = adaptive_boundary_mean(lambda nodes: np.abs(h(nodes)),
+                                       QuadratureSettings(tol=1e-9))
+        fresh = abs(report.coefficients @ report.pairing) / float(np.real(l1))
+        assert abs(report.value - fresh) <= 1e-15 * fresh
+
+
 def _irls_l1(q, samples, floor=1e-12, max_steps=500):
     """The earlier production solver, kept as a reference: iteratively
     reweighted least squares with w = 1 / max(|h|, eps), eps shrinking
@@ -228,3 +273,22 @@ def test_newton_reaches_the_irls_minimum(zeros, band, coeffs):
     _, irls, _ = _irls_l1(q, samples)
     assert newton <= (1.0 + 1e-14) * irls
     assert steps < 500
+
+
+
+@pytest.mark.parametrize("degree, c", [(2, 1j / 256), (4, 1j / 256), (4, 1e-6)])
+def test_newton_settles_the_degenerate_inputs(degree, c):
+    # theta = z^degree, phi = i zbar^2 + c zbar: h0 has nearly constant
+    # modulus, mean|h| is linear along h s (s real) up to a kink, and the
+    # minimizer nearly vanishes on T; (4, 1e-6) needs the barrier path.
+    # The minimum is 1 / ||H||, H = [[c, i], [i, 0]] the Hankel matrix of
+    # phi, up to the grid
+    theta = BlaschkeProduct([0.0] * degree).square()
+    phi = TrigPoly({-2: 1j, -1: c})
+    dual = dual_basis(theta)
+    q = subspace_pairing(phi, dual.basis, dual.coeffs)
+    samples = dual.sample(unit_nodes(RunConfig().nehari.grid_m))
+    _, value, steps = _newton_l1(q, samples)
+    norm = np.linalg.norm(np.array([[c, 1j], [1j, 0.0]]), 2)
+    assert abs(value * norm - 1.0) <= 1e-9
+    assert steps < 100
