@@ -316,20 +316,19 @@ def _atom_runs(nu):
 
 
 def _run_oscillations(fv: np.ndarray, nu) -> tuple:
-    """The runs of positive mass, with their masses and the mean
-    deviation of f from its weighted mean on each."""
+    """The masses of the runs of positive mass, and the mean deviation of
+    f from its weighted mean on each."""
     w_all = np.asarray(nu.weights, dtype=float)
-    runs, masses, oscs = [], [], []
+    masses, oscs = [], []
     for run in _atom_runs(nu):
         w = w_all[run]
         total = float(w.sum())
         if total <= 0.0:
             continue
         mean = np.sum(w * fv[run]) / total
-        runs.append(run)
         masses.append(total)
         oscs.append(float(np.sum(w * np.abs(fv[run] - mean)) / total))
-    return runs, np.asarray(masses), np.asarray(oscs)
+    return np.asarray(masses), np.asarray(oscs)
 
 
 def _modulus(masses: np.ndarray, oscs: np.ndarray, eps_values) -> np.ndarray:
@@ -341,7 +340,7 @@ def vmo_modulus(f, nu, eps_values) -> np.ndarray:
     """Small-mass oscillation modulus: for each eps, the largest mean
     deviation from the average over arcs of measure at most eps."""
     fv = _values_on(f, np.asarray(nu.atoms, dtype=complex))
-    _, masses, oscs = _run_oscillations(fv, nu)
+    masses, oscs = _run_oscillations(fv, nu)
     return _modulus(masses, oscs, eps_values)
 
 
@@ -469,10 +468,9 @@ def besov_norm(f, nu, p: float, max_generation: int | None = None,
 
 @dataclass(frozen=True)
 class OscillationReport:
-    """Bundled per-arc oscillations, modulus curve, and Besov sums."""
+    """Bundled modulus curve and Besov sums."""
 
     measure_label: str
-    arcs: tuple                 # (Arc, mass, osc at r = 0) triples
     eps_grid: np.ndarray
     modulus: np.ndarray
     besov: dict                 # p -> BesovProfile
@@ -480,21 +478,11 @@ class OscillationReport:
 
 def oscillation_report(f, nu, eps_grid, p_list,
                        max_generation: int | None = None) -> OscillationReport:
-    atoms = np.asarray(nu.atoms, dtype=complex)
-    fv = _values_on(f, atoms)
-    runs, masses, oscs = _run_oscillations(fv, nu)
-    triples = []
-    for run, total, o in zip(runs, masses, oscs):
-        angles = np.mod(np.angle(atoms[run]), TWO_PI)
-        lo = float(angles[0])
-        hi = float(angles[-1])
-        if hi < lo:     # cyclic run wrapping past angle 0
-            hi += TWO_PI
-        triples.append((Arc(lo, hi + 1e-9), float(total), float(o)))
+    fv = _values_on(f, np.asarray(nu.atoms, dtype=complex))
+    masses, oscs = _run_oscillations(fv, nu)
     profiles = {float(p): besov_profile(fv, nu, float(p), max_generation)
                 for p in p_list}
-    return OscillationReport(_measure_label(nu), tuple(triples),
-                             np.asarray(eps_grid, dtype=float),
+    return OscillationReport(_measure_label(nu), np.asarray(eps_grid, dtype=float),
                              _modulus(masses, oscs, eps_grid), profiles)
 
 

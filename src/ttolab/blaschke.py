@@ -181,23 +181,13 @@ def boundary_zero_closure(zeros, boundary_margin: float = 0.1,
     order = np.argsort(angles)
     angles, near = angles[order], near[order]
     gaps = np.diff(angles, append=angles[0] + TWO_PI)
-    # split after every gap wider than the linkage threshold
-    breaks = np.nonzero(gaps > cluster_gap)[0]
-    if breaks.size == 0:
-        groups = [np.arange(near.size)]
-    else:
-        idx = np.arange(near.size)
-        rolled = np.roll(idx, -(breaks[0] + 1))
-        groups, cur = [], [rolled[0]]
-        for prev, nxt in zip(rolled[:-1], rolled[1:]):
-            if gaps[prev] > cluster_gap:
-                groups.append(np.array(cur))
-                cur = [nxt]
-            else:
-                cur.append(nxt)
-        groups.append(np.array(cur))
+    # join circular neighbours (i, i + 1 mod n) no further apart than the gap
+    linked = np.nonzero(gaps <= cluster_gap)[0]
+    groups = {}
+    for i, root in enumerate(union_roots(near.size, zip(linked, (linked + 1) % near.size))):
+        groups.setdefault(root, []).append(i)
     reps = []
-    for grp in groups:
+    for grp in groups.values():
         pick = grp[np.argmax(np.abs(near[grp]))]
         reps.append(near[pick] / abs(near[pick]))
     reps = np.asarray(reps, dtype=complex)

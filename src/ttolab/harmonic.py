@@ -322,7 +322,7 @@ def _grid_mean(sample, m: int):
     return total / m
 
 
-def _adaptive_levels(level, quad: QuadratureSettings, m_start: int | None = None):
+def _adaptive_levels(level, quad: QuadratureSettings):
     """Double M until two consecutive levels of `level(m)` agree.
 
     Agreement is within quad.tol relative to the magnitude of the result;
@@ -331,11 +331,7 @@ def _adaptive_levels(level, quad: QuadratureSettings, m_start: int | None = None
     this setting almost always means a pole sits too close to T for the
     requested tolerance.
     """
-    m = quad.m_init
-    if m_start is not None:
-        # never start above cap/2: the loop needs room for one doubling
-        m = max(quad.m_init, min(_floor_pow2(m_start), quad.m_cap // 2))
-    prev = None
+    m, prev = quad.m_init, None
     while m <= quad.m_cap:
         cur = level(m)
         if prev is not None:
@@ -349,22 +345,14 @@ def _adaptive_levels(level, quad: QuadratureSettings, m_start: int | None = None
         "a pole or near-singularity is too close to the unit circle")
 
 
-def adaptive_boundary_mean(sample, quad: QuadratureSettings = DEFAULT_QUADRATURE,
-                           m_start: int | None = None):
+def adaptive_boundary_mean(sample, quad: QuadratureSettings = DEFAULT_QUADRATURE):
     """Integrate sample(nodes) over T against dm with adaptive refinement.
 
     `sample` must accept an array of boundary nodes and return values with
     the node axis last (scalar integrands return shape (n,), vector
     integrands (d, n), ...).
     """
-    return _adaptive_levels(lambda m: _grid_mean(sample, m), quad, m_start)
-
-
-def _floor_pow2(n: int) -> int:
-    p = 1
-    while 2 * p <= n:
-        p *= 2
-    return p
+    return _adaptive_levels(lambda m: _grid_mean(sample, m), quad)
 
 
 def boundary_mean(symbol: Symbol, quad: QuadratureSettings = DEFAULT_QUADRATURE) -> complex:
@@ -388,14 +376,16 @@ def fourier_coefficient(f: Symbol, k: int, quad: QuadratureSettings = DEFAULT_QU
     """k-th Fourier coefficient int f(xi) xi^{-k} dm(xi).
 
     The starting grid is enlarged so that |k| < M/2 always holds
-    (otherwise the coefficient would alias onto a lower frequency).
+    (otherwise the coefficient would alias onto a lower frequency), and
+    the cap must leave room for one doubling of it.
     """
     m_start = quad.m_init
     while m_start <= 2 * abs(k):
         m_start *= 2
-    if m_start > quad.m_cap:
+    if 2 * m_start > quad.m_cap:
         raise QuadratureError(f"frequency {k} exceeds the aliasing limit at M={quad.m_cap}")
-    val, _ = adaptive_boundary_mean(lambda nodes: f(nodes) * nodes ** (-k), quad, m_start=m_start)
+    val, _ = adaptive_boundary_mean(lambda nodes: f(nodes) * nodes ** (-k),
+                                    QuadratureSettings(m_start, quad.m_cap, quad.tol))
     return complex(val)
 
 

@@ -12,16 +12,17 @@ maximization over coefficient vectors:
 
 Equivalently dist = 1 / min { ||h||_1 : ∫ phi h dm = 1 }, an L^1 norm
 minimized under one affine constraint: a convex problem with a single
-global optimum, solved on a grid by a damped Newton method whose
-safeguard is one iteratively reweighted least-squares (IRLS) step.  The
-solve stops once the squared Newton decrement is at most 1e-16 of the
-objective, and each step forms its move on the grid once, so the line
-search only scales it.  A solve that has not stopped in 40 steps, where
-the minimizer nearly vanishes on T, continues on the log-barrier path of
-the grid problem as a second-order cone program.  The pairing ∫ phi h dm is a closed form in the Taylor
-coefficients of the basis when phi is a trigonometric polynomial.  Every
-h gives the lower bound |∫ phi h| / ||h||_1 when ||h||_1 is exact, and at
-the optimum it is the distance itself, up to grid and quadrature error;
+global optimum, solved on a grid in two stages of Newton and barrier
+steps.  Damped Newton steps on the objective stop once the squared
+Newton decrement is at most 1e-16 of the objective; each step forms its
+move on the grid once, so the line search only scales it.  A solve that
+stalls at a kink of the objective, where the minimizer vanishes on T, or
+has not stopped in 40 steps continues on the log-barrier path of the
+grid problem as a second-order cone program.  The pairing ∫ phi h dm is
+a closed form in the Taylor coefficients of the basis when phi is a
+trigonometric polynomial.  Every h gives the lower bound
+|∫ phi h| / ||h||_1 when ||h||_1 is exact, and at the optimum it is the
+distance itself, up to grid and quadrature error;
 the adaptive integral of ||h||_1 reads the levels whose nodes are the
 solve grid's (checked bitwise) off the minimizer's grid values.
 A Lawson-style IRLS pass produces primal certificates
@@ -82,12 +83,12 @@ class DistanceReport:
     grid_m: int
     starts: int                 # 1 per solve, 0 when none was needed
     stagnant_starts: int        # always 0; kept for report compatibility
-    iterations: int             # accepted Newton and IRLS fallback steps
+    iterations: int             # accepted Newton and barrier steps
 
 
 # Weight floor, relative to mean|h|: 1/|h| is clamped at 1/(floor mean|h|)
-# in both steps.  The solve stops once the squared Newton decrement is at
-# most _DECREMENT times mean|h|: the predicted decrease is then below
+# in the Newton Hessian.  The solve stops once the squared Newton decrement
+# is at most _DECREMENT times mean|h|: the predicted decrease is then below
 # rounding.  A negative decrement comes from a singular Hessian and stops
 # nothing.  The Hessian is singular along directions where F is linear
 # (dh = h s with s real); the Newton step is then of order 1 / eps, and
@@ -95,7 +96,8 @@ class DistanceReport:
 # decreasing.  Where the minimizer nearly vanishes on T the halved steps
 # can still crawl: a solve with no decrement stop in _NEWTON_STEPS steps
 # (the default sweep needs at most 14) continues on the barrier path, mu =
-# _BARRIER_START F down to _BARRIER_END F.  The step cap only guards
+# _BARRIER_START F down to _BARRIER_END F, as does a stall whose decrement
+# is above the path's resolution _BARRIER_END F.  The step cap only guards
 # against a stalled iteration.
 _EPS_FLOOR = 1e-12
 _DECREMENT = 1e-16
@@ -114,72 +116,85 @@ def _newton_l1(q, samples):
     and y free.  In the real coordinates (Re y, Im y) the gradient of F is
     mean Re(conj(n) dh) with n = h / |h|, and its Hessian is
     mean r r^T / |h| with r = Im(conj(n) dh), the part of dh along i n;
-    1/|h| is clamped at 1/(1e-12 F).  The iteration stops once the
-    squared Newton decrement -grad.dx lies in [0, 1e-16 F]
+    1/|h| is clamped at 1/(1e-12 F).  The solve has two stages, Newton
+    steps on F and then the barrier path (`_barrier_path`).  Newton stops
+    once the squared Newton decrement -grad.dx lies in [0, 1e-16 F]
     (Boyd-Vandenberghe 9.5.1), before any line search; a negative one
     marks a singular Hessian.  Otherwise the step is the Newton step,
-    halved up to 52 times until F decreases (Boyd-Vandenberghe 9.5), which
-    also walks a near-unbounded step along a direction where F is linear
-    back to the kink where F stops decreasing; its move dy G on the grid
-    is formed once and only scaled by the halvings.
-    When none decreases F, the step is one IRLS step with weights
-    1/max(|h|, 1e-12 F) (Daubechies-DeVore-Fornasier-Gunturk, CPAM 2010),
-    which majorizes F and so descends from points where the quadratic
-    model misleads Newton; the iteration also stops once neither step
-    decreases F.  Without a decrement stop in 40 steps it continues on the
-    barrier path (`_barrier_path`), whose end is kept if it lowers F; the
-    steps of both count, at most 500.  h is carried as the sum of the
-    accepted moves.  Returns c, F and the number of accepted steps.
+    halved up to 52 times until F decreases (`_backtrack`), which also
+    walks a near-unbounded step along a direction where F is linear back
+    to the kink where F stops decreasing.  When no halving decreases F the
+    solve has stalled: at rounding when the decrement lies in [0, 1e-15 F],
+    the barrier path's own resolution, and the solve ends there; otherwise
+    at a kink of F, where h vanishes on T, or on a singular Hessian.  Such
+    a stall, like a solve with no decrement stop in 40 steps, continues on
+    the barrier path,
+    whose end is kept if it lowers F; the steps of both count, at most
+    500.  h is carried as the sum of the accepted moves.  Returns c, F and
+    the number of accepted Newton and barrier steps.
     """
     c0 = np.conj(q) / np.vdot(q, q)
-    h0 = c0 @ samples
-    l1 = float(np.mean(np.abs(h0)))
+    h = c0 @ samples
+    l1 = _mean_abs(h)
     free = q.size - 1
     if free == 0:
         return c0, l1, 0
     m = samples.shape[1]
     null = np.linalg.qr(np.conj(q)[:, None], mode="complete")[0][:, 1:]
     grid = null.T @ samples
-    y, h = np.zeros(free, dtype=complex), h0
-    steps = 0
+    y, steps = np.zeros(free, dtype=complex), 0
     while steps < _NEWTON_STEPS:
-        mod = np.abs(h)
+        mod, p = _conj_n_dh(h, grid)
         w = 1.0 / np.maximum(mod, _EPS_FLOOR * l1)
-        p = (np.conj(h) / np.where(mod > 0.0, mod, 1.0)) * grid  # conj(n) dh
         grad = np.concatenate((p.real.mean(axis=1), -p.imag.mean(axis=1)))
         r = np.concatenate((p.imag, p.real))
-        dx = np.linalg.solve((r * w) @ r.T / m, -grad)
-        if 0.0 <= -float(grad @ dx) <= _DECREMENT * l1:
+        try:
+            dx = np.linalg.solve((r * w) @ r.T / m, -grad)
+        except np.linalg.LinAlgError:   # F is linear along some direction
             break
-        newton = dx[:free] + 1j * dx[free:]
-        move = newton @ grid
-        for k in range(_HALVINGS + 2):
-            if k <= _HALVINGS:
-                dy = newton * 0.5**k
-                trial = h + 0.5**k * move
-            else:               # IRLS: min sum w |h + dy G|^2
-                gw = grid.conj() * w
-                dy = np.linalg.solve(gw @ grid.T, -(gw @ h))
-                trial = h + dy @ grid
-            value = float(np.mean(np.abs(trial)))
-            if value < l1:
-                break
-        else:
+        decrement = -float(grad @ dx)
+        if 0.0 <= decrement <= _DECREMENT * l1:
+            return c0 + y @ null.T, l1, steps
+        step = _backtrack(h, dx[:free] + 1j * dx[free:], grid, _mean_abs, l1)
+        if step is None:        # a stall: at rounding, or at a kink of F
+            if 0.0 <= decrement <= _BARRIER_END * l1:
+                return c0 + y @ null.T, l1, steps
             break
-        y, h, l1 = y + dy, trial, value
-        steps += 1
-    else:                       # no decrement stop: follow the barrier path
-        y_path, h_path, more = _barrier_path(h, y, grid, l1)
-        steps += more
-        l1_path = float(np.mean(np.abs(h_path)))
-        if l1_path < l1:
-            y, l1 = y_path, l1_path
-    return c0 + y @ null.T, l1, steps
+        dy, h, l1 = step
+        y, steps = y + dy, steps + 1
+    y_path, h_path, more = _barrier_path(h, y, grid, l1)
+    l1_path = _mean_abs(h_path)
+    if l1_path < l1:
+        y, l1 = y_path, l1_path
+    return c0 + y @ null.T, l1, steps + more
+
+
+def _mean_abs(h):
+    return float(np.mean(np.abs(h)))
 
 
 def _barrier_mean(h, mu):
     rho = np.sqrt(np.abs(h)**2 + mu**2)
     return float(np.mean(rho - mu * np.log(mu + rho)))
+
+
+def _conj_n_dh(h, grid):
+    """|h| and conj(n) dh for each row dh of `grid`, n = h / |h|."""
+    mod = np.abs(h)
+    return mod, (np.conj(h) / np.where(mod > 0.0, mod, 1.0)) * grid
+
+
+def _backtrack(h, newton, grid, objective, level):
+    """The first h + 2^-k move, k <= 52, move = newton @ grid formed once,
+    whose objective is below `level`: (2^-k newton, trial h, its
+    objective), or None when no halving gets below it."""
+    move = newton @ grid
+    for k in range(_HALVINGS + 1):
+        trial = h + 0.5**k * move
+        value = objective(trial)
+        if value < level:
+            return newton * 0.5**k, trial, value
+    return None
 
 
 def _barrier_path(h, y, grid, l1):
@@ -193,38 +208,33 @@ def _barrier_path(h, y, grid, l1):
     Boyd-Vandenberghe 11.2, 11.6).  Unlike |h|, psi has curvature
     mu / (rho (rho + mu)) along n and is smooth at h = 0, so no direction
     is linear and no node is a kink.  For mu = 1e-3 F down to 1e-15 F in
-    tenfold steps, damped Newton steps on mean psi (halved up to 52 times
-    until it decreases) centre each level until m lambda^2 / mu, the
-    barrier's squared decrement, is at most 1, or no halving decreases it.
+    tenfold steps, damped Newton steps on mean psi (`_backtrack`) centre
+    each level until m lambda^2 / mu, the barrier's squared decrement, is
+    at most 1, or no halving decreases it.
     Returns y, h and the number of accepted steps.
     """
     free, m = grid.shape
     mu, steps = _BARRIER_START * l1, 0
     while steps < _MAX_STEPS - _NEWTON_STEPS:
-        mod = np.abs(h)
+        mod, p = _conj_n_dh(h, grid)
         rho = np.sqrt(mod**2 + mu**2)
-        level = _barrier_mean(h, mu)
-        p = (np.conj(h) / np.where(mod > 0.0, mod, 1.0)) * grid  # conj(n) dh
         along = np.concatenate((p.real, -p.imag))       # Re(conj(n) dh)
         across = np.concatenate((p.imag, p.real))       # Im(conj(n) dh)
         grad = (along * (mod / (rho + mu))).mean(axis=1)
         hess = ((across / (rho + mu)) @ across.T
                 + (along * (mu / (rho * (rho + mu)))) @ along.T) / m
         dx = np.linalg.solve(hess, -grad)
-        centred = -float(grad @ dx) <= mu / m
-        if not centred:
-            newton = dx[:free] + 1j * dx[free:]
-            move = newton @ grid
-            for k in range(_HALVINGS + 1):
-                trial = h + 0.5**k * move
-                if _barrier_mean(trial, mu) < level:
-                    y, h, steps = y + 0.5**k * newton, trial, steps + 1
-                    break
-            else:
-                centred = True
-        if centred:
-            if mu <= _BARRIER_END * l1:
-                break
+        step = None
+        if -float(grad @ dx) > mu / m:
+            step = _backtrack(h, dx[:free] + 1j * dx[free:], grid,
+                              lambda t: _barrier_mean(t, mu),
+                              _barrier_mean(h, mu))
+        if step is not None:
+            dy, h, _ = step
+            y, steps = y + dy, steps + 1
+        elif mu <= _BARRIER_END * l1:
+            break
+        else:
             mu /= 10.0
     return y, h, steps
 
@@ -235,9 +245,10 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     """Compute dist(phi, F_theta) by the dual extremal problem.
 
     The distance is 1 / min{ ||h||_1 : ∫ phi h = 1 } over the dual space,
-    a convex problem solved on `grid_m` nodes by one deterministic damped
-    Newton run with IRLS fallback steps, stopped on the Newton decrement
-    (`_newton_l1`).  Every h yields the lower bound |∫ phi h| / ||h||_1;
+    a convex problem solved on `grid_m` nodes by one deterministic run of
+    Newton and barrier steps: damped Newton stopped on the Newton
+    decrement, then the log-barrier path where Newton stalls at a kink or
+    does not stop in 40 steps (`_newton_l1`).  Every h yields the lower bound |∫ phi h| / ||h||_1;
     the final value pairs the minimizer exactly with phi
     (`modelspace.subspace_pairing`) and integrates its L1 norm adaptively
     at tol max(quad.tol, 1e-9) rather than trusting the optimization grid.

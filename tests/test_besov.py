@@ -171,7 +171,6 @@ def test_oscillation_report_shape():
     assert len(rep.modulus) == 3
     assert np.all(np.diff(rep.modulus) >= -1e-15)  # monotone in eps
     assert set(rep.besov) == {1.0, 2.0}
-    assert len(rep.arcs) > 0
 
 
 def test_conjecture_probe_frozen_point():

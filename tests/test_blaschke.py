@@ -106,6 +106,17 @@ def test_boundary_zero_closure_two_clusters():
     assert abs(angles[1] - 1.5 * np.pi) < 0.05
 
 
+def test_boundary_zero_closure_cluster_straddles_angle_zero():
+    # the cluster at angle 0 wraps from 2 pi - 0.02 to 0.03; its most
+    # boundary-near zero sits below the wrap
+    zeros = [0.95 * np.exp(0.01j), 0.99 * np.exp(-0.02j), 0.97 * np.exp(0.03j),
+             0.96 * np.exp(3j)]
+    closure = boundary_zero_closure(zeros)
+    assert len(closure) == 2
+    assert abs(closure[0] - np.exp(3j)) < 1e-15
+    assert abs(closure[1] - np.exp(-0.02j)) < 1e-15
+
+
 def test_sublevel_connected_for_monomial():
     theta = BlaschkeProduct([0, 0])
     report = sublevel_connectivity(theta, 0.5)

@@ -88,6 +88,14 @@ def test_fourier_coefficient_extraction():
     assert abs(fourier_coefficient(f, 2)) < 1e-13
 
 
+def test_fourier_coefficient_needs_two_alias_free_levels():
+    # |k| = 300 needs M = 1024 to start; a cap of 1024 leaves no doubling
+    f = TrigPoly({300: 1.0})
+    assert abs(fourier_coefficient(f, 300, QuadratureSettings(m_cap=2048)) - 1.0) < 1e-13
+    with pytest.raises(QuadratureError, match="aliasing"):
+        fourier_coefficient(f, 300, QuadratureSettings(m_cap=1024))
+
+
 def test_boundary_norm():
     f = TrigPoly({0: 3.0, 2: 4.0})
     assert abs(boundary_norm(f) - 5.0) < 1e-12

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttolab.blaschke import BlaschkeProduct
@@ -257,6 +257,30 @@ _COEFF = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 @given(zeros=st.lists(_NEAR_ZERO, min_size=1, max_size=4),
        band=st.integers(1, 4),
        coeffs=st.lists(_COEFF, min_size=9, max_size=9))
+# a stall at a kink of mean|h|, where h vanishes on T: ending the solve
+# there leaves it 4.8e-6 above the IRLS minimum; the barrier path goes on
+@example(zeros=[(0.9947921878850736, 3.792069669213589),
+                (0.22564481150447768, 0.6764583849602578)],
+         band=3,
+         coeffs=[(0.0, 0.0),
+                 (-0.6750066516827622, 0.3922556819476495),
+                 (0.6519668553540374, 0.27159517919347054),
+                 (0.15956578912381358, 0.5812614525917039),
+                 (0.912474842303447, 0.8510443465043669),
+                 (0.6175540136586346, -0.13576419100563353),
+                 (0.5326680160059158, -0.5323353753625317),
+                 (0.808097356313646, -0.4405313916808764),
+                 (0.0, 0.0)])
+# theta = z^6, phi = (1 + i) zbar^3 / 2: h0 has constant modulus and F is
+# linear along a direction, so the Newton Hessian is exactly singular
+@example(zeros=[(0.0, 0.0)] * 3, band=3,
+         coeffs=[(0.0, 0.0), (0.5, 0.5)] + [(0.0, 0.0)] * 7)
+# theta = z^6, phi = (1 + i) zbar^2 + (i / 256) zbar: the Hessian is
+# nearly singular and the decrement negative; ending the solve at that
+# stall leaves it 1.3e-3 above the IRLS value
+@example(zeros=[(0.0, 0.0)] * 3, band=2,
+         coeffs=[(0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.0, 0.00390625)]
+         + [(0.0, 0.0)] * 5)
 def test_newton_reaches_the_irls_minimum(zeros, band, coeffs):
     theta = BlaschkeProduct([r * np.exp(1j * a) for r, a in zeros]).square()
     phi = TrigPoly({k: complex(*coeffs[k + 4]) for k in range(-band, band + 1)})
@@ -274,6 +298,19 @@ def test_newton_reaches_the_irls_minimum(zeros, band, coeffs):
     assert newton <= (1.0 + 1e-14) * irls
     assert steps < 500
 
+
+def test_rounding_stall_ends_the_solve(monkeypatch):
+    # sweep instance 15 stalls with a squared decrement at rounding level
+    # (below 1e-15 F): that ends the solve, without the barrier path
+    def refuse(*args):
+        raise AssertionError("the barrier path ran")
+
+    monkeypatch.setattr(nehari, "_barrier_path", refuse)
+    theta, phi = _sweep_instances(16)[15]
+    dual = dual_basis(theta.square())
+    q = subspace_pairing(phi, dual.basis, dual.coeffs)
+    samples = dual.sample(unit_nodes(RunConfig().nehari.grid_m))
+    assert _newton_l1(q, samples)[2] == 4
 
 
 @pytest.mark.parametrize("degree, c", [(2, 1j / 256), (4, 1j / 256), (4, 1e-6)])
