@@ -1,22 +1,24 @@
 """Mean oscillation against a reference measure on the circle.
 
 Oscillation of order r over an arc, the small-mass oscillation modulus,
-dyadic arc families relative to a measure, Besov-type norms built from
+the dyadic arc family of the circle, Besov-type norms built from
 p-summed oscillations, and an exploratory probe pairing Schatten norms
 of truncated Hankel operators with the measure-weighted Besov norms of
 their standard symbols.
 
 The reference measure is either an atomic ClarkMeasure or a uniform
 grid standing in for normalized Lebesgue measure; both expose `atoms`
-and `weights` and everything below is a finite weighted sum.
+and `weights` and everything below is a finite weighted sum.  Neither
+has an accumulation point on the circle, so every dyadic family is the
+halving of the whole circle [0, 2 pi).
 
-A Besov profile does no per-arc work in Python.  Each dyadic generation
-is a pair of arrays of arc starts and ends, built only until the profile
-stops; every atom is assigned to its arc once per generation by one
-searchsorted, and masses and counts are bincounts.  A ClarkMeasure or a
-LebesgueGrid keeps these assignments for the whole-circle family at
-anchor 0 (`DyadicPartition`), as deep as any profile has needed, so its
-profiles at several exponents share them.  The moment fits of all
+A Besov profile does no per-arc work in Python.  Every atom finds its
+arc of each generation by bisection: it keeps the ends of its own arc
+and moves to the upper half when its angle is at least their midpoint,
+so a generation costs O(atoms) however many arcs it has, and masses and
+counts are bincounts.  A ClarkMeasure or a LebesgueGrid keeps these
+assignments (`DyadicPartition`), as deep as any profile has needed, so
+its profiles at several exponents share them.  The moment fits of all
 generations are then solved together: all Gram entries from one
 reduceat, one batched rank check and one batched solve, with
 moment_polynomial only for the Grams that fail the check.  `oscillation`
@@ -81,14 +83,9 @@ class LebesgueGrid:
 
     @cached_property
     def partition(self) -> "DyadicPartition":
-        """The whole-circle dyadic partition of the nodes at anchor 0, kept
+        """The dyadic partition of the nodes (`DyadicPartition`), kept
         for every Besov profile of this grid."""
         return DyadicPartition(self.atoms)
-
-
-def _measure_label(nu) -> str:
-    tag = getattr(nu, "space_tag", None)
-    return tag() if callable(tag) else repr(nu)
 
 
 def _values_on(f, atoms: np.ndarray) -> np.ndarray:
@@ -127,7 +124,7 @@ def moment_polynomial(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Arcs as arrays: membership, components, dyadic halving
+# Arc membership and the dyadic partition
 # ---------------------------------------------------------------------------
 
 
@@ -136,7 +133,7 @@ def _inside(angles, start, end):
 
     The ends are reduced into [0, 2*pi) like the angles, so arcs that
     share an end split the points between them exactly: a dyadic
-    generation partitions the atoms of its components.
+    generation partitions the atoms.
     """
     lo, hi = np.mod(start, TWO_PI), np.mod(end, TWO_PI)
     within = np.where(lo <= hi, (lo <= angles) & (angles < hi),
@@ -144,74 +141,41 @@ def _inside(angles, start, end):
     return within | (np.subtract(end, start) >= TWO_PI - 1e-15)
 
 
-def _arc_of(angles, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Index of the arc holding each angle in [0, 2*pi], or -1 for none,
-    among disjoint arcs [starts[i], ends[i])."""
-    lo = np.mod(starts, TWO_PI)
-    by_lo = np.argsort(lo)
-    # index -1: below every start, so only the arc of the largest start
-    # can hold it, by wrapping past 2*pi
-    arc = by_lo[np.searchsorted(lo[by_lo], angles, side="right") - 1]
-    return np.where(_inside(angles, starts[arc], ends[arc]), arc, -1)
-
-
-def _wrap_start(angle) -> float:
-    """The angle reduced into [0, 2*pi] and moved by at most an ulp to a
-    value a for which a + 2*pi is a double, so that the end a + 2*pi of an
-    arc wrapping past a reduces to a exactly."""
-    return (float(np.mod(angle, TWO_PI)) + TWO_PI) - TWO_PI
-
-
-def _components(marked_angles, anchor: float) -> tuple:
-    """(start, end) of each component of the circle minus the marked
-    angles; the whole circle from `anchor` when nothing is marked.  The
-    starts are taken by `_wrap_start`, so the last component ends exactly
-    where the first begins and the dyadic arcs partition the atoms there
-    too."""
-    marked = sorted(_wrap_start(a) for a in marked_angles)
-    if not marked:
-        start = _wrap_start(anchor)
-        return ((start, start + TWO_PI),)
-    ends = marked[1:] + [marked[0] + TWO_PI]
-    return tuple((a, b) for a, b in zip(marked, ends) if b - a > 1e-14)
-
-
-def _halve(starts: np.ndarray, ends: np.ndarray):
-    """The next dyadic generation, in the order of Arc.halves."""
-    mids = 0.5 * (starts + ends)
-    return np.ravel([starts, mids], order="F"), np.ravel([mids, ends], order="F")
-
-
 class DyadicPartition:
-    """The dyadic partition of a measure's atoms, one generation at a time.
+    """The whole-circle dyadic partition of a measure's atoms, one
+    generation at a time.
 
-    Generation k halves every arc of generation k - 1, starting from the
-    components of the circle minus the marked angles (the whole circle
-    from `anchor` when nothing is marked).  Per generation it keeps the
-    number of arcs, the arc index of every atom (-1 for an atom in a
-    component gap) and the largest number of atoms on one arc.
-    Generations are built when first asked for and kept, so the profiles
-    of one measure share them: `ClarkMeasure.partition` and
-    `LebesgueGrid.partition` hold the whole-circle partition at anchor 0.
+    Generation k halves every arc of generation k - 1, starting from
+    [0, 2 pi).  Each atom keeps the start and end of its own arc and moves
+    to the upper half when its angle is at least their midpoint, the
+    midpoint Arc.halves forms; its arc index at generation k is its path
+    of upper halves read as a binary number, the position of its arc in
+    generation k of dyadic_family.  An angle that reduces to 2 pi stays in
+    the last arc.  Per generation the partition keeps the arc index of
+    every atom and the largest number of atoms on one arc, at a cost that
+    does not grow with the number of arcs.  Generations are built when first
+    asked for and kept, so the profiles of one measure share them
+    (`ClarkMeasure.partition`, `LebesgueGrid.partition`).
     """
 
-    def __init__(self, atoms, marked_angles=(), anchor: float = 0.0):
+    def __init__(self, atoms):
         self.angles = np.mod(np.angle(np.asarray(atoms, dtype=complex)), TWO_PI)
-        self._starts, self._ends = (np.array(side) for side in
-                                    zip(*_components(marked_angles, anchor)))
-        self.sizes, self.arcs, self.fills = [], [], []
+        self._starts = np.zeros_like(self.angles)
+        self._ends = np.full_like(self.angles, TWO_PI)
+        self.arcs = [np.zeros(self.angles.size, dtype=np.int64)]
+        self.fills = [self.angles.size]
 
     def generation(self, k: int):
-        """Arc count, arc index of every atom and largest arc fill of
-        generation k."""
+        """Arc index of every atom and largest arc fill of generation k."""
         while len(self.arcs) <= k:
-            if self.arcs:
-                self._starts, self._ends = _halve(self._starts, self._ends)
-            arc = _arc_of(self.angles, self._starts, self._ends)
-            self.sizes.append(self._starts.size)
+            mids = 0.5 * (self._starts + self._ends)
+            upper = self.angles >= mids
+            np.copyto(self._starts, mids, where=upper)
+            np.copyto(self._ends, mids, where=~upper)
+            arc = 2 * self.arcs[-1] + upper
             self.arcs.append(arc)
-            self.fills.append(int(np.bincount(arc[arc >= 0]).max(initial=0)))
-        return self.sizes[k], self.arcs[k], self.fills[k]
+            self.fills.append(int(np.unique(arc, return_counts=True)[1].max(initial=0)))
+        return self.arcs[k], self.fills[k]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +184,7 @@ class DyadicPartition:
 
 
 def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
-                  owners: np.ndarray, n: int, r: int, convention: str) -> np.ndarray:
+                  owners: np.ndarray, n: int, r: int) -> np.ndarray:
     """Mean deviation of f from its degree <= r moment fit on n arcs.
 
     owners[k, i] is the index of the arc holding atom i in the k-th
@@ -231,8 +195,6 @@ def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
     with moment_polynomial's tolerance, one batched solve, and
     moment_polynomial itself only for the Grams that fail the check.
     """
-    if convention not in ("projection", "verbatim"):
-        raise ValueError(f"unknown convention {convention!r}")
     held = np.flatnonzero(owners >= 0)
     owner = owners.ravel()[held]
     atom = held % xi.size
@@ -240,10 +202,6 @@ def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
     mass = np.bincount(owner, w[atom], minlength=n)
     osc = np.zeros(n)
     live = mass > 0.0
-    if convention == "verbatim":
-        dev = np.bincount(owner, w[atom] * np.abs(fv[atom]), minlength=n)
-        osc[live] = dev[live] / mass[live]
-        return osc
     need = live & (counts >= r + 2)
     fitted = np.flatnonzero(need)
     if not fitted.size:
@@ -271,32 +229,17 @@ def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
     return osc
 
 
-def oscillation(f, nu, arc: Arc, r: int, convention: str = "projection") -> float:
+def oscillation(f, nu, arc: Arc, r: int) -> float:
     """Mean deviation of f from its degree <= r moment fit over the arc.
 
-    With convention="projection" the fit satisfies the moment conditions
-    sum_arc (f - p) conj(xi)^k dnu = 0; with "verbatim" the polynomial
-    itself is required to have vanishing moments, which forces p = 0
-    (whenever the moment system is nonsingular) and the result is the
-    plain mean of |f|.  Returns 0 on arcs of measure zero, and 0 on arcs
-    of at most r + 1 atoms, where the fit interpolates f exactly.
+    The fit satisfies the moment conditions sum_arc (f - p) conj(xi)^k
+    dnu = 0 for k = 0..r.  Returns 0 on arcs of measure zero, and 0 on
+    arcs of at most r + 1 atoms, where the fit interpolates f exactly.
     """
     atoms = np.asarray(nu.atoms, dtype=complex)
     held = np.where(arc.contains(atoms), 0, -1)[None, :]
     return float(_oscillations(atoms, np.asarray(nu.weights, dtype=float),
-                               _values_on(f, atoms), held, 1, int(r),
-                               convention)[0])
-
-
-def arc_mean(f, nu, arc: Arc) -> complex:
-    """Measure average of f over the arc (0 on null arcs)."""
-    mask = arc.contains(nu.atoms)
-    w = np.asarray(nu.weights, dtype=float)[mask]
-    total = float(w.sum())
-    if total <= 0.0:
-        return 0.0
-    fv = _values_on(f, np.asarray(nu.atoms, dtype=complex))[mask]
-    return complex(np.sum(w * fv) / total)
+                               _values_on(f, atoms), held, 1, int(r))[0])
 
 
 def _atom_runs(nu):
@@ -346,20 +289,17 @@ def vmo_modulus(f, nu, eps_values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DyadicArcFamily:
-    """Dyadic halvings of the components of the circle minus the marked
-    (accumulation) angles; generation k holds 2^k arcs per component."""
+    """Dyadic halvings of the whole circle [0, 2 pi); generation k holds
+    2^k arcs."""
 
-    measure_label: str
-    components: tuple
     generations: tuple          # generations[k] = tuple of Arc
-    anchor: float = 0.0
 
     def tiling_defect(self, nu) -> float:
         """Largest generation-wise gap between the summed arc masses and
-        the total component mass (the partition invariant)."""
+        the total mass (the partition invariant)."""
         w = np.asarray(nu.weights, dtype=float)
         atoms = np.asarray(nu.atoms, dtype=complex)
-        target = sum(float(w[c.contains(atoms)].sum()) for c in self.components)
+        target = float(w.sum())
         worst = 0.0
         for arcs in self.generations:
             got = sum(float(w[a.contains(atoms)].sum()) for a in arcs)
@@ -367,25 +307,19 @@ class DyadicArcFamily:
         return worst
 
 
-def dyadic_family(nu, max_generation: int, marked_angles=(),
-                  anchor: float = 0.0) -> DyadicArcFamily:
-    """Dyadic arc family of the measure.
+def dyadic_family(max_generation: int) -> DyadicArcFamily:
+    """Dyadic arc family of generations 0..max_generation.
 
-    Finite atomic measures have no accumulation points, so by default the
-    single component is the whole circle anchored at `anchor`; marked
-    angles split the circle first and each piece is halved per generation.
+    Finite atomic measures have no accumulation points on the circle, so
+    the family halves the whole circle [0, 2 pi) with Arc.halves, the
+    same arcs for every measure.
     """
     if max_generation < 0:
         raise ValueError("max_generation must be >= 0")
-    components = _components(marked_angles, anchor)
-    starts, ends = (np.array(side) for side in zip(*components))
-    generations = []
-    for _ in range(max_generation + 1):
-        generations.append(tuple(Arc(a, b) for a, b in
-                                 zip(starts.tolist(), ends.tolist())))
-        starts, ends = _halve(starts, ends)
-    return DyadicArcFamily(_measure_label(nu), generations[0],
-                           tuple(generations), anchor)
+    generations = [(Arc(0.0, TWO_PI),)]
+    for _ in range(max_generation):
+        generations.append(tuple(half for arc in generations[-1] for half in arc.halves()))
+    return DyadicArcFamily(tuple(generations))
 
 
 @dataclass(frozen=True)
@@ -414,22 +348,21 @@ def default_generation_cap(nu) -> int:
     return int(math.ceil(math.log2(max(2, len(nu.atoms))))) + 4
 
 
-def besov_profile(f, nu, p: float, max_generation: int | None = None,
-                  marked_angles=(), convention: str = "projection",
-                  anchor: float = 0.0) -> BesovProfile:
+def besov_profile(f, nu, p: float, max_generation: int | None = None) -> BesovProfile:
     """Generation-by-generation oscillation sums of the dyadic Besov norm.
 
     r is the integer part of 1/p.  For atomic measures the sum is finite:
     once every arc of a generation holds at most r + 1 atoms the moment
     fit interpolates exactly and all finer generations vanish, so the
-    profile stops there and is flagged as terminated.
+    profile stops there and is flagged as terminated.  A LebesgueGrid
+    stands in for a continuous measure and never stops before
+    max_generation.
 
-    The generations of dyadic_family are built lazily, as arrays of arc
-    starts and ends, and only up to that point.  Each generation assigns
-    every atom to its arc by one searchsorted (`DyadicPartition`); a
-    ClarkMeasure or LebesgueGrid keeps the assignments of its
-    whole-circle family at anchor 0 for its later profiles.  The moment
-    fits of all generations then go to the oscillation kernel together.
+    The arcs are those of dyadic_family, and the measure's
+    `DyadicPartition` (`nu.partition`) gives every atom's arc in each
+    generation, built by bisection only up to where the profile stops
+    and kept for the measure's later profiles.  The moment fits of all
+    generations then go to the oscillation kernel together.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -439,38 +372,30 @@ def besov_profile(f, nu, p: float, max_generation: int | None = None,
     if max_generation < 0:
         raise ValueError("max_generation must be >= 0")
     atoms = np.asarray(nu.atoms, dtype=complex)
-    marked_angles = tuple(marked_angles)
-    if isinstance(nu, (ClarkMeasure, LebesgueGrid)) and not marked_angles and anchor == 0.0:
-        partition = nu.partition
-    else:
-        partition = DyadicPartition(atoms, marked_angles, anchor)
-    stops = isinstance(nu, ClarkMeasure) and convention == "projection"
+    stops = isinstance(nu, ClarkMeasure)
     owners, first = [], [0]
     terminated = False
     for k in range(max_generation + 1):
-        size, arc, fill = partition.generation(k)
-        owners.append(np.where(arc >= 0, arc + first[-1], -1))
-        first.append(first[-1] + size)
+        arc, fill = nu.partition.generation(k)
+        owners.append(arc + first[-1])
+        first.append(first[-1] + 2**k)
         if stops and fill <= r + 1:
             terminated = True
             break
     osc = _oscillations(atoms, np.asarray(nu.weights, dtype=float),
-                        _values_on(f, atoms), np.array(owners), first[-1], r,
-                        convention)
+                        _values_on(f, atoms), np.array(owners), first[-1], r)
     sums = tuple(np.add.reduceat(osc ** p, first[:-1]).tolist())
     return BesovProfile(float(p), r, sums, terminated)
 
 
-def besov_norm(f, nu, p: float, max_generation: int | None = None,
-               **kwargs) -> float:
-    return besov_profile(f, nu, p, max_generation, **kwargs).norm
+def besov_norm(f, nu, p: float, max_generation: int | None = None) -> float:
+    return besov_profile(f, nu, p, max_generation).norm
 
 
 @dataclass(frozen=True)
 class OscillationReport:
     """Bundled modulus curve and Besov sums."""
 
-    measure_label: str
     eps_grid: np.ndarray
     modulus: np.ndarray
     besov: dict                 # p -> BesovProfile
@@ -482,7 +407,7 @@ def oscillation_report(f, nu, eps_grid, p_list,
     masses, oscs = _run_oscillations(fv, nu)
     profiles = {float(p): besov_profile(fv, nu, float(p), max_generation)
                 for p in p_list}
-    return OscillationReport(_measure_label(nu), np.asarray(eps_grid, dtype=float),
+    return OscillationReport(np.asarray(eps_grid, dtype=float),
                              _modulus(masses, oscs, eps_grid), profiles)
 
 

@@ -26,7 +26,7 @@ the two pipelines is the strongest end-to-end check in the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -58,9 +58,8 @@ class ClarkMeasure:
 
     @cached_property
     def partition(self):
-        """The whole-circle dyadic partition of the atoms at anchor 0
-        (`besov.DyadicPartition`), kept for every Besov profile of this
-        measure."""
+        """The dyadic partition of the atoms (`besov.DyadicPartition`),
+        kept for every Besov profile of this measure."""
         from .besov import DyadicPartition   # besov imports this module
         return DyadicPartition(self.atoms)
 
@@ -301,15 +300,11 @@ def poisson_identity_defect(measure: ClarkMeasure, theta: BlaschkeProduct,
 def square_clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     """Clark measure of theta^2 at alpha^2: its atoms are those of theta at
     alpha and -alpha, taken sorted from the one pass that solves both
-    (`clark_pair`), with weights 1/|(theta^2)'| = 1/(2 |theta'|)."""
-    roots = _level_sets(theta, alpha, 2)
-    angles = roots.angles
-    if len(angles) > 1:
-        gaps = np.diff(angles, append=angles[0] + TWO_PI)
-        if float(np.min(gaps)) < 1e-10:
-            raise ClarkError("atoms of the two half measures collide")
-    return ClarkMeasure(complex(alpha) ** 2, roots.atoms, 0.5 * roots.weights,
-                        roots.evaluations, roots.bisections)
+    (`clark_pair`), with weights 1/|(theta^2)'| = 1/(2 |theta'|).  Like
+    `clark_measure` it is refused only when two atoms coincide in double
+    precision."""
+    nu = _level_sets(theta, alpha, 2).measure(complex(alpha) ** 2)
+    return replace(nu, weights=0.5 * nu.weights)
 
 
 # ---------------------------------------------------------------------------

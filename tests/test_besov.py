@@ -10,7 +10,6 @@ from ttolab import besov
 from ttolab.besov import (
     Arc,
     LebesgueGrid,
-    arc_mean,
     besov_norm,
     besov_profile,
     conjecture_probe,
@@ -49,7 +48,6 @@ def test_oscillation_two_atoms():
     nu = two_point_measure()
     f = TrigPoly.z()  # values +1, -1 at the atoms; mean 0
     assert abs(oscillation(f, nu, FULL, 0) - 1.0) < 1e-14
-    assert abs(arc_mean(f, nu, FULL)) < 1e-14
 
 
 def test_oscillation_homogeneity_and_shift():
@@ -67,14 +65,6 @@ def test_oscillation_interpolation_shortcut():
     f = TrigPoly({1: 2.0, -1: 0.3j})
     assert oscillation(f, nu, FULL, 1) == 0.0
     assert oscillation(f, nu, FULL, 5) == 0.0
-
-
-def test_oscillation_verbatim_convention():
-    nu = two_point_measure()
-    f = TrigPoly.z() + TrigPoly({0: 1.0})  # values 2, 0
-    assert abs(oscillation(f, nu, FULL, 0, convention="verbatim") - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        oscillation(f, nu, FULL, 0, convention="nonsense")
 
 
 def test_oscillation_null_arc():
@@ -108,18 +98,10 @@ def test_vmo_modulus_enumeration():
 
 def test_dyadic_family_tiles():
     nu = square_clark_measure(BlaschkeProduct([0.3, -0.4j]), np.exp(0.2j))
-    fam = dyadic_family(nu, 5)
+    fam = dyadic_family(5)
     assert len(fam.generations) == 6
     for g, arcs in enumerate(fam.generations):
         assert len(arcs) == 2**g
-    assert fam.tiling_defect(nu) < 1e-14
-
-
-def test_dyadic_family_marked_angles():
-    nu = two_point_measure()
-    fam = dyadic_family(nu, 2, marked_angles=(0.0, np.pi))
-    assert len(fam.components) == 2
-    assert len(fam.generations[1]) == 4
     assert fam.tiling_defect(nu) < 1e-14
 
 
@@ -249,22 +231,21 @@ def solved_condition(xi, w, r):
     return 1.0
 
 
-def per_arc_profile(fv, nu, p, marked_angles=(), convention="projection",
-                    anchor=0.0):
+def per_arc_profile(fv, nu, p):
     """besov_profile written as the plain loop over Arc objects: halve
-    the components with Arc.halves, test membership with Arc.contains
-    and fit with moment_polynomial, one arc at a time.
+    the circle with Arc.halves, test membership with Arc.contains and
+    fit with moment_polynomial, one arc at a time.
 
     Also returns, per generation, the first-order sensitivity of its sum
     to rounding: the sum over arcs of p osc^(p-1) kappa mean|f|, kappa
-    being the condition number of the arc's moment Gram (1 without a
-    fit).  Two correct routes that round differently differ by a small
-    multiple of eps times it.
+    being the condition number of the arc's moment Gram.  Two correct
+    routes that round differently differ by a small multiple of eps
+    times it.
     """
     r = int(math.floor(1.0 / p))
     atoms = np.asarray(nu.atoms, dtype=complex)
     w = np.asarray(nu.weights, dtype=float)
-    arcs = list(dyadic_family(nu, 0, marked_angles, anchor).components)
+    arcs = list(dyadic_family(0).generations[0])
     sums, slack, terminated = [], [], False
     for _ in range(default_generation_cap(nu) + 1):
         total, spread, most = 0.0, 0.0, 0
@@ -275,31 +256,26 @@ def per_arc_profile(fv, nu, p, marked_angles=(), convention="projection",
             mass = wa.sum()
             if mass <= 0.0:
                 continue
-            kappa = 1.0
-            if convention == "verbatim":
-                osc = np.sum(wa * np.abs(fa)) / mass
-            elif xi.size <= r + 1:
+            if xi.size <= r + 1:
                 continue
-            else:
-                coeffs = moment_polynomial(xi, wa, fa, r)
-                osc = np.sum(wa * np.abs(fa - np.polyval(coeffs[::-1], xi))) / mass
-                kappa = solved_condition(xi, wa, r)
+            coeffs = moment_polynomial(xi, wa, fa, r)
+            osc = np.sum(wa * np.abs(fa - np.polyval(coeffs[::-1], xi))) / mass
+            kappa = solved_condition(xi, wa, r)
             if osc > 0.0:
                 total += osc**p
                 spread += p * osc**(p - 1) * kappa * np.sum(wa * np.abs(fa)) / mass
         sums.append(total)
         slack.append(spread)
-        if (isinstance(nu, ClarkMeasure) and convention == "projection"
-                and most <= r + 1):
+        if isinstance(nu, ClarkMeasure) and most <= r + 1:
             terminated = True
             break
         arcs = [half for arc in arcs for half in arc.halves()]
     return sums, slack, terminated
 
 
-def assert_matches_per_arc_loop(fv, nu, p, **kwargs):
-    prof = besov_profile(fv, nu, p, **kwargs)
-    sums, slack, terminated = per_arc_profile(fv, nu, p, **kwargs)
+def assert_matches_per_arc_loop(fv, nu, p):
+    prof = besov_profile(fv, nu, p)
+    sums, slack, terminated = per_arc_profile(fv, nu, p)
     assert len(prof.generation_sums) == len(sums)
     assert prof.terminated == terminated
     eps = np.finfo(float).eps
@@ -318,12 +294,8 @@ zero_strategy = st.tuples(
        alpha_angle=st.floats(0.0, 2 * np.pi),
        grid_size=st.integers(2, 64),
        p=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
-       convention=st.sampled_from(["projection", "verbatim"]),
-       marked=st.lists(st.floats(0.0, 2 * np.pi), max_size=3),
-       anchor=st.one_of(st.just(0.0), st.floats(-np.pi, 2 * np.pi)),
        seed=st.integers(0, 2**16))
-def test_besov_profile_matches_per_arc_loop(kind, zeros, alpha_angle, grid_size,
-                                            p, convention, marked, anchor, seed):
+def test_besov_profile_matches_per_arc_loop(kind, zeros, alpha_angle, grid_size, p, seed):
     if kind == "grid":
         nu = LebesgueGrid(grid_size)
     else:
@@ -335,8 +307,7 @@ def test_besov_profile_matches_per_arc_loop(kind, zeros, alpha_angle, grid_size,
             assume(False)
     rng = np.random.default_rng(seed)
     fv = rng.standard_normal(len(nu.atoms)) + 1j * rng.standard_normal(len(nu.atoms))
-    assert_matches_per_arc_loop(fv, nu, p, marked_angles=tuple(marked),
-                                convention=convention, anchor=anchor)
+    assert_matches_per_arc_loop(fv, nu, p)
 
 
 def test_rank_fallback_on_clustered_atoms(monkeypatch):
@@ -382,27 +353,15 @@ def test_besov_profile_memory_is_bounded():
 def test_dyadic_halves_split_grid_nodes_exactly():
     # grid nodes sit on the dyadic ends; each must fall in exactly one arc
     grid = LebesgueGrid(4096)
-    fam = dyadic_family(grid, 8)
+    fam = dyadic_family(8)
     for arcs in fam.generations:
         held = sum(arc.contains(grid.atoms).astype(int) for arc in arcs)
         assert np.all(held == 1)
     assert fam.tiling_defect(grid) == 0.0
-    arcs = list(fam.components)
+    arcs = [FULL]
     for generation in fam.generations:
         assert list(generation) == arcs
         arcs = [half for arc in arcs for half in arc.halves()]
-
-
-def _counting_arc_of(monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(len(args[1]))
-        return arc_of(*args)
-
-    arc_of = besov._arc_of
-    monkeypatch.setattr(besov, "_arc_of", counting)
-    return calls
 
 
 def _copy(nu):
@@ -411,38 +370,56 @@ def _copy(nu):
     return ClarkMeasure(nu.alpha, nu.atoms.copy(), nu.weights.copy())
 
 
-@pytest.mark.parametrize("kind", ["square", "grid", "marked"])
-def test_profiles_share_the_measure_partition(kind, monkeypatch):
+@pytest.mark.parametrize("kind", ["square", "grid"])
+def test_profiles_share_the_measure_partition(kind):
     # the profiles of one measure take the dyadic generations the deepest
     # of them needs once, and agree bit for bit with a fresh measure's
     if kind == "grid":
         nu = LebesgueGrid(4096)
     else:
         nu = square_clark_measure(BlaschkeProduct([0.5, -0.3 + 0.6j, 0.8j, -0.7]), np.exp(0.3j))
-    kwargs = {"marked_angles": (0.4, 3.0)} if kind == "marked" else {}
     rng = np.random.default_rng(12)
     fv = rng.standard_normal(len(nu.atoms)) + 1j * rng.standard_normal(len(nu.atoms))
-    calls = _counting_arc_of(monkeypatch)
-    profiles = [besov_profile(fv, nu, p, **kwargs) for p in (0.5, 1.0, 2.0)]
+    profiles = [besov_profile(fv, nu, p) for p in (0.5, 1.0, 2.0)]
     depths = [len(prof.generation_sums) for prof in profiles]
-    # a marked or anchored family is not kept: every profile builds its own
-    assert len(calls) == (sum(depths) if kind == "marked" else max(depths))
+    assert len(nu.partition.arcs) == max(depths)
     assert max(depths) > min(depths) or kind == "grid"
     for p, prof in zip((0.5, 1.0, 2.0), profiles):
-        fresh = besov_profile(fv, _copy(nu), p, **kwargs)
+        fresh = besov_profile(fv, _copy(nu), p)
         assert prof == fresh
-        assert besov_norm(fv, nu, p, **kwargs) == prof.norm
+        assert besov_norm(fv, nu, p) == prof.norm
 
 
-@pytest.mark.parametrize("kwargs", [{"marked_angles": (1.7752513746435095,)},
-                                    {"anchor": 1.7752513746435095},
-                                    {"anchor": 1.7752513746435095 - 2 * np.pi}])
+WRAP_NEIGHBOURS = np.exp(1j * np.array([0.3, 1.2, 1.5, 4.0, 6.1]))
+
+
+@pytest.mark.parametrize("kwargs", [{"atoms": np.append(1.0 + 0.0j, WRAP_NEIGHBOURS)},
+                                    {"atoms": np.append(1j, WRAP_NEIGHBOURS)},
+                                    {"atoms": np.append(1.0 - 1e-17j, WRAP_NEIGHBOURS)}])
 def test_arcs_partition_atoms_at_the_wrap(kwargs):
-    # the atom sits on the marked angle or the anchor, where the last arc
-    # of each generation wraps around to the first: with its end a + 2 pi
-    # rounded, the atom fell in both arcs (or in neither)
-    nu = clark_measure(BlaschkeProduct([0.0]), np.exp(1.7752513746435095j))
-    for arcs in dyadic_family(nu, 4, **kwargs).generations:
-        assert sum(arc.contains(nu.atoms).astype(int) for arc in arcs).tolist() == [1]
-    assert_matches_per_arc_loop(np.array([1.0 + 2.0j]), nu, 0.25, convention="verbatim",
-                                **kwargs)
+    # the first atom sits at angle 0, on the dyadic end pi / 2, or at an
+    # angle that reduces to exactly 2 pi, where the last arc of each
+    # generation meets the first: it must fall in exactly one arc
+    nu = ClarkMeasure(1.0, weights=np.linspace(1.0, 2.0, 6), **kwargs)
+    for arcs in dyadic_family(default_generation_cap(nu)).generations:
+        held = sum(arc.contains(nu.atoms).astype(int) for arc in arcs)
+        assert held.tolist() == [1] * 6
+    fv = np.arange(6) + 2.0j
+    for p in (0.5, 2.0):
+        assert_matches_per_arc_loop(fv, nu, p)
+
+
+@pytest.mark.parametrize("nu", [LebesgueGrid(64),
+                                square_clark_measure(BlaschkeProduct(
+                                    [1.0 - 2.0**-k for k in range(1, 17)]), 1.0)],
+                         ids=["grid", "square"])
+def test_partition_index_is_position_in_dyadic_family(nu):
+    # bisection's arc index of every atom is the position of the arc of
+    # dyadic_family that holds it, in every generation up to the cap
+    cap = default_generation_cap(nu)
+    for k, arcs in enumerate(dyadic_family(cap).generations):
+        where = np.array([arc.contains(nu.atoms) for arc in arcs])
+        assert np.all(where.sum(axis=0) == 1)
+        arc, fill = nu.partition.generation(k)
+        assert np.array_equal(arc, np.argmax(where, axis=0))
+        assert fill == where.sum(axis=1).max()

@@ -203,6 +203,28 @@ def test_unresolvable_atoms_fail_loudly():
         clark_measure(theta, 1.0)
 
 
+@pytest.mark.parametrize("n", [34, 36, 40])
+def test_square_measure_of_boundary_family(n, interior_points):
+    # the half measures of zeros 1 - 2^-k interleave with gaps down to
+    # 5.1e-11, 1.3e-11 and 8.0e-13 at n = 34, 36 and 40: distinct in
+    # double precision, so the square measure is built
+    theta = BlaschkeProduct([1.0 - 2.0**-k for k in range(1, n + 1)])
+    square = theta.square()
+    nu = square_clark_measure(theta, 1.0)
+    assert len(nu.atoms) == square.degree
+    assert np.min(np.diff(np.mod(np.angle(nu.atoms), 2 * np.pi))) > 0.0
+    want = expected_mass(square, 1.0)
+    assert abs(nu.mass - want) <= 1e-15 * want
+    assert poisson_identity_defect(nu, square, interior_points) < 1e-12
+
+
+def test_square_measure_refuses_coincident_atoms():
+    # the forty-fold zero 2^-52 from the circle: its half measures meet
+    theta = BlaschkeProduct([(1.0 - 2.0**-52) * 1j] * 40)
+    with pytest.raises(ClarkError, match="atoms collide"):
+        square_clark_measure(theta, 1.0)
+
+
 def _level_set_residual(theta, alpha, atoms):
     """Largest |theta(xi) - alpha| over the atoms, in units of what double
     precision allows there: |theta'| times the rounding of the angle, plus
