@@ -213,6 +213,14 @@ class TrigPoly(Symbol):
 
     __rmul__ = __mul__
 
+    def __neg__(self):
+        return (-1.0) * self
+
+    def __rsub__(self, other):
+        if np.isscalar(other):
+            return _as_trig(other) - self
+        return super().__rsub__(other)
+
     def __repr__(self):
         terms = ", ".join(f"{k}: {c:.6g}" for k, c in sorted(self.coeffs.items()))
         return f"TrigPoly({{{terms}}})"
@@ -309,16 +317,19 @@ class ScaledSymbol(Symbol):
 # ---------------------------------------------------------------------------
 
 
-def _grid_mean(sample, m: int):
-    """Mean of sample(nodes) over the m-th roots of unity, chunked."""
-    if m <= _CHUNK:
-        vals = np.asarray(sample(unit_nodes(m)), dtype=complex)
-        return vals.mean(axis=-1)
+def _grid_sum(block, m: int):
+    """Sum of block(nodes) over the m-th roots of unity, in chunks of at
+    most _CHUNK nodes taken in order from the node 1."""
     total = None
     for start in range(0, m, _CHUNK):
-        nodes = unit_nodes(m, start, min(start + _CHUNK, m))
-        part = np.asarray(sample(nodes), dtype=complex).sum(axis=-1)
+        part = block(unit_nodes(m, start, min(start + _CHUNK, m)))
         total = part if total is None else total + part
+    return total
+
+
+def _grid_mean(sample, m: int):
+    """Mean of sample(nodes) over the m-th roots of unity."""
+    total = _grid_sum(lambda nodes: np.asarray(sample(nodes), dtype=complex).sum(axis=-1), m)
     return total / m
 
 
@@ -401,19 +412,14 @@ def matrix_integral(row_sample, col_sample, weight, quad: QuadratureSettings = D
     accumulated as matrix products, so memory stays O(n_rows * chunk).
     """
 
-    def level(m):
-        total = None
-        for start in range(0, m, _CHUNK):
-            nodes = unit_nodes(m, start, min(start + _CHUNK, m))
-            rows = np.conj(np.asarray(row_sample(nodes)))
-            cols = np.asarray(col_sample(nodes))
-            if weight is not None:
-                cols = cols * np.asarray(weight(nodes))
-            part = rows @ cols.T
-            total = part if total is None else total + part
-        return total / m
+    def block(nodes):
+        rows = np.conj(np.asarray(row_sample(nodes)))
+        cols = np.asarray(col_sample(nodes))
+        if weight is not None:
+            cols = cols * np.asarray(weight(nodes))
+        return rows @ cols.T
 
-    return _adaptive_levels(level, quad)
+    return _adaptive_levels(lambda m: _grid_sum(block, m) / m, quad)
 
 
 def poisson_extension(f: Symbol, z: complex, quad: QuadratureSettings = DEFAULT_QUADRATURE) -> complex:

@@ -10,7 +10,9 @@ import ttolab
 
 from ttolab.cli import main, parse_alpha, parse_symbol, parse_theta
 from ttolab.config import ConfigError
+from ttolab import verify
 from ttolab.harmonic import unit_nodes
+from ttolab.nehari import NehariError, nehari_gap
 
 FAST_VERIFY = ["--set", "nehari.multistart=6", "--set", "nehari.grid_m=512"]
 
@@ -129,6 +131,29 @@ def test_verify_seed_change_keeps_verdicts(tmp_path):
     rb = json.loads((b / "verify.json").read_text())
     assert [r["passed"] for r in ra["suites"]] == [r["passed"] for r in rb["suites"]]
     assert ra["seed"] != rb["seed"]
+
+
+def test_verify_reports_a_suite_that_raises(tmp_path, monkeypatch):
+    # the first Nehari instance yields a deviation, the second raises: the
+    # suite fails with the exception's message and no partial worst
+    calls = []
+
+    def second_raises(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NehariError("operator norm 2 exceeds dual distance estimate 1")
+        return nehari_gap(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "nehari_gap", second_raises)
+    assert run(["verify", "--only", "nehari-bound,rank-one-identity",
+                "--output-dir", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verify.json").read_text())
+    intact, crashed = report["suites"]
+    assert len(calls) == 2 and report["passed"] is False
+    assert crashed == {"name": "nehari-bound", "passed": False, "worst": None,
+                       "tolerance": crashed["tolerance"], "checks": 0,
+                       "detail": "error: operator norm 2 exceeds dual distance estimate 1"}
+    assert intact["passed"] is True and intact["checks"] == 8
 
 
 def test_unknown_suite_is_config_error(tmp_path):

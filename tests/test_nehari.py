@@ -299,6 +299,36 @@ def test_newton_reaches_the_irls_minimum(zeros, band, coeffs):
     assert steps < 500
 
 
+# theta = z^k and phi with no frequency below -k, band <= k
+_POWER_AND_BAND = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(1, k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(power_band=_POWER_AND_BAND, coeffs=st.lists(_COEFF, min_size=9, max_size=9))
+@example(power_band=(3, 3), coeffs=[(0.0, 0.0), (0.5, 0.5)] + [(0.0, 0.0)] * 7)
+@example(power_band=(3, 2),
+         coeffs=[(0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.0, 0.00390625)]
+         + [(0.0, 0.0)] * 5)
+def test_newton_meets_the_hankel_norm_oracle(power_band, coeffs):
+    # theta = z^k: the truncated Hankel matrix of phi on K_theta is the
+    # whole Hankel operator H = [phihat(-1 - i - j)], so dist(phi,
+    # F_{theta^2}) = ||H|| and the grid minimum of the dual problem is
+    # 1 / ||H||, an oracle that does not depend on a second solver
+    k, band = power_band
+    phi = TrigPoly({j: complex(*coeffs[j + 4]) for j in range(-band, band + 1)})
+    hankel = np.array([[phi.coeffs.get(-1 - i - j, 0.0) for j in range(k)]
+                       for i in range(k)])
+    norm = np.linalg.norm(hankel, 2)
+    dual = dual_basis(BlaschkeProduct([0.0] * k).square())
+    q = subspace_pairing(phi, dual.basis, dual.coeffs)
+    if np.linalg.norm(q) < 1e-14:
+        return
+    samples = dual.sample(unit_nodes(RunConfig().nehari.grid_m))
+    _, value, _ = _newton_l1(q, samples)
+    assert abs(value * norm - 1.0) <= 1e-9
+
+
 def test_rounding_stall_ends_the_solve(monkeypatch):
     # sweep instance 15 stalls with a squared decrement at rounding level
     # (below 1e-15 F): that ends the solve, without the barrier path

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ttolab import clark, harmonic, modelspace, spectra, truncops
 from ttolab.blaschke import BlaschkeProduct
+from ttolab.corpus import random_blaschke, random_trig_poly
 from ttolab.harmonic import (RationalSymbol, TrigPoly, adaptive_boundary_mean,
                              matrix_integral)
 from ttolab.modelspace import ConjugateKernel, build_basis, conjugate_kernel
@@ -130,6 +131,17 @@ def test_route_follows_symbol_type(generic_basis):
         "toeplitz:boundary-quadrature"
     assert hankel_by_quadrature(poly, generic_basis).provenance == \
         "hankel:boundary-quadrature"
+
+
+def test_negated_trig_poly_keeps_the_closed_form(generic_basis):
+    # -p and c - p are trig polynomials, so they keep the closed-form route
+    poly = TrigPoly({-2: 1.0, 1: 0.5j})
+    nodes = harmonic.unit_nodes(8)
+    for phi, values in ((-poly, -poly(nodes)), (1.0 - poly, 1.0 - poly(nodes))):
+        assert isinstance(phi, TrigPoly)
+        assert np.allclose(phi(nodes), values)
+        assert toeplitz_matrix(phi, generic_basis).provenance == "toeplitz:compressed-shift"
+        assert hankel_matrix(phi, generic_basis).provenance == "hankel:compressed-shift"
 
 
 def test_hankel_kills_analytic_part(power_basis):
@@ -394,6 +406,22 @@ def test_rule_builders_match_quadrature(generic_basis):
     assert rule.provenance == "hankel:clark-rule"
     reference = hankel_by_quadrature(u, generic_basis)
     assert np.max(np.abs(rule.entries - reference.entries)) < 1e-13
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])
+def test_toeplitz_builders_are_complex_symmetric(degree):
+    # C f = theta zbar conj(f) is a conjugation on K_theta and every
+    # truncated Toeplitz operator is C-symmetric, C A C = A^* (Garcia-Putinar,
+    # Trans. AMS 2006); M = conj(entries) is the matrix of C: C f = M conj(a)
+    rng = np.random.default_rng(degree)
+    basis = build_basis(random_blaschke(rng, degree))
+    phi = random_trig_poly(rng, 3)
+    m = np.conj(conjugate_multiplier_by_rule(basis).entries)
+    assert np.max(np.abs(m @ np.conj(m) - np.eye(degree))) < 1e-13
+    for op in (toeplitz_matrix(phi, basis), toeplitz_by_quadrature(phi, basis),
+               lifted_toeplitz_by_rule(phi, basis)):
+        a = op.entries
+        assert np.max(np.abs(m @ np.conj(a) @ np.conj(m) - a.conj().T)) < 1e-13
 
 
 def test_test_vector_requires_some_symbol(generic_basis):
