@@ -80,12 +80,24 @@ _STEP_CAP = 200
 _TINY = np.finfo(float).tiny
 
 
-def _factors(zeros):
-    """Per-zero constants of `_boundary_phase`: beta, 1 - r, 1 + r, 4 r and
-    pi times the number of zeros at the origin."""
+class _Factors(NamedTuple):
+    """Per-zero constants of `_boundary_phase`, for zeros r e^{i beta}."""
+
+    beta: np.ndarray
+    below: np.ndarray     # 1 - r
+    above: np.ndarray     # 1 + r
+    four_r: np.ndarray    # 4 r
+    lift: np.ndarray      # (1 - r)(1 + r)
+    floor: np.ndarray     # (1 - r)^2
+    origin: float         # pi times the number of zeros at the origin
+
+
+def _factors(zeros) -> _Factors:
     lam = np.asarray(zeros, dtype=complex)
     r = np.abs(lam)
-    return np.angle(lam), 1.0 - r, 1.0 + r, 4.0 * r, np.pi * (lam.size - np.count_nonzero(r))
+    below, above = 1.0 - r, 1.0 + r
+    return _Factors(np.angle(lam), below, above, 4.0 * r, below * above, below * below,
+                    np.pi * (lam.size - np.count_nonzero(r)))
 
 
 def _boundary_phase(factors, t):
@@ -103,18 +115,19 @@ def _boundary_phase(factors, t):
     absolute rounding of a sum of O(1) angles, which would move a root by
     eps / |theta'|.
     """
-    beta, below, above, four_r, origin = factors
+    beta, below, above, four_r, lift, floor, origin = factors
+    total = np.add.reduce
     half = 0.5 * (t[..., None] - beta)
     m = np.floor(half / np.pi)
     half -= np.pi * m                                           # v / 2
     sin, cos = np.sin(half), np.cos(half)
-    turns = np.sum(m, axis=-1) + beta.size
+    turns = total(m, axis=-1) + beta.size
     # at r = 0 the term is pi + t, so each zero at the origin takes pi off
-    rest = -2.0 * np.sum(np.arctan2(below * cos, above * sin), axis=-1) - origin
-    den = below**2 + four_r * sin**2
-    term = below * above / den
-    speed = np.sum(term, axis=-1)
-    bend = -np.sum(term * four_r * sin * cos / den, axis=-1)
+    rest = -2.0 * total(np.arctan2(below * cos, above * sin), axis=-1) - origin
+    den = floor + four_r * sin**2
+    term = lift / den
+    speed = total(term, axis=-1)
+    bend = -total(term * four_r * sin * cos / den, axis=-1)
     return turns, rest, speed, bend
 
 
@@ -141,13 +154,13 @@ def _starts(factors, base, per_turn):
     j = (np.ceil((phase[0] - base) * per_turn / TWO_PI)
          + np.arange(per_turn * beta.size)) / per_turn
     targets = base + TWO_PI * j
-    k = np.clip(np.searchsorted(phase, targets, side="right"), 1, cuts.size - 1)
+    k = np.minimum(np.maximum(np.searchsorted(phase, targets, side="right"), 1), cuts.size - 1)
     lo, hi = cuts[k - 1], cuts[k]
     rise = np.maximum(phase[k] - phase[k - 1], _TINY)
-    u = np.clip((targets - phase[k - 1]) / rise, 0.0, 1.0)
+    u = np.minimum(np.maximum((targets - phase[k - 1]) / rise, 0.0), 1.0)
     t = (lo + (hi - lo) * u * u * (3.0 - 2.0 * u)
          + rise * u * (1.0 - u) * ((1.0 - u) / speed[k - 1] - u / speed[k]))
-    return j, lo, hi, np.clip(t, lo, hi)
+    return j, lo, hi, np.minimum(np.maximum(t, lo), hi)
 
 
 class _LevelSets(NamedTuple):
@@ -201,6 +214,8 @@ def _level_sets(theta: BlaschkeProduct, alpha: complex, per_turn: int) -> _Level
     tiny = 2.0 * np.spacing(TWO_PI)
     noise = 8.0 * np.spacing(TWO_PI * d)   # rounding floor of Phi
     evaluations, bisections = 1, 0
+    # a settled root's angle is frozen, so its bracket and last residual
+    # may change freely: only the moves of t and the count need the mask
     for _ in range(_STEP_CAP):
         if not active.any():
             break
@@ -208,27 +223,31 @@ def _level_sets(theta: BlaschkeProduct, alpha: complex, per_turn: int) -> _Level
         evaluations += 1
         # whole turns cancel exactly, so err keeps the precision of rest
         err = (TWO_PI * (turns - j) - base) + rest
+        size = np.abs(err)
         newton = err / speed
         # Halley's step, unless it would be more than twice Newton's
         shrink = 1.0 - 0.5 * newton * bend / speed
         step = np.where(shrink >= 0.5, newton / shrink, newton)
         trial = t - step
-        np.copyto(lo, t, where=active & (err < 0.0))
-        np.copyto(hi, t, where=active & (err > 0.0))
+        np.copyto(lo, t, where=err < 0.0)
+        np.copyto(hi, t, where=err > 0.0)
         inside = (lo < trial) & (trial < hi)
+        move = np.abs(trial - t)
         # a step within tiny is converged even where it lands on the
         # bracket's end; so is one inside the bracket from a residual at
         # the rounding floor, which no further step can reduce, or one
         # whose predicted remaining error |Phi''/Phi'| step^2 is within tiny
-        settled = (np.abs(trial - t) <= tiny) | (inside & ((np.abs(err) <= noise)
-                                               | (np.abs(bend / speed) * step**2 <= tiny)))
-        bisect = active & ~settled & (~inside | (np.abs(err) > 0.5 * last))
-        bisections += int(np.count_nonzero(bisect))
-        trial = np.where(bisect, 0.5 * (lo + hi), trial)
-        np.copyto(last, np.abs(err), where=active)
-        keep = ~settled & (np.abs(trial - t) > tiny)
+        settled = (move <= tiny) | (inside & ((size <= noise)
+                                             | (np.abs(bend / speed) * step**2 <= tiny)))
+        bisect = active & ~settled & (~inside | (size > 0.5 * last))
+        moved = np.count_nonzero(bisect)
+        if moved:
+            bisections += moved
+            trial = np.where(bisect, 0.5 * (lo + hi), trial)
+            move = np.abs(trial - t)
+        last = size
         np.copyto(t, trial, where=active)
-        active &= keep
+        active &= ~settled & (move > tiny)
     if active.any():
         raise ClarkError(f"boundary phase solve did not settle {np.count_nonzero(active)} "
                          f"of {count} roots in {_STEP_CAP} steps")
