@@ -5,17 +5,19 @@ level set {theta = alpha} on the circle consists of exactly d points (the
 boundary phase increases strictly and winds d times).  They are found
 without any grid: the continuous boundary phase and its first two
 derivatives have a closed form per zero, its values at O(d) breakpoints
-set by the zeros give every atom a bracket and a start of its own, and
-one vectorised Halley iteration with the safeguards of rtsafe refines all
-d at once in O(d^2) memory, stopping each root once the second
-derivative predicts its remaining error below two ulp.  The Clark
-measure places weight 1/|theta'| at each atom; the induced embedding of
-the model space into L2 of that measure is unitary.  The level sets at
-alpha and -alpha come from one pass over 2d targets, one sort and one
-evaluation of |theta'| (`clark_pair`).  A measure keeps the dyadic
-partition of its atoms that Besov profiles share (`partition`).
-Combining the embeddings at alpha and -alpha yields a
-unitary Hilbert transform with an explicit Cauchy-type kernel, and a
+set by the zeros (each zero's angle and three levels of its tails) give
+every atom a bracket and a start of its own, and one vectorised Halley
+iteration with the safeguards of rtsafe refines all d at once in O(d^2)
+memory, stopping each root once the second derivative predicts its
+remaining error below two ulp.  A root that must bisect in the tail of a
+zero's phase splits its bracket geometrically in the distance from that
+zero's angle.  The Clark measure places weight 1/|theta'| at each atom;
+the induced embedding of the model space into L2 of that measure is
+unitary.  The level sets at alpha and -alpha come from one pass over 2d
+targets, one sort and one evaluation of |theta'| (`clark_pair`).  A
+measure keeps the dyadic partition of its atoms that Besov profiles
+share (`partition`).  Combining the embeddings at alpha and -alpha yields
+a unitary Hilbert transform with an explicit Cauchy-type kernel, and a
 commutator construction that reproduces truncated Hankel operators from
 values of the symbol at the atoms.  This route shares no code with the
 builders of the Hankel matrix in `truncops` (boundary quadrature, the
@@ -78,6 +80,9 @@ class ClarkMeasure:
 
 _STEP_CAP = 200
 _TINY = np.finfo(float).tiny
+# breakpoints beta + delta * _LADDER of each zero: its angle and three
+# levels of its tails, on the scales where its phase turns
+_LADDER = np.array([0.0, -1.0, 1.0, -4.0, 4.0, -16.0, 16.0])
 
 
 class _Factors(NamedTuple):
@@ -136,8 +141,11 @@ def _starts(factors, base, per_turn):
     per_turn * d roots, from the `_factors` of the zeros.
 
     Phi and its speed |theta'| are evaluated once at the sorted breakpoints
-    0, 2 pi, beta and beta -+ (1 - r) of every zero r e^{i beta}, which
-    resolve the scale on which the phase turns near each zero.  Each
+    0, 2 pi, beta and beta -+ (1 - r), beta -+ 4 (1 - r) and
+    beta -+ 16 (1 - r) of every zero r e^{i beta}, which resolve the scale
+    on which the phase turns near each zero and three levels of its tails.
+    The ladder is capped: a longer one costs more in this evaluation, O(d)
+    rows of d terms, than it saves in Halley steps.  Each
     target base + 2 pi j in [Phi(0), Phi(0) + 2 pi d), with j a multiple of
     1 / per_turn, is located among those values, and its root starts at
     the inverse cubic Hermite interpolant of the bracket found: the cubic
@@ -145,9 +153,9 @@ def _starts(factors, base, per_turn):
     bracket.  The index is clipped because a target can equal Phi(0) or
     Phi(2 pi) up to rounding.
     """
-    beta, delta = np.mod(factors[0], TWO_PI), factors[1]
-    cuts = np.unique(np.concatenate(
-        [[0.0, TWO_PI], np.mod(np.concatenate([beta, beta - delta, beta + delta]), TWO_PI)]))
+    beta, delta = np.mod(factors.beta, TWO_PI), factors.below
+    ladder = beta[:, None] + delta[:, None] * _LADDER
+    cuts = np.unique(np.concatenate([[0.0, TWO_PI], np.mod(ladder.ravel(), TWO_PI)]))
     turns, rest, speed, _ = _boundary_phase(factors, cuts)
     phase = TWO_PI * turns + rest
     # theta = alpha where the zero factors' phase is base mod 2 pi
@@ -161,6 +169,22 @@ def _starts(factors, base, per_turn):
     t = (lo + (hi - lo) * u * u * (3.0 - 2.0 * u)
          + rise * u * (1.0 - u) * ((1.0 - u) / speed[k - 1] - u / speed[k]))
     return j, lo, hi, np.minimum(np.maximum(t, lo), hi)
+
+
+def _split(factors, lo, hi):
+    """Where brackets [lo, hi] bisect: at the midpoint, or, for a bracket on
+    one side of its nearest zero angle beta with the two ends' distances a
+    and b from beta more than 4x apart, at beta + sqrt(a b) on that side.
+    In the 1/|t - beta| tail of a zero's phase the root's distance from beta
+    is then found in O(log log (b / a)) splits instead of O(log (b / a))."""
+    ends = np.stack([lo, hi])[..., None] - factors.beta
+    ends = np.mod(ends + np.pi, TWO_PI) - np.pi          # offsets in [-pi, pi)
+    reach = np.where(factors.below < 1.0, np.min(np.abs(ends), axis=0), np.inf)
+    a, b = ends[:, np.arange(lo.size), np.argmin(reach, axis=1)]
+    near, far = np.minimum(np.abs(a), np.abs(b)), np.maximum(np.abs(a), np.abs(b))
+    split = lo + (np.sign(a) * np.sqrt(near * far) - a)
+    geometric = (a * b > 0.0) & (far > 4.0 * near) & (lo < split) & (split < hi)
+    return np.where(geometric, split, 0.5 * (lo + hi))
 
 
 class _LevelSets(NamedTuple):
@@ -243,7 +267,7 @@ def _level_sets(theta: BlaschkeProduct, alpha: complex, per_turn: int) -> _Level
         moved = np.count_nonzero(bisect)
         if moved:
             bisections += moved
-            trial = np.where(bisect, 0.5 * (lo + hi), trial)
+            trial[bisect] = _split(factors, lo[bisect], hi[bisect])
             move = np.abs(trial - t)
         last = size
         np.copyto(t, trial, where=active)
@@ -279,9 +303,14 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     step^2 within two ulp of 2 pi, which saves the pass that would only
     confirm convergence.  Otherwise the root bisects its bracket when the
     step leaves it or the residual has not halved since the previous
-    step, and is settled once the bracket has shrunk to two ulp.  Memory
-    is O(d^2) however close the zeros lie to T; `phase_evaluations` counts
-    the vectorised evaluations of Phi and `bisections` the bisection moves.
+    step, and is settled once the bracket has shrunk to two ulp.  The
+    split is the midpoint, or, for a bracket on one side of its nearest
+    zero angle whose ends lie more than 4x apart in distance from it, the
+    geometric mean of those distances (`_split`), so that a root in the
+    1/|t - beta| tail of a zero near T is not bisected linearly across
+    many decades.  Memory is O(d^2) however close the zeros lie to T;
+    `phase_evaluations` counts the vectorised evaluations of Phi and
+    `bisections` the bisection moves.
     """
     roots = _level_sets(theta, alpha, 1)
     return roots.measure(roots.alpha)

@@ -34,7 +34,7 @@ from .truncops import (conjugate_multiplier_by_rule,
                        conjugate_multiplier_matrix, hankel_by_quadrature,
                        hankel_matrix, hankel_toeplitz_defect,
                        lifted_toeplitz_by_rule, rank_one_matrix,
-                       rank_one_symbol, standard_symbol,
+                       rank_one_symbol, standard_symbol, standard_symbol_on,
                        toeplitz_by_quadrature, toeplitz_matrix,
                        zero_symbol_test)
 
@@ -249,9 +249,9 @@ def _suite_clark_rule(config: RunConfig, rng):
     for theta in map(_special_zeros, _sweep(config, rng, (1, 2, 3, 4, 5, 6))):
         basis = build_basis(theta, quad)
         phi = random_trig_poly(rng, 3)
-        std = standard_symbol(phi, theta, quad)
-        integrated = subspace_pairing_by_quadrature(phi, build_basis(theta.square(), quad),
-                                                    std.subspace)
+        square = build_basis(theta.square(), quad)
+        std = standard_symbol_on(phi, theta, square)
+        integrated = subspace_pairing_by_quadrature(phi, square, std.subspace)
         other = random_blaschke(rng, 2, config.sweep.max_zero_modulus,
                                 config.sweep.min_zero_gap).zeros
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -325,8 +325,9 @@ def suite_names():
 
 
 def run_verification(config: RunConfig, only=None) -> VerificationReport:
+    # streams over every suite, so that --only replays a full run's instances
+    rngs = spawn_rngs(config.sweep.seed, suite_names())
     chosen = [row for row in _SUITES if only is None or row[0] in only]
-    rngs = spawn_rngs(config.sweep.seed, [row[0] for row in chosen])
     results = []
     for name, suite, tol, detail in chosen:
         if isinstance(tol, str):

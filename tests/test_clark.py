@@ -262,11 +262,44 @@ def test_phase_evaluations_on_boundary_family(alpha):
 
 @pytest.mark.parametrize("alpha", [1.0, -1.0])
 def test_hermite_starts_on_boundary_family(alpha):
-    # each start interpolates t(Phi) with the bracket's slopes 1/|theta'|,
-    # so no root of the family needs more than a few Halley steps
+    # each start interpolates t(Phi) with the bracket's slopes 1/|theta'|
+    # between breakpoints on the scales of every zero, so one Halley step
+    # and one that confirms it settle the whole family
     for n in range(2, 33):
         theta = BlaschkeProduct([1.0 - 2.0**-k for k in range(1, n + 1)])
-        assert clark_measure(theta, alpha).phase_evaluations <= 4, n
+        assert clark_measure(theta, alpha).phase_evaluations <= 3, n
+
+
+def test_tail_breakpoints_start_near_the_root():
+    # the root of theta = -1 lies in the long tail of the zero's phase,
+    # which the breakpoints beta -+ 4 (1 - r) and beta -+ 16 (1 - r) cut
+    plus, minus = clark_pair(BlaschkeProduct([0.2205 + 0.8356j]), 1.0)
+    assert plus.phase_evaluations <= 3
+    assert plus.bisections == 0
+    for theta, alpha in _sweep_zero_sets():
+        assert clark_pair(theta, alpha)[0].phase_evaluations <= 4
+
+
+def _clustered_sets(count):
+    """Seeded zero sets of 2-12 zeros with 1 - |lam| from 1e-12 to 0.5,
+    clustered within 1e-6 to 3 radians of a random angle, each with an
+    anchor."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        size = rng.integers(2, 13)
+        delta = 10.0 ** rng.uniform(-12.0, np.log10(0.5), size)
+        spread = 10.0 ** rng.uniform(-6.0, 0.5)
+        angles = rng.uniform(0.0, 2 * np.pi) + spread * rng.uniform(-1.0, 1.0, size)
+        yield BlaschkeProduct(list((1.0 - delta) * np.exp(1j * angles))), random_unimodular(rng)
+
+
+def test_geometric_bisection_on_clustered_sets():
+    # a root in the 1/|t - beta| tail of a zero near T bisects in the
+    # distance from beta on a geometric scale, not across its decades
+    counts = [mu.phase_evaluations for theta, alpha in _clustered_sets(200)
+              for mu in (clark_measure(theta, alpha), clark_measure(theta, -alpha))]
+    assert np.mean(counts) <= 6.0
+    assert max(counts) <= 12
 
 
 def test_phase_evaluations_default_and_square():

@@ -11,7 +11,9 @@ import ttolab
 from ttolab.cli import main, parse_alpha, parse_symbol, parse_theta
 from ttolab.config import ConfigError
 from ttolab import verify
+from ttolab.config import RunConfig
 from ttolab.harmonic import unit_nodes
+from ttolab.modelspace import ModelSpaceBasis
 from ttolab.nehari import NehariError, nehari_gap
 
 FAST_VERIFY = ["--set", "nehari.multistart=6", "--set", "nehari.grid_m=512"]
@@ -154,6 +156,34 @@ def test_verify_reports_a_suite_that_raises(tmp_path, monkeypatch):
                        "tolerance": crashed["tolerance"], "checks": 0,
                        "detail": "error: operator norm 2 exceeds dual distance estimate 1"}
     assert intact["passed"] is True and intact["checks"] == 8
+
+
+def test_verify_only_replays_the_default_run(tmp_path):
+    # the rng streams are spawned over every suite, so a suite chosen alone
+    # draws the instances it draws in the default run
+    assert run(["verify", "--only", "rank-one-identity", "--output-dir", str(tmp_path)]) == 0
+    (suite,) = json.loads((tmp_path / "verify.json").read_text())["suites"]
+    assert suite["worst"] == 7.108895957933346e-16
+    full = {r.name: r.worst for r in verify.run_verification(RunConfig()).results}
+    chosen = {"clark-poisson", "clark-rule-route"}
+    for result in verify.run_verification(RunConfig(), chosen).results:
+        assert result.worst == full[result.name], result.name
+
+
+def test_clark_rule_suite_builds_each_basis_once(monkeypatch):
+    # one basis of theta and one of theta^2 per instance: the standard
+    # symbol and the quadrature pairing share the theta^2 basis
+    builds = []
+    init = ModelSpaceBasis.__init__
+
+    def counted(self, theta, *args):
+        builds.append(theta.degree)
+        init(self, theta, *args)
+
+    monkeypatch.setattr(ModelSpaceBasis, "__init__", counted)
+    (result,) = verify.run_verification(RunConfig(), {"clark-rule-route"}).results
+    assert result.passed
+    assert len(builds) == 12
 
 
 def test_unknown_suite_is_config_error(tmp_path):
