@@ -9,9 +9,8 @@ import pytest
 import ttolab
 
 from ttolab.cli import main, parse_alpha, parse_symbol, parse_theta
-from ttolab.config import ConfigError
+from ttolab.config import ConfigError, RunConfig
 from ttolab import verify
-from ttolab.config import RunConfig
 from ttolab.harmonic import unit_nodes
 from ttolab.modelspace import ModelSpaceBasis
 from ttolab.nehari import NehariError, nehari_gap
