@@ -10,19 +10,20 @@ The reference measure is either an atomic ClarkMeasure or a uniform
 grid standing in for normalized Lebesgue measure; both expose `atoms`
 and `weights` and everything below is a finite weighted sum.  Neither
 has an accumulation point on the circle, so every dyadic family is the
-halving of the whole circle [0, 2 pi).
+halving of the whole circle [0, 2 pi), and every Besov profile runs
+until each arc holds at most r + 1 atoms, where all finer generations
+vanish.
 
 A Besov profile does no per-arc work in Python.  Every atom finds its
-arc of each generation by bisection: it keeps the ends of its own arc
-and moves to the upper half when its angle is at least their midpoint,
-so a generation costs O(atoms) however many arcs it has, and masses and
-counts are bincounts.  A ClarkMeasure or a LebesgueGrid keeps these
-assignments (`DyadicPartition`), as deep as any profile has needed, so
-its profiles at several exponents share them.  The moment fits of all
-generations are then solved together: all Gram entries from one
-reduceat, one batched rank check and one batched solve, with
-moment_polynomial only for the Grams that fail the check.  `oscillation`
-is the same kernel on one arc.
+arc of each generation by bisection, at a cost of O(atoms) however
+deep, and the atoms of an arc are a run in angle order, so nothing is
+indexed by all 2^k arcs.  A measure keeps these runs
+(`DyadicPartition`), so its profiles at several exponents share them.
+The moment fits of all generations, each in the centred, scaled
+variable of its arc, are then solved together: all Gram entries from
+one reduceat, one batched rank check and one batched solve, with
+moment_polynomial only for the Grams that fail the check.
+`oscillation` is the same kernel on one arc.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .clark import ClarkMeasure, square_clark_measure
+from .clark import square_clark_measure
 from .harmonic import TWO_PI, DEFAULT_QUADRATURE, QuadratureSettings, unit_nodes
 from .modelspace import build_basis
 from .truncops import hankel_matrix, standard_symbol_on
@@ -103,8 +104,8 @@ def moment_polynomial(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
     sum w * (f - p(xi)) * conj(xi)^k = 0 for k = 0..r.
 
     Falls back to the largest solvable degree when the weighted moment
-    Gram is singular (fewer than r+1 atoms); returns the coefficient
-    vector, zero-padded to length r + 1.
+    Gram fails the rank check (fewer than r + 1 atoms, or atoms too close
+    together); returns the coefficient vector, zero-padded to length r + 1.
     """
     r_eff = min(int(r), len(xi) - 1)
     while r_eff >= 0:
@@ -148,34 +149,42 @@ class DyadicPartition:
     Generation k halves every arc of generation k - 1, starting from
     [0, 2 pi).  Each atom keeps the start and end of its own arc and moves
     to the upper half when its angle is at least their midpoint, the
-    midpoint Arc.halves forms; its arc index at generation k is its path
-    of upper halves read as a binary number, the position of its arc in
-    generation k of dyadic_family.  An angle that reduces to 2 pi stays in
-    the last arc.  Per generation the partition keeps the arc index of
-    every atom and the largest number of atoms on one arc, at a cost that
-    does not grow with the number of arcs.  Generations are built when first
-    asked for and kept, so the profiles of one measure share them
-    (`ClarkMeasure.partition`, `LebesgueGrid.partition`).
+    midpoint Arc.halves forms.  An angle that reduces to 2 pi stays in the
+    last arc.  In angle order (`order`) the atoms of an arc are a run, and
+    the arcs that hold atoms come in the order of dyadic_family; per
+    generation the partition keeps their atom counts and the largest one.
+    Generations are built when first asked for and kept, so the profiles
+    of one measure share them (`ClarkMeasure.partition`,
+    `LebesgueGrid.partition`).  Atoms closer than the smallest normal
+    float are refused: the arc ends could not separate them.
     """
 
     def __init__(self, atoms):
-        self.angles = np.mod(np.angle(np.asarray(atoms, dtype=complex)), TWO_PI)
+        angles = np.mod(np.angle(np.asarray(atoms, dtype=complex)), TWO_PI)
+        self.order = np.argsort(angles, kind="stable")
+        self.angles = angles[self.order]
+        if np.any(np.diff(self.angles) < np.finfo(float).tiny):
+            raise ValueError("two atoms are closer than the smallest normal float")
         self._starts = np.zeros_like(self.angles)
         self._ends = np.full_like(self.angles, TWO_PI)
-        self.arcs = [np.zeros(self.angles.size, dtype=np.int64)]
+        self._split = np.zeros(self.angles.size + 1, dtype=bool)
+        self._split[[0, -1]] = True     # where each run begins, and the end
+        self.counts = [np.array([self.angles.size])]
         self.fills = [self.angles.size]
 
     def generation(self, k: int):
-        """Arc index of every atom and largest arc fill of generation k."""
-        while len(self.arcs) <= k:
+        """Atoms on each occupied arc of generation k, in order, and the
+        largest of these counts."""
+        while len(self.counts) <= k:
             mids = 0.5 * (self._starts + self._ends)
             upper = self.angles >= mids
             np.copyto(self._starts, mids, where=upper)
             np.copyto(self._ends, mids, where=~upper)
-            arc = 2 * self.arcs[-1] + upper
-            self.arcs.append(arc)
-            self.fills.append(int(np.unique(arc, return_counts=True)[1].max(initial=0)))
-        return self.arcs[k], self.fills[k]
+            self._split[1:-1] |= upper[1:] != upper[:-1]
+            ends = np.flatnonzero(self._split)
+            self.counts.append(ends[1:] - ends[:-1])
+            self.fills.append(int(self.counts[-1].max()))
+        return self.counts[k], self.fills[k]
 
 
 # ---------------------------------------------------------------------------
@@ -184,33 +193,32 @@ class DyadicPartition:
 
 
 def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
-                  owners: np.ndarray, n: int, r: int) -> np.ndarray:
-    """Mean deviation of f from its degree <= r moment fit on n arcs.
+                  atom: np.ndarray, counts: np.ndarray, r: int) -> np.ndarray:
+    """Mean deviation of f from its degree <= r moment fit on each arc.
 
-    owners[k, i] is the index of the arc holding atom i in the k-th
-    partition of the atoms, or -1 for none; every arc index belongs to
-    one partition.  Arcs of no mass get 0, and so do arcs of at most
-    r + 1 atoms, where the fit interpolates f.  The fits of all arcs are
-    solved together: one batched rank check of the weighted moment Grams
-    with moment_polynomial's tolerance, one batched solve, and
-    moment_polynomial itself only for the Grams that fail the check.
+    Arc i holds the next counts[i] atoms of atom.  Arcs of no mass get 0,
+    and so do arcs of at most r + 1 atoms, where the fit interpolates f.
+    Each fit is in the variable (xi - c) / h, c the middle atom of the
+    run and h the largest |xi - c|: the same polynomials, with Grams that
+    stay well conditioned on short arcs.  The fits of all arcs are solved
+    together: one batched rank check of the weighted moment Grams with
+    moment_polynomial's tolerance, one batched solve, and moment_polynomial
+    itself only for the Grams that fail the check.
     """
-    held = np.flatnonzero(owners >= 0)
-    owner = owners.ravel()[held]
-    atom = held % xi.size
-    counts = np.bincount(owner, minlength=n)
-    mass = np.bincount(owner, w[atom], minlength=n)
-    osc = np.zeros(n)
-    live = mass > 0.0
-    need = live & (counts >= r + 2)
+    first = np.cumsum(counts) - counts
+    mass = np.add.reduceat(w[atom], first)
+    osc = np.zeros(first.size)
+    need = (mass > 0.0) & (counts >= r + 2)
     fitted = np.flatnonzero(need)
     if not fitted.size:
         return osc
-    pick = np.flatnonzero(need[owner])
-    members = atom[pick[np.argsort(owner[pick], kind="stable")]]
+    members = atom[np.repeat(need, counts)]
     count = counts[fitted]
     seg = np.cumsum(count) - count          # where each fit's atoms begin
     x, ws, fs = xi[members], w[members], fv[members]
+    x = x - np.repeat(x[seg + count // 2], count)
+    h = np.maximum.reduceat(np.abs(x), seg)
+    x /= np.repeat(np.where(h > 0.0, h, 1.0), count)
     powers = x[:, None] ** np.arange(r + 1)
     weighted = powers.conj() * ws[:, None]
     outer = (weighted[:, :, None] * powers[:, None, :]).reshape(members.size, -1)
@@ -237,9 +245,12 @@ def oscillation(f, nu, arc: Arc, r: int) -> float:
     arcs of at most r + 1 atoms, where the fit interpolates f exactly.
     """
     atoms = np.asarray(nu.atoms, dtype=complex)
-    held = np.where(arc.contains(atoms), 0, -1)[None, :]
+    held = np.flatnonzero(arc.contains(atoms))
+    if not held.size:
+        return 0.0
     return float(_oscillations(atoms, np.asarray(nu.weights, dtype=float),
-                               _values_on(f, atoms), held, 1, int(r))[0])
+                               _values_on(f, atoms), held, np.array([held.size]),
+                               int(r))[0])
 
 
 def _atom_runs(nu):
@@ -324,12 +335,12 @@ def dyadic_family(max_generation: int) -> DyadicArcFamily:
 
 @dataclass(frozen=True)
 class BesovProfile:
-    """Partial sums of the p-summed dyadic oscillations."""
+    """Partial sums of the p-summed dyadic oscillations, from generation 0
+    to the first whose arcs all hold at most r + 1 atoms."""
 
     p: float
     r: int
     generation_sums: tuple      # sum over arcs of osc^p, one per generation
-    terminated: bool            # True when finer generations provably vanish
 
     @property
     def total(self) -> float:
@@ -340,56 +351,40 @@ class BesovProfile:
         return self.total ** (1.0 / self.p) if self.total > 0.0 else 0.0
 
     @property
-    def tail(self) -> float:
-        return float(self.generation_sums[-1]) if self.generation_sums else 0.0
+    def depth(self) -> int:
+        """The generation where the profile terminates."""
+        return len(self.generation_sums) - 1
 
 
-def default_generation_cap(nu) -> int:
-    return int(math.ceil(math.log2(max(2, len(nu.atoms))))) + 4
-
-
-def besov_profile(f, nu, p: float, max_generation: int | None = None) -> BesovProfile:
+def besov_profile(f, nu, p: float) -> BesovProfile:
     """Generation-by-generation oscillation sums of the dyadic Besov norm.
 
-    r is the integer part of 1/p.  For atomic measures the sum is finite:
-    once every arc of a generation holds at most r + 1 atoms the moment
-    fit interpolates exactly and all finer generations vanish, so the
-    profile stops there and is flagged as terminated.  A LebesgueGrid
-    stands in for a continuous measure and never stops before
-    max_generation.
-
-    The arcs are those of dyadic_family, and the measure's
-    `DyadicPartition` (`nu.partition`) gives every atom's arc in each
-    generation, built by bisection only up to where the profile stops
-    and kept for the measure's later profiles.  The moment fits of all
-    generations then go to the oscillation kernel together.
+    r is the integer part of 1/p.  Once every arc of a generation holds
+    at most r + 1 atoms the moment fit interpolates and all finer
+    generations vanish, so the profile stops there, on any measure.  The
+    arcs are those of dyadic_family, taken from the measure's
+    `DyadicPartition` (`nu.partition`), and the moment fits of all
+    generations go to the oscillation kernel together.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     r = int(math.floor(1.0 / p))
-    if max_generation is None:
-        max_generation = default_generation_cap(nu)
-    if max_generation < 0:
-        raise ValueError("max_generation must be >= 0")
-    atoms = np.asarray(nu.atoms, dtype=complex)
-    stops = isinstance(nu, ClarkMeasure)
-    owners, first = [], [0]
-    terminated = False
-    for k in range(max_generation + 1):
-        arc, fill = nu.partition.generation(k)
-        owners.append(arc + first[-1])
-        first.append(first[-1] + 2**k)
-        if stops and fill <= r + 1:
-            terminated = True
-            break
-    osc = _oscillations(atoms, np.asarray(nu.weights, dtype=float),
-                        _values_on(f, atoms), np.array(owners), first[-1], r)
+    counts, first = [], [0]         # first: each generation's first arc
+    fill = r + 2
+    while fill > r + 1:
+        count, fill = nu.partition.generation(len(counts))
+        counts.append(count)
+        first.append(first[-1] + count.size)
+    xi, order = np.asarray(nu.atoms, dtype=complex), nu.partition.order
+    atom = np.arange(len(counts) * xi.size) % xi.size     # every atom, every generation
+    osc = _oscillations(xi[order], np.asarray(nu.weights, dtype=float)[order],
+                        _values_on(f, xi)[order], atom, np.concatenate(counts), r)
     sums = tuple(np.add.reduceat(osc ** p, first[:-1]).tolist())
-    return BesovProfile(float(p), r, sums, terminated)
+    return BesovProfile(float(p), r, sums)
 
 
-def besov_norm(f, nu, p: float, max_generation: int | None = None) -> float:
-    return besov_profile(f, nu, p, max_generation).norm
+def besov_norm(f, nu, p: float) -> float:
+    return besov_profile(f, nu, p).norm
 
 
 @dataclass(frozen=True)
@@ -401,11 +396,10 @@ class OscillationReport:
     besov: dict                 # p -> BesovProfile
 
 
-def oscillation_report(f, nu, eps_grid, p_list,
-                       max_generation: int | None = None) -> OscillationReport:
+def oscillation_report(f, nu, eps_grid, p_list) -> OscillationReport:
     fv = _values_on(f, np.asarray(nu.atoms, dtype=complex))
     masses, oscs = _run_oscillations(fv, nu)
-    profiles = {float(p): besov_profile(fv, nu, float(p), max_generation)
+    profiles = {float(p): besov_profile(fv, nu, float(p))
                 for p in p_list}
     return OscillationReport(np.asarray(eps_grid, dtype=float),
                              _modulus(masses, oscs, eps_grid), profiles)
@@ -419,7 +413,7 @@ class ProbeRow:
     schatten: dict              # p -> Schatten norm of the Hankel matrix
     besov: dict                 # p -> Besov norm of the standard symbol
     ratio: dict                 # p -> schatten / besov (nan when besov = 0)
-    terminated: dict            # p -> whether the Besov profile terminated
+    depth: dict                 # p -> generation where the Besov profile terminates
 
 
 def conjecture_probe(theta: BlaschkeProduct, alpha: complex, p_list,
@@ -427,8 +421,7 @@ def conjecture_probe(theta: BlaschkeProduct, alpha: complex, p_list,
                      quad: QuadratureSettings = DEFAULT_QUADRATURE):
     """Pair Schatten norms of truncated Hankel operators with dyadic
     Besov norms of their standard symbols against the squared-product
-    Clark measure.  Each row also says whether each Besov profile
-    terminated or stopped at the default generation cap.  Exploratory:
+    Clark measure, with the depth of each Besov profile.  Exploratory:
     emits the table and summary statistics, decides nothing.
 
     symbol_corpus: iterable of (tag, symbol) pairs.
@@ -441,17 +434,13 @@ def conjecture_probe(theta: BlaschkeProduct, alpha: complex, p_list,
         gamma = hankel_matrix(phi, basis)
         std = standard_symbol_on(phi, theta, square_basis)
         values = np.asarray(std.symbol(nu.atoms), dtype=complex)
-        srow, brow, rrow, trow = {}, {}, {}, {}
-        for p in p_list:
-            p = float(p)
-            s = gamma.schatten_norm(p)
-            profile = besov_profile(values, nu, p)
-            b = profile.norm
-            srow[p] = s
-            brow[p] = b
-            rrow[p] = s / b if b > 0.0 else float("nan")
-            trow[p] = profile.terminated
-        rows.append(ProbeRow(str(tag), srow, brow, rrow, trow))
+        ps = [float(p) for p in p_list]
+        schatten = {p: gamma.schatten_norm(p) for p in ps}
+        profiles = {p: besov_profile(values, nu, p) for p in ps}
+        besov = {p: profiles[p].norm for p in ps}
+        ratio = {p: schatten[p] / besov[p] if besov[p] > 0.0 else float("nan") for p in ps}
+        rows.append(ProbeRow(str(tag), schatten, besov, ratio,
+                             {p: profiles[p].depth for p in ps}))
     return rows
 
 

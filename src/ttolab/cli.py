@@ -21,7 +21,8 @@ from .besov import conjecture_probe, oscillation_report, probe_summary
 from .blaschke import BlaschkeProduct
 from .clark import clark_measure, clark_unitary, expected_mass, \
     poisson_identity_defect, square_clark_measure
-from .config import ConfigError, RunConfig, apply_overrides, load_config
+from .config import (ConfigError, RunConfig, apply_overrides, load_config,
+                     positive_exponents)
 from .corpus import random_blaschke, random_conjugate_square_symbol, \
     random_interior_points, random_trig_poly, spawn_rngs
 from .harmonic import QuadratureSettings, TrigPoly
@@ -215,11 +216,11 @@ def cmd_spectrum(args) -> int:
     config, out = _prepare(args)
     theta = parse_theta(args.theta)
     phi = parse_symbol(args.symbol)
+    p_list = positive_exponents(args.p_list.split(",") if args.p_list
+                                else ("1", "2"), "--p-list")
     quad = config.quadrature.settings()
     basis = build_basis(theta, quad)
     toep = toeplitz_matrix(phi, basis)
-    p_list = [float(p) for p in (args.p_list.split(",") if args.p_list
-                                 else ("1", "2"))]
     rep = spectral_report(toep, p_list)
     payload = {
         "inner_function": theta.to_dict(),
@@ -362,8 +363,7 @@ def cmd_besov(args) -> int:
     nu = square_clark_measure(theta, alpha)
     phi = random_conjugate_square_symbol(rng, theta, zero_mean=True)
     values = np.asarray(phi(nu.atoms), dtype=complex)
-    report = oscillation_report(values, nu, bes.eps_grid, bes.p_list,
-                                bes.max_generation)
+    report = oscillation_report(values, nu, bes.eps_grid, bes.p_list)
     payload = {
         "seed": config.sweep.seed,
         "inner_function": theta.to_dict(),
@@ -372,7 +372,7 @@ def cmd_besov(args) -> int:
         "modulus": report.modulus,
         "besov": {f"{p:g}": {"norm": prof.norm, "r": prof.r,
                              "generation_sums": list(prof.generation_sums),
-                             "terminated": prof.terminated}
+                             "depth": prof.depth}
                   for p, prof in report.besov.items()},
     }
     write_text(out / "besov.csv", csv_table(
@@ -402,7 +402,7 @@ def cmd_conjecture(args) -> int:
         for row in rows:
             for p in p_list:
                 rows_csv.append((f"z^{degree}", row.tag, p, row.schatten[p],
-                                 row.besov[p], row.ratio[p], row.terminated[p]))
+                                 row.besov[p], row.ratio[p], row.depth[p]))
     payload = {
         "seed": config.sweep.seed,
         "alpha_angle": con.alpha_angle,
@@ -412,7 +412,7 @@ def cmd_conjecture(args) -> int:
         "note": "exploratory: paired quantities only, no pass/fail",
     }
     write_text(out / "conjecture.csv", csv_table(
-        ("theta", "tag", "p", "schatten_norm", "besov_norm", "ratio", "terminated"),
+        ("theta", "tag", "p", "schatten_norm", "besov_norm", "ratio", "depth"),
         rows_csv))
     _emit(args, out / "conjecture.json", payload)
     return 0

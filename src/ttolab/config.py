@@ -18,6 +18,17 @@ class ConfigError(Exception):
     pass
 
 
+def positive_exponents(values, name: str) -> list:
+    """The exponents as floats; ConfigError unless each is positive."""
+    try:
+        exponents = [float(p) for p in values]
+        if all(p > 0 for p in exponents):
+            return exponents
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} entries must be positive numbers")
+
+
 @dataclass
 class QuadratureConfig:
     m_init: int = 256
@@ -109,13 +120,11 @@ class BesovConfig:
     p_list: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
     eps_grid: list = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.4,
                                                     0.8, 1.2, 2.0])
-    max_generation: int = 8
 
     def validate(self):
         if self.degree < 1:
             raise ConfigError("besov.degree must be >= 1")
-        if any(float(p) <= 0 for p in self.p_list):
-            raise ConfigError("besov.p_list entries must be positive")
+        positive_exponents(self.p_list, "besov.p_list")
 
 
 @dataclass
@@ -131,6 +140,7 @@ class ConjectureConfig:
             raise ConfigError("conjecture.corpus must be >= 1")
         if any(int(d) < 1 for d in self.degrees):
             raise ConfigError("conjecture.degrees must hold positive integers")
+        positive_exponents(self.p_list, "conjecture.p_list")
 
 
 _SECTIONS = {

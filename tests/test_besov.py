@@ -1,6 +1,8 @@
+import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,8 +14,8 @@ from ttolab.besov import (
     LebesgueGrid,
     besov_norm,
     besov_profile,
+    DyadicPartition,
     conjecture_probe,
-    default_generation_cap,
     dyadic_family,
     moment_polynomial,
     oscillation,
@@ -107,12 +109,12 @@ def test_dyadic_family_tiles():
 
 def test_besov_profile_two_atoms():
     # frozen by hand: generation 0 gives osc 1; all deeper arcs hold at
-    # most one atom, so with r = 0 the projection profile terminates
+    # most one atom, so with r = 0 the projection profile terminates at 1
     nu = two_point_measure()
     f = TrigPoly.z()
     prof = besov_profile(f, nu, p=2.0)
     assert prof.r == 0
-    assert prof.terminated
+    assert prof.depth == 1 and prof.generation_sums[1] == 0.0
     assert abs(prof.norm - 1.0) < 1e-12
     assert abs(besov_norm(f, nu, 2.0) - 1.0) < 1e-12
 
@@ -131,13 +133,6 @@ def test_besov_exponent_rule():
     for p in (0.5, 1.0, 2.0):
         prof = besov_profile(f, nu, p)
         assert prof.r == int(np.floor(1.0 / p))
-
-
-def test_generation_cap_scales_with_atoms():
-    nu = two_point_measure()
-    assert default_generation_cap(nu) >= 5
-    grid = LebesgueGrid(4096)
-    assert default_generation_cap(grid) >= 12
 
 
 def test_lebesgue_grid_mass():
@@ -168,20 +163,72 @@ def test_conjecture_probe_frozen_point():
 
 
 def test_conjecture_probe_reports_termination():
-    # theta = z: two atoms, every profile terminates; zeros 1 - 2^-k at
-    # n = 16: the atoms cluster and every profile stops at the default cap
+    # theta = z: two atoms; zeros 1 - 2^-k at n = 16: the atoms cluster
+    # and the profiles go deep.  Each row reports the generation where
+    # every arc first holds at most r + 1 atoms
     zbar = TrigPoly({-1: 1.0})
     p_list = [0.5, 1.0, 2.0]
-    for zeros, terminated in (([0], True), ([1 - 2.0**-k for k in range(1, 17)], False)):
+    for zeros, depths in (([0], [0, 0, 1]),
+                          ([1 - 2.0**-k for k in range(1, 17)], [17, 18, 19])):
         theta = BlaschkeProduct(zeros)
         row = conjecture_probe(theta, 1.0, p_list, [("zbar", zbar)])[0]
         nu = square_clark_measure(theta, 1.0)
         values = standard_symbol(zbar, theta).symbol(nu.atoms)
-        for p in p_list:
-            assert row.terminated[p] is terminated
+        for p, depth in zip(p_list, depths):
+            assert row.depth[p] == depth
             profile = besov_profile(values, nu, p)
-            assert profile.terminated is terminated
+            assert profile.depth == depth
+            fills = nu.partition.fills
+            assert fills[depth] <= profile.r + 1
+            assert depth == 0 or fills[depth - 1] > profile.r + 1
             assert abs(row.besov[p] - profile.norm) <= 1e-12 * max(1.0, profile.norm)
+
+
+def oracle_besov_norm(nu, values, p, dps=50):
+    """besov_norm evaluated in mpmath at dps digits from the double
+    atoms, weights and values: each atom's arc of generation k is the
+    floor of 2^k angle / (2 pi) in exact arithmetic on the doubles, and
+    each moment fit is solved in the monomials xi^j."""
+    r = int(math.floor(1.0 / p))
+    angles = np.mod(np.angle(nu.atoms), 2 * np.pi)
+    with mp.workdps(dps):
+        two_pi = mp.mpf(2 * np.pi)
+        xi = [mp.mpc(complex(a)) for a in nu.atoms]
+        w = [mp.mpf(float(v)) for v in nu.weights]
+        f = [mp.mpc(complex(v)) for v in values]
+        total = mp.mpf(0)
+        for k in itertools.count():
+            arcs = {}
+            for i, angle in enumerate(angles):
+                arcs.setdefault(int(mp.floor(mp.mpf(angle) * 2**k / two_pi)), []).append(i)
+            for held in arcs.values():
+                if len(held) <= r + 1:
+                    continue
+                gram, rhs = mp.matrix(r + 1, r + 1), mp.matrix(r + 1, 1)
+                for i in held:
+                    for row in range(r + 1):
+                        weighted = w[i] * mp.conj(xi[i]) ** row
+                        rhs[row] += weighted * f[i]
+                        for col in range(r + 1):
+                            gram[row, col] += weighted * xi[i] ** col
+                c = mp.lu_solve(gram, rhs)
+                deviation = sum(w[i] * abs(f[i] - sum(c[j] * xi[i] ** j for j in range(r + 1)))
+                                for i in held)
+                total += (deviation / sum(w[i] for i in held)) ** p
+            if max(len(held) for held in arcs.values()) <= r + 1:
+                return float(total ** (1 / mp.mpf(p)))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_besov_norm_matches_mpmath_oracle(n):
+    # the standard symbol of zbar on zeros 1 - 2^-k against the Clark
+    # measure of theta^2: the atoms cluster at 1, and the profile must
+    # run to termination with well-conditioned fits on the short arcs
+    theta = BlaschkeProduct([1 - 2.0**-k for k in range(1, n + 1)])
+    nu = square_clark_measure(theta, 1.0)
+    values = standard_symbol(TrigPoly({-1: 1.0}), theta).symbol(nu.atoms)
+    want = oracle_besov_norm(nu, values, 0.5)
+    assert abs(besov_norm(values, nu, 0.5) - want) <= 1e-8 * want
 
 
 def test_conjecture_probe_builds_each_basis_once(monkeypatch):
@@ -234,7 +281,10 @@ def solved_condition(xi, w, r):
 def per_arc_profile(fv, nu, p):
     """besov_profile written as the plain loop over Arc objects: halve
     the circle with Arc.halves, test membership with Arc.contains and
-    fit with moment_polynomial, one arc at a time.
+    fit with moment_polynomial, one arc at a time, until every arc holds
+    at most r + 1 atoms.  Arcs that hold no atom are not halved further.
+    Each fit is in the variable (xi - c) / h, c the middle of the arc's
+    atoms in angle order and h the largest |xi - c|.
 
     Also returns, per generation, the first-order sensitivity of its sum
     to rounding: the sum over arcs of p osc^(p-1) kappa mean|f|, kappa
@@ -244,40 +294,43 @@ def per_arc_profile(fv, nu, p):
     """
     r = int(math.floor(1.0 / p))
     atoms = np.asarray(nu.atoms, dtype=complex)
+    angles = np.mod(np.angle(atoms), 2 * np.pi)
     w = np.asarray(nu.weights, dtype=float)
     arcs = list(dyadic_family(0).generations[0])
-    sums, slack, terminated = [], [], False
-    for _ in range(default_generation_cap(nu) + 1):
-        total, spread, most = 0.0, 0.0, 0
+    sums, slack = [], []
+    while True:
+        total, spread, most, occupied = 0.0, 0.0, 0, []
         for arc in arcs:
-            mask = arc.contains(atoms)
-            most = max(most, int(mask.sum()))
-            xi, wa, fa = atoms[mask], w[mask], fv[mask]
+            held = np.flatnonzero(arc.contains(atoms))
+            if held.size:
+                occupied.append(arc)
+            most = max(most, held.size)
+            held = held[np.argsort(angles[held], kind="stable")]
+            xi, wa, fa = atoms[held], w[held], fv[held]
             mass = wa.sum()
             if mass <= 0.0:
                 continue
             if xi.size <= r + 1:
                 continue
-            coeffs = moment_polynomial(xi, wa, fa, r)
-            osc = np.sum(wa * np.abs(fa - np.polyval(coeffs[::-1], xi))) / mass
-            kappa = solved_condition(xi, wa, r)
+            u = xi - xi[xi.size // 2]
+            u /= np.abs(u).max()
+            coeffs = moment_polynomial(u, wa, fa, r)
+            osc = np.sum(wa * np.abs(fa - np.polyval(coeffs[::-1], u))) / mass
+            kappa = solved_condition(u, wa, r)
             if osc > 0.0:
                 total += osc**p
                 spread += p * osc**(p - 1) * kappa * np.sum(wa * np.abs(fa)) / mass
         sums.append(total)
         slack.append(spread)
-        if isinstance(nu, ClarkMeasure) and most <= r + 1:
-            terminated = True
-            break
-        arcs = [half for arc in arcs for half in arc.halves()]
-    return sums, slack, terminated
+        if most <= r + 1:
+            return sums, slack
+        arcs = [half for arc in occupied for half in arc.halves()]
 
 
 def assert_matches_per_arc_loop(fv, nu, p):
     prof = besov_profile(fv, nu, p)
-    sums, slack, terminated = per_arc_profile(fv, nu, p)
+    sums, slack = per_arc_profile(fv, nu, p)
     assert len(prof.generation_sums) == len(sums)
-    assert prof.terminated == terminated
     eps = np.finfo(float).eps
     for got, want, scale in zip(prof.generation_sums, sums, slack):
         assert abs(got - want) <= 1e-12 * abs(want) + 10 * eps * scale, (got, want)
@@ -311,13 +364,15 @@ def test_besov_profile_matches_per_arc_loop(kind, zeros, alpha_angle, grid_size,
 
 
 def test_rank_fallback_on_clustered_atoms(monkeypatch):
-    # three clusters of three atoms 1e-6 apart: every arc holding one
-    # cluster has a moment Gram of numerical rank 1 < r + 1 = 2 (smallest
-    # singular value about 1e-12, under the rank tolerance 1e-10)
-    angles = np.add.outer([0.5, 2.5, 4.5], [0.0, 1e-6, 2e-6]).ravel()
+    # three clusters of four atoms 1e-6 apart, fitted with r = 2.  The arc
+    # [0, pi) holds two clusters: in its centred variable they are two
+    # points, so its moment Gram has numerical rank 2 < r + 1 = 3 and it
+    # takes the fallback.  An arc holding one cluster spreads it over the
+    # unit disc, and its Gram passes the batched check
+    angles = np.add.outer([0.5, 2.5, 4.5], [0.0, 1e-6, 2e-6, 3e-6]).ravel()
     rng = np.random.default_rng(5)
-    nu = ClarkMeasure(1.0, np.exp(1j * angles), rng.uniform(0.5, 1.5, 9))
-    fv = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    nu = ClarkMeasure(1.0, np.exp(1j * angles), rng.uniform(0.5, 1.5, 12))
+    fv = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     calls = []
 
     def counting(*args):
@@ -325,8 +380,8 @@ def test_rank_fallback_on_clustered_atoms(monkeypatch):
         return moment_polynomial(*args)
 
     monkeypatch.setattr(besov, "moment_polynomial", counting)
-    assert_matches_per_arc_loop(fv, nu, 1.0)
-    assert calls and set(calls) == {3}
+    assert_matches_per_arc_loop(fv, nu, 0.5)
+    assert calls == [8]
     # well separated atoms: every Gram passes the batched check
     calls.clear()
     spread = square_clark_measure(BlaschkeProduct([0.3, -0.4j, 0.5 + 0.2j]), 1.0)
@@ -334,9 +389,28 @@ def test_rank_fallback_on_clustered_atoms(monkeypatch):
     assert calls == []
 
 
+def test_grid_fits_pass_the_batched_check(monkeypatch):
+    # in the centred, scaled variable every moment Gram of a uniform grid
+    # passes the rank check, down to r = 4
+    grid = LebesgueGrid(4096)
+    rng = np.random.default_rng(8)
+    fv = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return moment_polynomial(*args)
+
+    monkeypatch.setattr(besov, "moment_polynomial", counting)
+    for p in (0.25, 0.5):
+        besov_profile(fv, grid, p)
+    assert calls == []
+
+
 def test_besov_profile_memory_is_bounded():
-    # 2^16 arcs in the last generation against 4096 atoms: a dense
-    # arcs x atoms mask alone would take 256 MB
+    # the profile terminates at generation 10, where each of 1024 arcs
+    # holds 4 <= r + 1 nodes; a dense arcs x atoms mask of the last
+    # generation alone would take 32 MB
     grid = LebesgueGrid(4096)
     rng = np.random.default_rng(8)
     fv = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
@@ -346,8 +420,49 @@ def test_besov_profile_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(prof.generation_sums) == default_generation_cap(grid) + 1
+    assert prof.depth == 10
     assert peak < 64 * 2**20
+
+
+def test_deep_profile_memory_is_bounded():
+    # zeros 1 - 2^-k at n = 32: the profile terminates at generation 33,
+    # where arrays over all 2^k arcs would take 2^34 slots; the kernel
+    # holds only the occupied arcs
+    theta = BlaschkeProduct([1 - 2.0**-k for k in range(1, 33)])
+    nu = square_clark_measure(theta, 1.0)
+    rng = np.random.default_rng(9)
+    fv = rng.standard_normal(len(nu.atoms)) + 1j * rng.standard_normal(len(nu.atoms))
+    tracemalloc.start()
+    try:
+        prof = besov_profile(fv, nu, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.depth == 33
+    assert peak < 8 * 2**20
+
+
+def test_partition_refuses_coincident_atoms():
+    # two equal atoms share every arc, so no generation would separate them
+    nu = ClarkMeasure(1.0, np.array([1.0, 1.0 + 0.0j]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="closer"):
+        besov_profile(TrigPoly.z(), nu, 2.0)
+    # one arc's oscillation needs no partition: the fit falls back to the mean
+    assert oscillation(np.array([1.0, -1.0]), nu, FULL, 0) == 1.0
+    with pytest.raises(ValueError, match="closer"):
+        DyadicPartition(np.exp(1j * np.array([1e-300, np.nextafter(1e-300, 1.0), 2.0])))
+
+
+def test_adjacent_doubles_terminate():
+    # atoms whose angles are adjacent doubles near 2 pi - 1e-3 share an arc
+    # until the arc ends resolve one ulp
+    atoms = np.exp(1j * (2 * np.pi - 1e-3 + np.array([0.0, np.spacing(2 * np.pi)])))
+    part = DyadicPartition(atoms)
+    assert np.diff(part.angles)[0] == np.spacing(part.angles[0])
+    nu = ClarkMeasure(1.0, atoms, np.array([1.0, 2.0]))
+    prof = besov_profile(np.array([1.0, -1.0j]), nu, 2.0)
+    assert prof.depth == 51
+    assert nu.partition.fills[50] == 2
 
 
 def test_dyadic_halves_split_grid_nodes_exactly():
@@ -382,8 +497,8 @@ def test_profiles_share_the_measure_partition(kind):
     fv = rng.standard_normal(len(nu.atoms)) + 1j * rng.standard_normal(len(nu.atoms))
     profiles = [besov_profile(fv, nu, p) for p in (0.5, 1.0, 2.0)]
     depths = [len(prof.generation_sums) for prof in profiles]
-    assert len(nu.partition.arcs) == max(depths)
-    assert max(depths) > min(depths) or kind == "grid"
+    assert len(nu.partition.counts) == max(depths)
+    assert max(depths) > min(depths)
     for p, prof in zip((0.5, 1.0, 2.0), profiles):
         fresh = besov_profile(fv, _copy(nu), p)
         assert prof == fresh
@@ -401,7 +516,7 @@ def test_arcs_partition_atoms_at_the_wrap(kwargs):
     # angle that reduces to exactly 2 pi, where the last arc of each
     # generation meets the first: it must fall in exactly one arc
     nu = ClarkMeasure(1.0, weights=np.linspace(1.0, 2.0, 6), **kwargs)
-    for arcs in dyadic_family(default_generation_cap(nu)).generations:
+    for arcs in dyadic_family(7).generations:
         held = sum(arc.contains(nu.atoms).astype(int) for arc in arcs)
         assert held.tolist() == [1] * 6
     fv = np.arange(6) + 2.0j
@@ -414,12 +529,22 @@ def test_arcs_partition_atoms_at_the_wrap(kwargs):
                                     [1.0 - 2.0**-k for k in range(1, 17)]), 1.0)],
                          ids=["grid", "square"])
 def test_partition_index_is_position_in_dyadic_family(nu):
-    # bisection's arc index of every atom is the position of the arc of
-    # dyadic_family that holds it, in every generation up to the cap
-    cap = default_generation_cap(nu)
-    for k, arcs in enumerate(dyadic_family(cap).generations):
-        where = np.array([arc.contains(nu.atoms) for arc in arcs])
+    # bisection's runs of atoms, taken in angle order, are the arcs of
+    # dyadic_family that hold atoms, in order: the run of every atom is
+    # the position of its arc among them, in every generation until each
+    # atom has its own arc
+    part = nu.partition
+    atoms = np.asarray(nu.atoms)[part.order]
+    assert np.all(np.diff(part.angles) > 0)
+    arcs = [FULL]
+    for k in itertools.count():
+        where = np.array([arc.contains(atoms) for arc in arcs])
+        occupied = where.any(axis=1)
+        where, arcs = where[occupied], [a for a, o in zip(arcs, occupied) if o]
         assert np.all(where.sum(axis=0) == 1)
-        arc, fill = nu.partition.generation(k)
-        assert np.array_equal(arc, np.argmax(where, axis=0))
+        count, fill = part.generation(k)
+        assert np.array_equal(np.repeat(np.arange(count.size), count), np.argmax(where, axis=0))
         assert fill == where.sum(axis=1).max()
+        if fill == 1:
+            break
+        arcs = [half for arc in arcs for half in arc.halves()]

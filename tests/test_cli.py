@@ -233,6 +233,27 @@ def test_spectrum_dump(tmp_path):
     assert "1" in payload["schatten"] or "1.0" in payload["schatten"]
 
 
+@pytest.mark.parametrize("p_list", ["0,1", "a", "1,-2"])
+def test_spectrum_bad_exponent_is_config_error(tmp_path, p_list):
+    assert run(["spectrum", "--theta", "z^3", "--symbol", "z",
+                "--p-list", p_list, "--output-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+def test_bad_schatten_exponent_is_config_error(tmp_path):
+    assert run(["conjecture", "--set", "conjecture.p_list=[0.5, 0]",
+                "--output-dir", str(tmp_path)]) == 2
+    assert run(["besov", "--set", "besov.p_list=[-1]",
+                "--output-dir", str(tmp_path)]) == 2
+
+
+def test_old_besov_generation_cap_is_config_error(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"besov": {"max_generation": 8}}))
+    assert run(["besov", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "besov.json").exists()
+
+
 def test_bad_theta_is_config_error(tmp_path):
     assert run(["basis", "--theta", "frog", "--output-dir", str(tmp_path)]) == 2
 
@@ -325,8 +346,13 @@ def test_conjecture_command(tmp_path):
     code = run(["conjecture", "--set", "conjecture.degrees=[2]",
                 "--set", "conjecture.corpus=2", "--output-dir", str(tmp_path)])
     assert code == 0
-    header = (tmp_path / "conjecture.csv").read_text().splitlines()[0]
-    assert header.split(",")[-1] == "terminated"
+    header, *rows = (tmp_path / "conjecture.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "depth"
+    # theta = z^2: the four Clark atoms of z^4 sit at the dyadic ends, so
+    # each arc holds at most r + 1 of them from generation 1 at p = 0.5
+    # and 1 (r = 2, 1) and from generation 2 at p = 2 (r = 0)
+    depths = {float(row.split(",")[2]): row.split(",")[-1] for row in rows}
+    assert depths == {0.5: "1", 1.0: "1", 2.0: "2"}
     payload = json.loads((tmp_path / "conjecture.json").read_text())
     assert "exploratory" in payload["note"]
 

@@ -31,6 +31,9 @@ def test_unknown_key_rejected():
     # removed keys are refused by name, so an old config fails loudly
     with pytest.raises(ConfigError, match="sweep.instances"):
         config_from_dict({"sweep": {"instances": 100}})
+    # Besov profiles run to termination: the generation cap is gone
+    with pytest.raises(ConfigError, match="besov.max_generation"):
+        config_from_dict({"besov": {"max_generation": 8}})
 
 
 def test_validation_bounds():
@@ -40,6 +43,13 @@ def test_validation_bounds():
         config_from_dict({"essential": {"ratio": 1.5}})
     with pytest.raises(ConfigError):
         config_from_dict({"tolerances": {"identity": -1.0}})
+
+
+@pytest.mark.parametrize("section", ["besov", "conjecture"])
+@pytest.mark.parametrize("p_list", [[0.5, 0.0], [-1.0], ["a"], [None], 2.0])
+def test_schatten_exponents_must_be_positive(section, p_list):
+    with pytest.raises(ConfigError, match=f"{section}.p_list"):
+        config_from_dict({section: {"p_list": p_list}})
 
 
 def test_overrides_dotted_paths():
