@@ -218,7 +218,7 @@ def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
     x, ws, fs = xi[members], w[members], fv[members]
     x = x - np.repeat(x[seg + count // 2], count)
     h = np.maximum.reduceat(np.abs(x), seg)
-    x /= np.repeat(np.where(h > 0.0, h, 1.0), count)
+    x /= np.repeat(np.where(h > 0.0, h, 1.0), count)   # h = 0: coincident atoms on one arc
     powers = x[:, None] ** np.arange(r + 1)
     weighted = powers.conj() * ws[:, None]
     outer = (weighted[:, :, None] * powers[:, None, :]).reshape(members.size, -1)
