@@ -7,11 +7,12 @@ without any grid: the continuous boundary phase and its first two
 derivatives have a closed form per zero, its values at O(d) breakpoints
 set by the zeros (each zero's angle and three levels of its tails) give
 every atom a bracket and a start of its own, and one vectorised Halley
-iteration with the safeguards of rtsafe refines all d at once in O(d^2)
-memory, stopping each root once the second derivative predicts its
-remaining error below two ulp.  A root that must bisect in the tail of a
-zero's phase splits its bracket geometrically in the distance from that
-zero's angle.  The Clark measure places weight 1/|theta'| at each atom;
+iteration with the safeguards of rtsafe refines all d at once, stopping
+each root once the second derivative predicts its remaining error below
+two ulp.  The phase is evaluated in blocks of bounded size, so no
+evaluation holds a whole (angles x zeros) table.  A root that must
+bisect in the tail of a zero's phase splits its bracket geometrically in
+the distance from that zero's angle.  The Clark measure places weight 1/|theta'| at each atom;
 the induced embedding of the model space into L2 of that measure is
 unitary.  The level sets at alpha and -alpha come from one pass over 2d
 targets, one sort and one evaluation of |theta'| (`clark_pair`).  A
@@ -28,7 +29,7 @@ the two pipelines is the strongest end-to-end check in the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -83,6 +84,9 @@ _TINY = np.finfo(float).tiny
 # breakpoints beta + delta * _LADDER of each zero: its angle and three
 # levels of its tails, on the scales where its phase turns
 _LADDER = np.array([0.0, -1.0, 1.0, -4.0, 4.0, -16.0, 16.0])
+# largest (angles x zeros) block of one phase evaluation: memory stays
+# O(_PHASE_BLOCK) per block however many angles and zeros there are
+_PHASE_BLOCK = 1 << 16
 
 
 class _Factors(NamedTuple):
@@ -106,9 +110,22 @@ def _factors(zeros) -> _Factors:
 
 
 def _boundary_phase(factors, t):
-    """Continuous boundary phase Phi of the zero factors at angles t, as
-    whole turns plus a remainder, its derivative |theta'| and its second
-    derivative, each of shape t.shape: Phi(t) = 2 pi turns + rest.
+    """Continuous boundary phase Phi of the zero factors at the angles t
+    (one axis), as whole turns plus a remainder, its derivative |theta'|
+    and its second derivative, each of shape t.shape:
+    Phi(t) = 2 pi turns + rest.  The angles are taken in blocks of at most
+    _PHASE_BLOCK (angles x zeros) terms (`_phase_block`); each angle's sums
+    are the same in any block.
+    """
+    rows = max(1, _PHASE_BLOCK // max(factors.beta.size, 1))
+    if t.size <= rows:
+        return _phase_block(factors, t)
+    blocks = [_phase_block(factors, t[i:i + rows]) for i in range(0, t.size, rows)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _phase_block(factors, t):
+    """`_boundary_phase` at the angles t in one broadcast over the zeros.
 
     With t - beta = v + 2 pi m, v in [0, 2 pi), a zero lam = r e^{i beta}
     contributes 2 pi (m + 1) - 2 atan2((1 - r) cos(v/2), (1 + r) sin(v/2))
@@ -198,13 +215,13 @@ class _LevelSets(NamedTuple):
     evaluations: int      # vectorised evaluations of Phi
     bisections: int       # bisection moves
 
-    def measure(self, anchor: complex, side=slice(None)) -> ClarkMeasure:
-        """The Clark measure at anchor on the roots picked by side,
-        refused when two of them coincide."""
+    def measure(self, anchor: complex, side=slice(None), scale: float = 1.0) -> ClarkMeasure:
+        """The Clark measure at anchor on the roots picked by side, with
+        the weights times scale, refused when two of the roots coincide."""
         if not np.all(np.diff(self.angles[side]) > 0.0):
             raise ClarkError("atoms collide: zeros too close to the circle for double precision")
-        return ClarkMeasure(anchor, self.atoms[side], self.weights[side], self.evaluations,
-                            self.bisections)
+        return ClarkMeasure(anchor, self.atoms[side], scale * self.weights[side],
+                            self.evaluations, self.bisections)
 
 
 def _level_sets(theta: BlaschkeProduct, alpha: complex, per_turn: int) -> _LevelSets:
@@ -308,7 +325,8 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     zero angle whose ends lie more than 4x apart in distance from it, the
     geometric mean of those distances (`_split`), so that a root in the
     1/|t - beta| tail of a zero near T is not bisected linearly across
-    many decades.  Memory is O(d^2) however close the zeros lie to T;
+    many decades.  Phi is evaluated in blocks of at most _PHASE_BLOCK
+    (angles x zeros) terms, however close the zeros lie to T;
     `phase_evaluations` counts the vectorised evaluations of Phi and
     `bisections` the bisection moves.
     """
@@ -351,8 +369,7 @@ def square_clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure
     (`clark_pair`), with weights 1/|(theta^2)'| = 1/(2 |theta'|).  Like
     `clark_measure` it is refused only when two atoms coincide in double
     precision."""
-    nu = _level_sets(theta, alpha, 2).measure(complex(alpha) ** 2)
-    return replace(nu, weights=0.5 * nu.weights)
+    return _level_sets(theta, alpha, 2).measure(complex(alpha) ** 2, scale=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +396,11 @@ class ClarkUnitary:
 
 
 def clark_unitary(basis: ModelSpaceBasis, measure: ClarkMeasure) -> ClarkUnitary:
-    samples = basis.sample(measure.atoms)  # (d, n_atoms)
+    return _embedding(basis, measure, basis.sample(measure.atoms))
+
+
+def _embedding(basis: ModelSpaceBasis, measure: ClarkMeasure, samples) -> ClarkUnitary:
+    """`clark_unitary` from the basis sampled at the atoms, (d, n_atoms)."""
     entries = np.sqrt(measure.weights)[:, None] * samples.T
     op = OperatorMatrix(entries, basis.space_tag(), measure.space_tag(),
                         "clark-embedding")
@@ -392,7 +413,12 @@ def conjugate_clark_unitary(basis: ModelSpaceBasis, measure: ClarkMeasure) -> Cl
     The basis vector conj(z e_k) restricts to the trace
     zeta -> conj(zeta e_k(zeta)); rows carry the usual sqrt-weight.
     """
-    samples = basis.sample(measure.atoms)  # (d, n_atoms)
+    return _conjugate_embedding(basis, measure, basis.sample(measure.atoms))
+
+
+def _conjugate_embedding(basis: ModelSpaceBasis, measure: ClarkMeasure,
+                         samples) -> ClarkUnitary:
+    """`conjugate_clark_unitary` from the basis sampled at the atoms."""
     traces = np.conj(measure.atoms[None, :] * samples)
     entries = np.sqrt(measure.weights)[:, None] * traces.T
     op = OperatorMatrix(entries, basis.conjugate_space_tag(), measure.space_tag(),
@@ -447,8 +473,17 @@ def commutator_matrix(phi: Symbol, plus: ClarkMeasure,
     input-side values, the orientation that matches the Hankel operator
     exactly (not merely up to phase).
     """
-    pv = np.asarray(phi(plus.atoms), dtype=complex)
-    mv = np.asarray(phi(minus.atoms), dtype=complex)
+    return _commutator(*_atom_values(phi, plus, minus), plus, minus)
+
+
+def _atom_values(phi: Symbol, plus: ClarkMeasure, minus: ClarkMeasure):
+    """phi at the atoms of plus and at those of minus, from one evaluation."""
+    values = np.asarray(phi(np.concatenate([plus.atoms, minus.atoms])), dtype=complex)
+    return values[:plus.atoms.size], values[plus.atoms.size:]
+
+
+def _commutator(pv, mv, plus: ClarkMeasure, minus: ClarkMeasure) -> OperatorMatrix:
+    """`commutator_matrix` from the values pv, mv of phi at the atoms."""
     denom = 1.0 - np.conj(plus.atoms)[None, :] * minus.atoms[:, None]
     diff = mv[:, None] - pv[None, :]
     entries = np.sqrt(np.outer(minus.weights, plus.weights)) * diff / denom
@@ -460,10 +495,9 @@ def commutator_route_defect(phi: Symbol, plus: ClarkMeasure,
                             minus: ClarkMeasure) -> float:
     """Check the kernel form against the multiplication-operator route
     (diag(phi) H - H diag(phi)) / 2."""
-    kernel = commutator_matrix(phi, plus, minus)
+    pv, mv = _atom_values(phi, plus, minus)
+    kernel = _commutator(pv, mv, plus, minus)
     h = hilbert_transform_matrix(plus, minus).entries
-    pv = np.asarray(phi(plus.atoms), dtype=complex)
-    mv = np.asarray(phi(minus.atoms), dtype=complex)
     composed = 0.5 * (mv[:, None] * h - h * pv[None, :])
     return float(np.max(np.abs(kernel.entries - composed)))
 
@@ -501,8 +535,10 @@ def cross_route_equivalence(phi: Symbol, basis: ModelSpaceBasis,
     gamma = hankel_by_quadrature(phi, basis)
 
     plus, minus = clark_pair(theta, alpha)
-    embed = clark_unitary(basis, plus)
-    embed_conj = conjugate_clark_unitary(basis, minus)
+    # the basis at both atom sets in one sampling
+    samples = basis.sample(np.concatenate([plus.atoms, minus.atoms]))
+    embed = _embedding(basis, plus, samples[:, :plus.atoms.size])
+    embed_conj = _conjugate_embedding(basis, minus, samples[:, plus.atoms.size:])
     core = commutator_matrix(phi, plus, minus)
     clark_route = embed_conj.matrix.adjoint() @ core @ embed.matrix
 

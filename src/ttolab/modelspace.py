@@ -153,12 +153,35 @@ def _checked_rule(theta: BlaschkeProduct, atoms: np.ndarray, gram_tol: float) ->
     return ClarkRule(atoms, 1.0 / theta.boundary_derivative_modulus(atoms))
 
 
+def _product_from_last_row(zeros, samples, nodes) -> np.ndarray:
+    """The product B of the normalised Blaschke factors of zeros at nodes,
+    from their basis samples (`tm_samples(zeros, nodes)`).
+
+    The last row is e_{d-1} = s q with q = running / (1 - conj(lam) z) for
+    the last zero lam and s = sqrt(1 - |lam|^2), and the sampler's running
+    product after lam is B = u (lam - z) q with u = e^{-i arg lam}; so
+    B = e_{d-1} u (lam - z) / s, or z e_{d-1} when lam = 0.  B = 1 when
+    there are no zeros.
+    """
+    if not zeros:
+        return np.ones(np.shape(nodes), dtype=complex)
+    lam = complex(zeros[-1])
+    if lam == 0:
+        return nodes * samples[-1]
+    unit = cmath.rect(1.0, -cmath.phase(lam)) / (1.0 - abs(lam) ** 2) ** 0.5
+    return samples[-1] * (lam - nodes) * unit
+
+
 class BasisCombination(Symbol):
     """Linear combination sum_k c_k e_k, evaluated via the fast sampler.
 
     A combination made by `ModelSpaceBasis.combination` keeps that basis
     (`basis`, None otherwise), and with it the basis's Clark rule and its
-    samples at the rule's atoms.
+    samples at the rule's atoms.  On a doubled zero list Z + Z, as of
+    theta^2, the elements past the first half are B e_k with e_k the basis
+    of Z and B the product of its factors (K_{B^2} = K_B + B K_B), so a
+    combination samples Z once instead of Z + Z: `_sampled_zeros` is the
+    list it samples, and `_from_samples` its values from those samples.
     """
 
     def __init__(self, zeros, coeffs, basis: "ModelSpaceBasis | None" = None):
@@ -167,11 +190,24 @@ class BasisCombination(Symbol):
         self.basis = basis
         if self.coeffs.shape != (len(self.zeros),):
             raise ValueError("coefficient count must match basis size")
+        half = len(self.zeros) // 2
+        doubled = half and self.zeros[:half] == self.zeros[half:]
+        self._sampled_zeros = self.zeros[:half] if doubled else self.zeros
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
-        samples = tm_samples(self.zeros, z.ravel())
-        return (self.coeffs @ samples).reshape(z.shape)
+        nodes = z.ravel()
+        samples = tm_samples(self._sampled_zeros, nodes)
+        return self._from_samples(samples, nodes).reshape(z.shape)
+
+    def _from_samples(self, samples, nodes) -> np.ndarray:
+        """The combination at nodes (one axis) from the samples
+        `tm_samples(self._sampled_zeros, nodes)`."""
+        d = len(self._sampled_zeros)
+        if d == len(self.zeros):
+            return self.coeffs @ samples
+        product = _product_from_last_row(self._sampled_zeros, samples, nodes)
+        return self.coeffs[:d] @ samples + product * (self.coeffs[d:] @ samples)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

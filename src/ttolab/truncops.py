@@ -17,7 +17,9 @@ whose theta^2 basis brings its rule and samples along), and the two
 factors of the Hankel-Toeplitz link for a trigonometric polynomial.
 Every other symbol is integrated by adaptive quadrature at the basis's
 own settings (`ModelSpaceBasis.quad`), and the quadrature builders stay
-as the independent check on the other two routes.
+as the independent check on the other two routes.  A quadrature call
+samples the basis once per node block, for the rows, the columns and a
+symbol that combines the basis's own elements.
 """
 from __future__ import annotations
 
@@ -31,8 +33,9 @@ from .harmonic import (DEFAULT_QUADRATURE, ConjSymbol, QuadratureSettings,
                        RationalSymbol, Symbol, TrigPoly, matrix_integral,
                        poisson_extension, unit_nodes)
 from .modelspace import (BasisCombination, ConjugateKernel, ModelSpaceBasis,
-                         build_basis, clark_rule, conjugate_kernel,
-                         subspace_pairing, vanishing_at_origin_subspace)
+                         _product_from_last_row, build_basis, clark_rule,
+                         conjugate_kernel, subspace_pairing,
+                         vanishing_at_origin_subspace)
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,51 @@ def toeplitz_by_quadrature(phi: Symbol, basis: ModelSpaceBasis) -> OperatorMatri
     against e_j, the integrals evaluated together by adaptive quadrature
     at the basis's settings.  Works for any bounded symbol and is the
     independent check on the closed form."""
-    entries, _ = matrix_integral(basis.sample, basis.sample, phi, basis.quad)
+    sample = _block_sampler(basis)
+    entries, _ = matrix_integral(sample, sample, _block_symbol(phi, basis, sample), basis.quad)
     tag = basis.space_tag()
     return OperatorMatrix(entries, tag, tag, "toeplitz:boundary-quadrature")
 
 
-def _conjugate_row_sample(basis: ModelSpaceBasis):
-    """Samples of conj(conj(z e_j)) = z e_j, the Hankel codomain rows."""
+def _block_sampler(basis: ModelSpaceBasis):
+    """`basis.sample` for one quadrature call, keeping its last node block:
+    `matrix_integral` samples the rows and the columns of a block at the
+    same nodes, so the second request is served from the first."""
+    kept = [None, None]
 
     def sample(nodes):
-        return np.conj(nodes[None, :] * basis.sample(nodes))
+        if nodes is not kept[0]:
+            kept[:] = nodes, basis.sample(nodes)
+        return kept[1]
 
     return sample
+
+
+def _block_symbol(phi: Symbol, basis: ModelSpaceBasis, sample):
+    """phi for one quadrature call on the basis.  A combination sampled on
+    theta's own zeros (of the basis of theta or of theta^2), or its
+    conjugate, is evaluated from the samples that `sample`, the call's
+    block sampler, keeps; any other symbol is phi itself."""
+    inner = phi.inner if isinstance(phi, ConjSymbol) else phi
+    if not (isinstance(inner, BasisCombination)
+            and inner._sampled_zeros == basis.theta.zeros):
+        return phi
+
+    def values(nodes):
+        out = inner._from_samples(sample(nodes), nodes)
+        return out if inner is phi else np.conj(out)
+
+    return values
+
+
+def _conjugate_row_sample(sample):
+    """Samples of conj(conj(z e_j)) = z e_j, the Hankel codomain rows, from
+    a sampler of the e_j."""
+
+    def rows(nodes):
+        return np.conj(nodes[None, :] * sample(nodes))
+
+    return rows
 
 
 def hankel_matrix(phi: Symbol, basis: ModelSpaceBasis) -> OperatorMatrix:
@@ -217,8 +253,9 @@ def hankel_by_quadrature(phi: Symbol, basis: ModelSpaceBasis) -> OperatorMatrix:
     """Hankel matrix with entry (j, k) = int phi e_k z e_j dm evaluated by
     adaptive quadrature at the basis's settings.  Works for any bounded
     symbol and is the independent check on the closed form."""
-    entries, _ = matrix_integral(_conjugate_row_sample(basis), basis.sample, phi,
-                                 basis.quad)
+    sample = _block_sampler(basis)
+    entries, _ = matrix_integral(_conjugate_row_sample(sample), sample,
+                                 _block_symbol(phi, basis, sample), basis.quad)
     return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
                           "hankel:boundary-quadrature")
 
@@ -229,7 +266,8 @@ def conjugate_multiplier_matrix(basis: ModelSpaceBasis) -> OperatorMatrix:
     This map is a surjective isometry (it implements the canonical
     conjugation up to the fixed codomain basis), so the matrix is unitary.
     """
-    entries, _ = matrix_integral(_conjugate_row_sample(basis), basis.sample,
+    sample = _block_sampler(basis)
+    entries, _ = matrix_integral(_conjugate_row_sample(sample), sample,
                                  basis.theta.conj(), basis.quad)
     return OperatorMatrix(entries, basis.space_tag(), basis.conjugate_space_tag(),
                           "conj-theta-multiplier")
@@ -257,7 +295,8 @@ def lifted_toeplitz_by_rule(phi: TrigPoly, basis: ModelSpaceBasis) -> OperatorMa
     only the terms c_{-m} of phi survive: entry (j, k) is
     sum_{m>=1} c_{-m} (theta e_k, z^m e_j).  Both factors lie in
     K_{z^B theta^2} for B = -min frequency, whose rule sums the entry
-    exactly.
+    exactly.  theta = gamma B at the atoms comes from the last row of the
+    basis sampled there.
     """
     depth = max(0, -min(phi.coeffs, default=0))
     theta = basis.theta
@@ -265,7 +304,8 @@ def lifted_toeplitz_by_rule(phi: TrigPoly, basis: ModelSpaceBasis) -> OperatorMa
                                 basis.gram_tol)
     co_analytic = TrigPoly({k: c for k, c in phi.coeffs.items() if k < 0})
     samples = basis.sample(atoms)
-    entries = (np.conj(samples) * (weights * theta(atoms) * co_analytic(atoms))) @ samples.T
+    theta_at = theta.gamma * _product_from_last_row(theta.zeros, samples, atoms)
+    entries = (np.conj(samples) * (weights * theta_at * co_analytic(atoms))) @ samples.T
     tag = basis.space_tag()
     return OperatorMatrix(entries, tag, tag, "toeplitz:clark-rule")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttolab import harmonic, modelspace
+from ttolab import clark, harmonic, modelspace
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.clark import (
     _boundary_phase,
@@ -443,3 +443,83 @@ def test_atoms_keep_precision_where_the_phase_is_flat(delta, beta, gamma):
     mu = clark_measure(theta, 1.0)
     eig = _clark_atoms(theta)
     assert np.max(np.abs(mu.atoms - eig / np.abs(eig))) < 1e-14
+
+
+def test_commutator_evaluates_phi_once(rng):
+    # phi is evaluated once, on both atom sets together
+    plus, minus = clark_pair(THETA, ALPHA)
+    phi = random_conjugate_square_symbol(rng, THETA)
+    calls = []
+
+    def counted(z):
+        calls.append(np.size(z))
+        return phi(z)
+
+    separate = np.asarray(phi(minus.atoms))[:, None] - np.asarray(phi(plus.atoms))[None, :]
+    entries = commutator_matrix(counted, plus, minus).entries
+    assert calls == [2 * THETA.degree]
+    denom = 1.0 - np.conj(plus.atoms)[None, :] * minus.atoms[:, None]
+    weight = np.sqrt(np.outer(minus.weights, plus.weights))
+    assert np.max(np.abs(entries - weight * separate / denom)) < 1e-14
+    calls.clear()
+    assert commutator_route_defect(counted, plus, minus) < 1e-10
+    assert calls == [2 * THETA.degree]
+
+
+def test_cross_route_samples_the_atoms_once(rng):
+    # the Clark route samples the basis once at both atom sets; the
+    # quadrature route samples whole node blocks
+    basis = build_basis(THETA)
+    phi = random_conjugate_square_symbol(rng, THETA)
+    sizes = []
+    sample = basis.sample
+    basis.sample = lambda nodes: sizes.append(np.size(nodes)) or sample(nodes)
+    cross_route_equivalence(phi, basis, ALPHA)
+    atoms = [n for n in sizes if n < basis.quad.m_init]
+    assert atoms == [2 * THETA.degree]
+
+
+def _phase_block_cases():
+    rng = np.random.default_rng(1024)
+    cases = {}
+    for d in (3, 16, 200):
+        r = 0.9 * np.sqrt(rng.uniform(size=d))
+        cases[f"random-{d}"] = list(r * np.exp(1j * rng.uniform(0.0, 2 * np.pi, d)))
+    for n in (16, 32, 40):
+        cases[f"boundary-{n}"] = [1.0 - 2.0**-k for k in range(1, n + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("zeros", list(_phase_block_cases().values()),
+                         ids=list(_phase_block_cases()))
+def test_phase_blocks_do_not_move_the_roots(monkeypatch, zeros):
+    # one angle per block or all angles in one: bitwise the same solve
+    theta = BlaschkeProduct(zeros)
+    solves = []
+    for block in (1, 1 << 40):
+        monkeypatch.setattr(clark, "_PHASE_BLOCK", block)
+        solves.append(clark_pair(theta, ALPHA))
+    for rows, one in zip(*solves):
+        assert np.array_equal(rows.atoms, one.atoms)
+        assert np.array_equal(rows.weights, one.weights)
+        assert rows.phase_evaluations == one.phase_evaluations
+
+
+def test_phase_blocks_bound_memory_at_large_degree(monkeypatch):
+    # 7d + 2 breakpoints by d zeros would take some 400 MB at d = 1024
+    rng = np.random.default_rng(7)
+    d = 1024
+    r = 0.9 * np.sqrt(rng.uniform(size=d))
+    theta = BlaschkeProduct(list(r * np.exp(1j * rng.uniform(0.0, 2 * np.pi, d))))
+    tracemalloc.start()
+    try:
+        mu = clark_measure(theta, ALPHA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    monkeypatch.setattr(clark, "_PHASE_BLOCK", 1 << 40)
+    one = clark_measure(theta, ALPHA)
+    assert np.array_equal(mu.atoms, one.atoms)
+    assert np.array_equal(mu.weights, one.weights)
+    assert mu.phase_evaluations == one.phase_evaluations

@@ -203,3 +203,39 @@ def test_origin_kernels_match_conjugate_kernel(zeros):
     assert np.max(np.abs(ck0 - conjugate_kernel(theta, 0.0).coordinates())) <= 1e-15
     assert np.max(np.abs(k0 - np.conj(tm_samples(theta.zeros, np.zeros(1))[:, 0]))) <= 1e-15
     assert abs(at_origin - complex(theta(0.0))) <= 1e-15
+
+
+def _doubled_cases():
+    rng = np.random.default_rng(5)
+    cases = {}
+    for d in (1, 3, 6):
+        r = 0.95 * np.sqrt(rng.uniform(size=d))
+        cases[f"random-{d}"] = list(r * np.exp(1j * rng.uniform(0.0, 2 * np.pi, d)))
+    cases["origin"] = [0.3 - 0.2j, 0.0, -0.5j]
+    cases["repeated"] = [0.5j, 0.5j, -0.2, 0.6]
+    for n in (8, 16, 24, 32, 40):
+        cases[f"boundary-{n}"] = [1.0 - 2.0**-k for k in range(1, n + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("zeros", list(_doubled_cases().values()), ids=list(_doubled_cases()))
+def test_doubled_list_combination_samples_the_half_once(monkeypatch, zeros):
+    # on Z + Z a combination samples Z once: c[:d] e + B (c[d:] e) with B
+    # from the last row, against the full sampling of Z + Z
+    rng = np.random.default_rng(len(zeros))
+    doubled = tuple(zeros) + tuple(zeros)
+    c = rng.standard_normal(len(doubled)) + 1j * rng.standard_normal(len(doubled))
+    nodes = np.concatenate([
+        np.exp(1j * rng.uniform(0.0, 2 * np.pi, 200)),
+        np.exp(1j * np.array([0.0, 1e-12, -1e-9, 1e-5])),      # on T near 1
+        1.0 - np.logspace(-14, -1, 30),                          # inside D near 1
+        0.9 * np.sqrt(rng.uniform(size=100)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 100)),
+    ])
+    full = c @ tm_samples(doubled, nodes)
+    sampled = []
+    original = modelspace.tm_samples
+    monkeypatch.setattr(modelspace, "tm_samples",
+                        lambda z, n: sampled.append(len(z)) or original(z, n))
+    values = modelspace.BasisCombination(doubled, c)(nodes)
+    assert sampled == [len(zeros)]
+    assert np.max(np.abs(values - full)) <= 1e-13 * np.max(np.abs(full))

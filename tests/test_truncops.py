@@ -427,3 +427,66 @@ def test_toeplitz_builders_are_complex_symmetric(degree):
 def test_test_vector_requires_some_symbol(generic_basis):
     with pytest.raises(ValueError):
         vector_ratio(generic_basis, None, None, 0.3, zeta=0.0)
+
+
+def test_quadrature_builders_sample_once_per_block(monkeypatch, generic_basis):
+    # each node block samples the basis once, for its rows, its columns and
+    # a symbol that combines the basis's own elements (on theta's zeros or
+    # theta^2's), and the entries are those of separate samplers
+    basis = generic_basis
+    rational = RationalSymbol(TrigPoly.one(), TrigPoly({0: 2.0, 1: -1.0}))
+    c = np.linspace(1.0, 2.0, 6) + 1j * np.linspace(-1.0, 0.5, 6)
+    square = harmonic.ConjSymbol(modelspace.BasisCombination(basis.theta.square().zeros, c))
+    own = modelspace.BasisCombination(basis.theta.zeros, c[:3])
+
+    def rows(nodes):
+        return np.conj(nodes[None, :] * basis.sample(nodes))
+
+    separate = {
+        "toeplitz": lambda: matrix_integral(basis.sample, basis.sample, rational, basis.quad),
+        "toeplitz-own": lambda: matrix_integral(basis.sample, basis.sample, own, basis.quad),
+        "hankel": lambda: matrix_integral(rows, basis.sample, rational, basis.quad),
+        "hankel-square": lambda: matrix_integral(rows, basis.sample, square, basis.quad),
+        "multiplier": lambda: matrix_integral(rows, basis.sample, basis.theta.conj(),
+                                              basis.quad),
+    }
+    builders = {
+        "toeplitz": lambda: toeplitz_by_quadrature(rational, basis),
+        "toeplitz-own": lambda: toeplitz_by_quadrature(own, basis),
+        "hankel": lambda: hankel_by_quadrature(rational, basis),
+        "hankel-square": lambda: hankel_by_quadrature(square, basis),
+        "multiplier": lambda: conjugate_multiplier_matrix(basis),
+    }
+    expected = {name: call()[0] for name, call in separate.items()}
+    counts = {"blocks": 0, "samplings": 0}
+
+    def counted(original, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harmonic, "unit_nodes", counted(harmonic.unit_nodes, "blocks"))
+    monkeypatch.setattr(modelspace, "tm_samples", counted(modelspace.tm_samples, "samplings"))
+    for name, build in builders.items():
+        counts.update(blocks=0, samplings=0)
+        entries = build().entries
+        assert counts["blocks"] > 1, name
+        assert counts["samplings"] == counts["blocks"], name
+        assert np.array_equal(entries, expected[name]), name
+
+
+@pytest.mark.parametrize("zeros, gamma", [([0.3, -0.4j, 0.1 + 0.5j], 1.0),
+                                          ([0.0, 0.5j, 0.5j, -0.2], np.exp(0.7j)),
+                                          ([1.0 - 2.0**-k for k in range(1, 13)], -1j)],
+                         ids=["generic", "origin-repeated", "boundary"])
+def test_lifted_rule_takes_theta_from_the_basis_row(zeros, gamma):
+    # theta = gamma B at the lifted rule's atoms, B from the last sampled row
+    theta = BlaschkeProduct(zeros, gamma)
+    basis = build_basis(theta, gram_tol=1e-7)
+    for depth in (0, 3):
+        atoms, _ = modelspace.clark_rule(
+            BlaschkeProduct((0.0,) * depth + theta.square().zeros), 1e-7)
+        from_row = theta.gamma * modelspace._product_from_last_row(
+            theta.zeros, basis.sample(atoms), atoms)
+        assert np.max(np.abs(from_row - theta(atoms))) <= 1e-14
