@@ -20,10 +20,11 @@ deep, and the atoms of an arc are a run in angle order, so nothing is
 indexed by all 2^k arcs.  A measure keeps these runs
 (`DyadicPartition`), so its profiles at several exponents share them.
 The moment fits of all generations, each in the centred, scaled
-variable of its arc, are then solved together: all Gram entries from
-one reduceat, one batched rank check and one batched solve, with
-moment_polynomial only for the Grams that fail the check.
-`oscillation` is the same kernel on one arc.
+variable of its arc, are then taken together by one kernel: each arc's
+orthonormal basis comes from Arnoldi on its weighted atoms, so no Gram
+is formed and every arc of at least r + 2 distinct atoms is fitted at
+degree r.  `oscillation` is the same kernel on one arc, and the
+small-mass modulus runs it at r = 0 on every cyclic run of atoms.
 """
 from __future__ import annotations
 
@@ -98,32 +99,6 @@ def _values_on(f, atoms: np.ndarray) -> np.ndarray:
     return vals
 
 
-def moment_polynomial(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
-                      r: int) -> np.ndarray:
-    """Coefficients of the degree <= r polynomial p with
-    sum w * (f - p(xi)) * conj(xi)^k = 0 for k = 0..r.
-
-    Falls back to the largest solvable degree when the weighted moment
-    Gram fails the rank check (fewer than r + 1 atoms, or atoms too close
-    together); returns the coefficient vector, zero-padded to length r + 1.
-    """
-    r_eff = min(int(r), len(xi) - 1)
-    while r_eff >= 0:
-        powers = xi[None, :] ** np.arange(r_eff + 1)[:, None]   # row k: xi^k at atoms
-        weighted = powers.conj() * w[None, :]
-        gram = weighted @ powers.T      # G[k,j] = sum w xi^j conj(xi)^k, Hermitian PSD
-        rhs = weighted @ fv             # b[k] = sum w f conj(xi)^k
-        if np.linalg.matrix_rank(gram, tol=1e-10 * max(1.0, float(np.abs(gram).max()))) == r_eff + 1:
-            coeffs = np.linalg.solve(gram, rhs)
-            break
-        r_eff -= 1
-    else:
-        return np.zeros(int(r) + 1, dtype=complex)
-    out = np.zeros(int(r) + 1, dtype=complex)
-    out[:r_eff + 1] = coeffs
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Arc membership and the dyadic partition
 # ---------------------------------------------------------------------------
@@ -191,6 +166,8 @@ class DyadicPartition:
 # The oscillation kernel
 # ---------------------------------------------------------------------------
 
+_KRYLOV_FLOOR = 1e-14       # the share of a Krylov vector left to keep it
+
 
 def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
                   atom: np.ndarray, counts: np.ndarray, r: int) -> np.ndarray:
@@ -198,12 +175,16 @@ def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
 
     Arc i holds the next counts[i] atoms of atom.  Arcs of no mass get 0,
     and so do arcs of at most r + 1 atoms, where the fit interpolates f.
-    Each fit is in the variable (xi - c) / h, c the middle atom of the
-    run and h the largest |xi - c|: the same polynomials, with Grams that
-    stay well conditioned on short arcs.  The fits of all arcs are solved
-    together: one batched rank check of the weighted moment Grams with
-    moment_polynomial's tolerance, one batched solve, and moment_polynomial
-    itself only for the Grams that fail the check.
+    The moment fit is the w-weighted least-squares polynomial, so on each
+    arc sqrt(w) f is projected on an orthonormal basis of the
+    sqrt(w)-weighted polynomials of degree <= r in x = (xi - c) / h, c the
+    middle atom of the run and h the largest |xi - c|.  Arnoldi builds
+    the basis from sqrt(w): multiply the last vector by x, orthogonalise
+    twice against the earlier ones, normalise (Brubeck, Nakatsukasa and
+    Trefethen, Vandermonde with Arnoldi), all arcs together through
+    reduceat.  A vector that orthogonalisation leaves with less than
+    _KRYLOV_FLOOR of its length lies in the span of the earlier ones, as
+    when an arc's atoms coincide: it and the later ones are dropped.
     """
     first = np.cumsum(counts) - counts
     mass = np.add.reduceat(w[atom], first)
@@ -215,25 +196,29 @@ def _oscillations(xi: np.ndarray, w: np.ndarray, fv: np.ndarray,
     members = atom[np.repeat(need, counts)]
     count = counts[fitted]
     seg = np.cumsum(count) - count          # where each fit's atoms begin
-    x, ws, fs = xi[members], w[members], fv[members]
-    x = x - np.repeat(x[seg + count // 2], count)
+
+    def arc_sum(values):
+        return np.add.reduceat(values, seg, axis=0)
+
+    def spread(values):
+        return np.repeat(values, count, axis=0)
+
+    x, root = xi[members], np.sqrt(w[members])
+    x = x - spread(x[seg + count // 2])
     h = np.maximum.reduceat(np.abs(x), seg)
-    x /= np.repeat(np.where(h > 0.0, h, 1.0), count)   # h = 0: coincident atoms on one arc
-    powers = x[:, None] ** np.arange(r + 1)
-    weighted = powers.conj() * ws[:, None]
-    outer = (weighted[:, :, None] * powers[:, None, :]).reshape(members.size, -1)
-    gram = np.add.reduceat(outer, seg, axis=0).reshape(count.size, r + 1, r + 1)
-    rhs = np.add.reduceat(weighted * fs[:, None], seg, axis=0)
-    tol = 1e-10 * np.maximum(1.0, np.abs(gram).max(axis=(1, 2)))
-    full = np.linalg.svd(gram, compute_uv=False)[:, -1] > tol
-    coeffs = np.zeros((count.size, r + 1), dtype=complex)
-    if full.any():
-        coeffs[full] = np.linalg.solve(gram[full], rhs[full][:, :, None])[:, :, 0]
-    for i in np.flatnonzero(~full):
-        part = slice(seg[i], seg[i] + count[i])
-        coeffs[i] = moment_polynomial(x[part], ws[part], fs[part], r)
-    fit = np.sum(powers * np.repeat(coeffs, count, axis=0), axis=1)
-    osc[fitted] = np.add.reduceat(ws * np.abs(fs - fit), seg) / mass[fitted]
+    x /= spread(np.where(h > 0.0, h, 1.0))      # h = 0: coincident atoms on one arc
+    basis = np.empty((members.size, r + 1), dtype=complex)
+    basis[:, 0] = root / spread(np.sqrt(mass[fitted]))
+    for k in range(1, r + 1):
+        v = x * basis[:, k - 1]
+        length = np.sqrt(arc_sum(np.abs(v) ** 2))
+        for _ in range(2):
+            v -= np.sum(basis[:, :k] * spread(arc_sum(basis[:, :k].conj() * v[:, None])), axis=1)
+        left = np.sqrt(arc_sum(np.abs(v) ** 2))
+        basis[:, k] = v / spread(np.where(left > _KRYLOV_FLOOR * length, left, np.inf))
+    g = root * fv[members]
+    g -= np.sum(basis * spread(arc_sum(basis.conj() * g[:, None])), axis=1)
+    osc[fitted] = arc_sum(root * np.abs(g)) / mass[fitted]
     return osc
 
 
@@ -253,49 +238,29 @@ def oscillation(f, nu, arc: Arc, r: int) -> float:
                                int(r))[0])
 
 
-def _atom_runs(nu):
-    """Contiguous cyclic runs of atoms: each run is an index array.
-
-    Arcs of the circle pick out exactly these runs from an atomic
-    measure, so a sup over arcs is a max over runs.
-    """
-    d = len(nu.atoms)
-    order = np.argsort(np.mod(np.angle(np.asarray(nu.atoms, dtype=complex)), TWO_PI))
-    runs = []
-    for length in range(1, d):
-        for i in range(d):
-            runs.append(order[np.mod(np.arange(i, i + length), d)])
-    runs.append(order)  # the full circle, once
-    return runs
-
-
-def _run_oscillations(fv: np.ndarray, nu) -> tuple:
-    """The masses of the runs of positive mass, and the mean deviation of
-    f from its weighted mean on each."""
-    w_all = np.asarray(nu.weights, dtype=float)
-    masses, oscs = [], []
-    for run in _atom_runs(nu):
-        w = w_all[run]
-        total = float(w.sum())
-        if total <= 0.0:
-            continue
-        mean = np.sum(w * fv[run]) / total
-        masses.append(total)
-        oscs.append(float(np.sum(w * np.abs(fv[run] - mean)) / total))
-    return np.asarray(masses), np.asarray(oscs)
-
-
-def _modulus(masses: np.ndarray, oscs: np.ndarray, eps_values) -> np.ndarray:
-    return np.array([oscs[masses <= eps].max(initial=0.0)
-                     for eps in np.asarray(eps_values, dtype=float)])
-
-
 def vmo_modulus(f, nu, eps_values) -> np.ndarray:
     """Small-mass oscillation modulus: for each eps, the largest mean
-    deviation from the average over arcs of measure at most eps."""
-    fv = _values_on(f, np.asarray(nu.atoms, dtype=complex))
-    masses, oscs = _run_oscillations(fv, nu)
-    return _modulus(masses, oscs, eps_values)
+    deviation from the average over arcs of measure at most eps.
+
+    Arcs of the circle pick out exactly the cyclic runs of atoms in angle
+    order from an atomic measure, so a sup over arcs is a max over runs.
+    The d runs of each length, and the whole circle once, go to the
+    oscillation kernel at r = 0 together; single atoms deviate by 0.
+    """
+    xi = np.asarray(nu.atoms, dtype=complex)
+    w = np.asarray(nu.weights, dtype=float)
+    fv = _values_on(f, xi)
+    eps = np.asarray(eps_values, dtype=float)[:, None]
+    d = xi.size
+    order = np.argsort(np.mod(np.angle(xi), TWO_PI), kind="stable")
+    modulus = np.zeros(eps.size)
+    for length in range(2, d + 1):
+        runs = d if length < d else 1
+        atom = order[np.add.outer(np.arange(runs), np.arange(length)) % d].ravel()
+        mass = np.add.reduceat(w[atom], np.arange(0, atom.size, length))
+        osc = _oscillations(xi, w, fv, atom, np.full(runs, length), 0)
+        modulus = np.maximum(modulus, np.where(mass <= eps, osc, 0.0).max(axis=1))
+    return modulus
 
 
 @dataclass(frozen=True)
@@ -398,11 +363,10 @@ class OscillationReport:
 
 def oscillation_report(f, nu, eps_grid, p_list) -> OscillationReport:
     fv = _values_on(f, np.asarray(nu.atoms, dtype=complex))
-    masses, oscs = _run_oscillations(fv, nu)
     profiles = {float(p): besov_profile(fv, nu, float(p))
                 for p in p_list}
     return OscillationReport(np.asarray(eps_grid, dtype=float),
-                             _modulus(masses, oscs, eps_grid), profiles)
+                             vmo_modulus(fv, nu, eps_grid), profiles)
 
 
 @dataclass(frozen=True)

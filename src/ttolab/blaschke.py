@@ -18,6 +18,10 @@ import numpy as np
 from .harmonic import Symbol, TWO_PI
 
 
+# the largest (zeros x points) table of boundary_derivative_modulus
+_SPEED_BLOCK = 1 << 16
+
+
 def _factor(lam: complex, z):
     """Normalized Blaschke factor for one zero (z itself when lam = 0).
 
@@ -90,10 +94,18 @@ class BlaschkeProduct(Symbol):
 
         Equals sum_i (1 - |lam_i|^2) / |1 - conj(lam_i) xi|^2, which is
         strictly positive and integrates to the degree; one broadcast sum
-        over the zeros.
+        over the zeros.  Many points are taken in blocks, each of at most
+        _SPEED_BLOCK (zeros x points) terms below 2^14 zeros and of at
+        least two points: numpy sums one point's column pairwise but wider
+        blocks term by term, so each point's sum is the same in any split.
         """
         xi = np.asarray(xi, dtype=complex)
         conj, tops = self._speed_terms
+        least = max(2, _SPEED_BLOCK // (2 * max(conj.size, 1)))
+        if xi.size >= 2 * least:
+            blocks = np.array_split(xi.reshape(-1), xi.size // least)
+            return np.concatenate([self.boundary_derivative_modulus(block)
+                                   for block in blocks]).reshape(xi.shape)
         column = (-1,) + (1,) * xi.ndim
         return np.sum(tops.reshape(column) / np.abs(1.0 - conj.reshape(column) * xi) ** 2,
                       axis=0)

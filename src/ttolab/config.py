@@ -1,6 +1,7 @@
 """Run configuration: JSON file -> validated nested dataclasses.
 
-Unknown keys are rejected (typos should fail loudly, exit code 2), and
+Unknown keys are rejected (typos should fail loudly, exit code 2), file
+values and CLI overrides alike take the type of the field they set, and
 every tolerance is checked positive.  CLI flags override file values;
 the seed is recorded in every report so runs can be reproduced.
 """
@@ -29,6 +30,12 @@ def positive_exponents(values, name: str) -> list:
     raise ConfigError(f"{name} entries must be positive numbers")
 
 
+def _check_positive(section, where: str, names):
+    for name in names:
+        if not getattr(section, name) > 0:
+            raise ConfigError(f"{where}.{name} must be positive")
+
+
 @dataclass
 class QuadratureConfig:
     m_init: int = 256
@@ -49,9 +56,7 @@ class ToleranceConfig:
     nehari_slack: float = 1e-6   # dual lower-bound slack
 
     def validate(self):
-        for name in ("identity", "spectral", "nehari_slack"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerances.{name} must be positive")
+        _check_positive(self, "tolerances", ("identity", "spectral", "nehari_slack"))
 
 
 @dataclass
@@ -78,6 +83,7 @@ class EssentialConfig:
             raise ConfigError("essential.n_list must hold positive integers")
         if not 0 < self.ratio < 1:
             raise ConfigError("essential.ratio must lie in (0, 1)")
+        _check_positive(self, "essential", ("delta", "quad_tol", "gram_tol"))
 
 
 @dataclass
@@ -93,8 +99,7 @@ class DecayConfig:
             raise ConfigError("decay.n_max must be >= 1")
         if not 0 < self.ratio < 1:
             raise ConfigError("decay.ratio must lie in (0, 1)")
-        if self.threshold <= 0:
-            raise ConfigError("decay.threshold must be positive")
+        _check_positive(self, "decay", ("threshold", "quad_tol", "gram_tol"))
 
 
 @dataclass
@@ -109,6 +114,8 @@ class NehariConfig:
     def validate(self):
         if self.instances < 1 or self.multistart < 1:
             raise ConfigError("nehari counts must be >= 1")
+        if self.grid_m < 2:
+            raise ConfigError("nehari.grid_m must be >= 2")
         if any(not 0 < float(r) < 1 for r in self.r_list):
             raise ConfigError("nehari.r_list entries must lie in (0, 1)")
 
@@ -125,6 +132,7 @@ class BesovConfig:
         if self.degree < 1:
             raise ConfigError("besov.degree must be >= 1")
         positive_exponents(self.p_list, "besov.p_list")
+        positive_exponents(self.eps_grid, "besov.eps_grid")
 
 
 @dataclass
@@ -180,16 +188,13 @@ class RunConfig:
 
 
 def _fill_section(cls, data: dict, where: str):
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
+    known = {f.name for f in dataclasses.fields(cls)}
+    section = cls()
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown key {where}.{key}")
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad section {where}: {exc}") from exc
+        setattr(section, key, _coerce_like(f"{where}.{key}", getattr(section, key), value))
+    return section
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -225,27 +230,26 @@ def load_config(path=None) -> RunConfig:
 
 
 def _coerce_like(path, current, value):
-    """Match an override's type to the field it replaces."""
-    if isinstance(current, bool):
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in ("true", "false"):
-            return value.lower() == "true"
-        raise ConfigError(f"override {path} expects true/false, got {value!r}")
-    if isinstance(current, int) and not isinstance(value, bool):
-        try:
+    """A file value or override in the type of the field it sets.  Bools
+    are refused for numbers, and numbers with a fraction for integers."""
+    if isinstance(current, int):
+        if isinstance(value, float) and value.is_integer():
             return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"override {path} expects an integer, got {value!r}")
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        raise ConfigError(f"{path} expects an integer, got {value!r}")
     if isinstance(current, float):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"override {path} expects a number, got {value!r}")
-    if isinstance(current, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"override {path} expects a JSON list, got {value!r}")
-        return value
+        if not isinstance(value, bool):
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                pass
+        raise ConfigError(f"{path} expects a number, got {value!r}")
+    if isinstance(current, list) and not isinstance(value, list):
+        raise ConfigError(f"{path} expects a JSON list, got {value!r}")
     return value
 
 

@@ -5,10 +5,9 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ttolab import besov
 from ttolab.besov import (
     Arc,
     LebesgueGrid,
@@ -17,7 +16,6 @@ from ttolab.besov import (
     DyadicPartition,
     conjecture_probe,
     dyadic_family,
-    moment_polynomial,
     oscillation,
     oscillation_report,
     probe_summary,
@@ -74,18 +72,26 @@ def test_oscillation_null_arc():
     assert oscillation(TrigPoly.z(), nu, Arc(0.5, 1.0), 0) == 0.0
 
 
-def test_moment_polynomial_annihilates():
-    theta = BlaschkeProduct([0, 0, 0, 0, 0])
-    nu = clark_measure(theta, 1.0)
-    xi = nu.atoms
-    w = nu.weights
-    fv = xi**2 + 0.5 * np.conj(xi)
-    r = 2
-    coeffs = moment_polynomial(xi, w, fv, r)
-    fit = np.polyval(coeffs[::-1], xi)
-    for k in range(r + 1):
-        moment = np.sum(w * (fv - fit) * np.conj(xi) ** k)
-        assert abs(moment) < 1e-12
+def test_oscillation_annihilates_polynomials():
+    # the moment fit reproduces every polynomial of degree <= r on an arc
+    # of more than r + 1 atoms, so its oscillation vanishes
+    rng = np.random.default_rng(3)
+    zeros = 0.7 * np.sqrt(rng.uniform(size=8)) * np.exp(2j * np.pi * rng.uniform(size=8))
+    nu = square_clark_measure(BlaschkeProduct(zeros), np.exp(0.4j))
+    arcs = [FULL, Arc(0.5, 4.0), Arc(3.0, 3.0 + 2 * np.pi)]
+    for r in range(5):
+        for arc in arcs:
+            assert arc.contains(nu.atoms).sum() > r + 1
+            coeffs = rng.standard_normal(r + 1) + 1j * rng.standard_normal(r + 1)
+            values = np.polyval(coeffs, nu.atoms)
+            assert oscillation(values, nu, arc, r) < 1e-13
+    # on coincident atoms every degree fits the weighted mean
+    nu = ClarkMeasure(1.0, np.full(6, np.exp(2.0j)), rng.uniform(0.5, 1.5, 6))
+    values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    mean = np.sum(nu.weights * values) / nu.weights.sum()
+    want = np.sum(nu.weights * np.abs(values - mean)) / nu.weights.sum()
+    for r in range(5):
+        assert abs(oscillation(values, nu, FULL, r) - want) < 1e-14
 
 
 def test_vmo_modulus_enumeration():
@@ -96,6 +102,55 @@ def test_vmo_modulus_enumeration():
     mod = vmo_modulus(f, nu, eps)
     # single atoms: osc 0; two adjacent: mean 0, osc 1; three: mean +-1/3, osc 8/9
     assert np.allclose(mod, [0.0, 0.0, 1.0, 1.0, 1.0], atol=1e-12)
+
+
+def brute_force_modulus(fv, nu, eps_values):
+    """vmo_modulus as the plain loop over every cyclic run of atoms in
+    angle order, and the whole circle once, one run at a time."""
+    order = np.argsort(np.mod(np.angle(nu.atoms), 2 * np.pi), kind="stable")
+    d = order.size
+    eps_values = np.asarray(eps_values, dtype=float)
+    best = np.zeros(eps_values.size)
+    for length in range(1, d + 1):
+        for start in range(d if length < d else 1):
+            run = order[(start + np.arange(length)) % d]
+            w, f = nu.weights[run], fv[run]
+            mass = w.sum()
+            if mass > 0.0:
+                osc = np.sum(w * np.abs(f - np.sum(w * f) / mass)) / mass
+                best = np.where(mass <= eps_values, np.maximum(best, osc), best)
+    return best
+
+
+@pytest.mark.parametrize("kind", ["theta", "square", "grid"])
+def test_vmo_modulus_matches_per_run_loop(kind):
+    rng = np.random.default_rng(21)
+    zeros = 0.9 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
+    nu = {"theta": lambda: clark_measure(BlaschkeProduct(zeros), np.exp(0.7j)),
+          "square": lambda: square_clark_measure(BlaschkeProduct(zeros), np.exp(0.7j)),
+          "grid": lambda: LebesgueGrid(13)}[kind]()
+    fv = rng.standard_normal(len(nu.atoms)) + 1j * rng.standard_normal(len(nu.atoms))
+    eps = np.linspace(0.013, 1.21, 40)
+    got = vmo_modulus(fv, nu, eps)
+    want = brute_force_modulus(fv, nu, eps)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert got.max() > 0.0
+
+
+def test_vmo_modulus_memory_is_bounded():
+    # 200 atoms have 200^2 cyclic runs; the runs of one length are
+    # batched at a time, never all of them at once
+    rng = np.random.default_rng(22)
+    zeros = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    nu = clark_measure(BlaschkeProduct(zeros), 1.0)
+    fv = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    tracemalloc.start()
+    try:
+        vmo_modulus(fv, nu, [0.01, 0.1, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_dyadic_family_tiles():
@@ -184,11 +239,11 @@ def test_conjecture_probe_reports_termination():
             assert abs(row.besov[p] - profile.norm) <= 1e-12 * max(1.0, profile.norm)
 
 
-def oracle_besov_norm(nu, values, p, dps=50):
-    """besov_norm evaluated in mpmath at dps digits from the double
-    atoms, weights and values: each atom's arc of generation k is the
-    floor of 2^k angle / (2 pi) in exact arithmetic on the doubles, and
-    each moment fit is solved in the monomials xi^j."""
+def oracle_generation_sums(nu, values, p, dps=50):
+    """besov_profile's generation sums evaluated in mpmath at dps digits
+    from the double atoms, weights and values: each atom's arc of
+    generation k is the floor of 2^k angle / (2 pi) in exact arithmetic
+    on the doubles, and each moment fit is solved in the monomials xi^j."""
     r = int(math.floor(1.0 / p))
     angles = np.mod(np.angle(nu.atoms), 2 * np.pi)
     with mp.workdps(dps):
@@ -196,8 +251,9 @@ def oracle_besov_norm(nu, values, p, dps=50):
         xi = [mp.mpc(complex(a)) for a in nu.atoms]
         w = [mp.mpf(float(v)) for v in nu.weights]
         f = [mp.mpc(complex(v)) for v in values]
-        total = mp.mpf(0)
+        sums = []
         for k in itertools.count():
+            total = mp.mpf(0)
             arcs = {}
             for i, angle in enumerate(angles):
                 arcs.setdefault(int(mp.floor(mp.mpf(angle) * 2**k / two_pi)), []).append(i)
@@ -215,8 +271,15 @@ def oracle_besov_norm(nu, values, p, dps=50):
                 deviation = sum(w[i] * abs(f[i] - sum(c[j] * xi[i] ** j for j in range(r + 1)))
                                 for i in held)
                 total += (deviation / sum(w[i] for i in held)) ** p
+            sums.append(total)
             if max(len(held) for held in arcs.values()) <= r + 1:
-                return float(total ** (1 / mp.mpf(p)))
+                return sums
+
+
+def oracle_besov_norm(nu, values, p, dps=50):
+    """besov_norm from the generation sums of oracle_generation_sums."""
+    with mp.workdps(dps):
+        return float(sum(oracle_generation_sums(nu, values, p, dps)) ** (1 / mp.mpf(p)))
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
@@ -266,31 +329,20 @@ def test_probe_summary_stats():
 
 # ------------------------------------------- the batched profile kernel
 
-def solved_condition(xi, w, r):
-    """Condition number of the moment Gram that moment_polynomial solves:
-    the largest degree whose Gram passes its rank check."""
-    for degree in range(min(r, xi.size - 1), -1, -1):
-        powers = xi[None, :] ** np.arange(degree + 1)[:, None]
-        gram = (powers.conj() * w) @ powers.T
-        s = np.linalg.svd(gram, compute_uv=False)
-        if s[-1] > 1e-10 * max(1.0, np.abs(gram).max()):
-            return s[0] / s[-1]
-    return 1.0
-
-
 def per_arc_profile(fv, nu, p):
     """besov_profile written as the plain loop over Arc objects: halve
     the circle with Arc.halves, test membership with Arc.contains and
-    fit with moment_polynomial, one arc at a time, until every arc holds
-    at most r + 1 atoms.  Arcs that hold no atom are not halved further.
-    Each fit is in the variable (xi - c) / h, c the middle of the arc's
-    atoms in angle order and h the largest |xi - c|.
+    fit by np.linalg.lstsq on the sqrt(w)-weighted Vandermonde matrix,
+    one arc at a time, until every arc holds at most r + 1 atoms.  Arcs
+    that hold no atom are not halved further.  Each fit is in the
+    variable (xi - c) / h, c the middle of the arc's atoms in angle order
+    and h the largest |xi - c|.
 
     Also returns, per generation, the first-order sensitivity of its sum
     to rounding: the sum over arcs of p osc^(p-1) kappa mean|f|, kappa
-    being the condition number of the arc's moment Gram.  Two correct
-    routes that round differently differ by a small multiple of eps
-    times it.
+    being the condition number of the arc's weighted Vandermonde matrix.
+    Two correct routes that round differently differ by a small multiple
+    of eps times it.
     """
     r = int(math.floor(1.0 / p))
     atoms = np.asarray(nu.atoms, dtype=complex)
@@ -314,9 +366,11 @@ def per_arc_profile(fv, nu, p):
                 continue
             u = xi - xi[xi.size // 2]
             u /= np.abs(u).max()
-            coeffs = moment_polynomial(u, wa, fa, r)
+            vander = np.sqrt(wa)[:, None] * u[:, None] ** np.arange(r + 1)
+            coeffs = np.linalg.lstsq(vander, np.sqrt(wa) * fa, rcond=None)[0]
             osc = np.sum(wa * np.abs(fa - np.polyval(coeffs[::-1], u))) / mass
-            kappa = solved_condition(u, wa, r)
+            s = np.linalg.svd(vander, compute_uv=False)
+            kappa = s[0] / s[-1] if s[-1] > 0.0 else np.inf
             if osc > 0.0:
                 total += osc**p
                 spread += p * osc**(p - 1) * kappa * np.sum(wa * np.abs(fa)) / mass
@@ -342,6 +396,11 @@ zero_strategy = st.tuples(
 
 
 @settings(max_examples=60, deadline=None)
+# the square Clark measure of zeros 0, 0, 0, 0.9375 e^i, 0.9999 e^i: at
+# generation 1 an arc of six atoms holds clusters at several scales, and
+# its monomial moment Gram has condition number 2e10
+@example(kind="square", zeros=[(0.0, 0.0)] * 3 + [(0.9375, 1.0), (0.9999, 1.0)],
+         alpha_angle=0.0, grid_size=2, p=0.25, seed=0)
 @given(kind=st.sampled_from(["theta", "square", "grid"]),
        zeros=st.lists(zero_strategy, min_size=1, max_size=8),
        alpha_angle=st.floats(0.0, 2 * np.pi),
@@ -363,48 +422,56 @@ def test_besov_profile_matches_per_arc_loop(kind, zeros, alpha_angle, grid_size,
     assert_matches_per_arc_loop(fv, nu, p)
 
 
-def test_rank_fallback_on_clustered_atoms(monkeypatch):
+def test_clustered_atoms_get_full_degree():
     # three clusters of four atoms 1e-6 apart, fitted with r = 2.  The arc
     # [0, pi) holds two clusters: in its centred variable they are two
-    # points, so its moment Gram has numerical rank 2 < r + 1 = 3 and it
-    # takes the fallback.  An arc holding one cluster spreads it over the
-    # unit disc, and its Gram passes the batched check
+    # points, so its monomial moment Gram is singular to working
+    # precision.  The orthonormal fit keeps degree 2 on every arc, and
+    # each generation sum matches the 50-digit oracle
     angles = np.add.outer([0.5, 2.5, 4.5], [0.0, 1e-6, 2e-6, 3e-6]).ravel()
     rng = np.random.default_rng(5)
     nu = ClarkMeasure(1.0, np.exp(1j * angles), rng.uniform(0.5, 1.5, 12))
     fv = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    calls = []
-
-    def counting(*args):
-        calls.append(len(args[0]))
-        return moment_polynomial(*args)
-
-    monkeypatch.setattr(besov, "moment_polynomial", counting)
     assert_matches_per_arc_loop(fv, nu, 0.5)
-    assert calls == [8]
-    # well separated atoms: every Gram passes the batched check
-    calls.clear()
+    got = besov_profile(fv, nu, 0.5).generation_sums
+    want = [float(total) for total in oracle_generation_sums(nu, fv, 0.5)]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-9 * b
+    assert abs(want[1] - 1.64324198272) < 1e-10
+    # well separated atoms
     spread = square_clark_measure(BlaschkeProduct([0.3, -0.4j, 0.5 + 0.2j]), 1.0)
     assert_matches_per_arc_loop(fv[:6], spread, 1.0)
-    assert calls == []
 
 
-def test_grid_fits_pass_the_batched_check(monkeypatch):
-    # in the centred, scaled variable every moment Gram of a uniform grid
-    # passes the rank check, down to r = 4
+def test_grid_fits_match_the_per_arc_reference():
+    # the uniform grid down to r = 4, where every arc of more than r + 1
+    # nodes is fitted at full degree
     grid = LebesgueGrid(4096)
     rng = np.random.default_rng(8)
     fv = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
-    calls = []
-
-    def counting(*args):
-        calls.append(len(args[0]))
-        return moment_polynomial(*args)
-
-    monkeypatch.setattr(besov, "moment_polynomial", counting)
     for p in (0.25, 0.5):
-        besov_profile(fv, grid, p)
-    assert calls == []
+        assert_matches_per_arc_loop(fv, grid, p)
+
+
+def multi_scale_measure(rng):
+    """A square Clark measure at alpha = 1 of 2-6 zeros with
+    1 - |lam| = 10^-u, u uniform in [1, 5], and angles uniform in
+    [0, 0.5]: clusters of atoms at several scales on one arc."""
+    n = int(rng.integers(2, 7))
+    zeros = (1.0 - 10.0 ** -rng.uniform(1.0, 5.0, n)) * np.exp(1j * rng.uniform(0.0, 0.5, n))
+    return square_clark_measure(BlaschkeProduct(zeros), 1.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_multi_scale_clusters_match_mpmath_oracle(seed):
+    # one centre and one scale per arc cannot resolve several tight
+    # clusters in the monomials; the orthonormal fit needs neither
+    nu = multi_scale_measure(np.random.default_rng(seed))
+    t = np.angle(nu.atoms)
+    values = np.cos(3 * t) + 1j * np.sin(t)
+    for p in (0.25, 0.5):
+        assert abs(besov_norm(values, nu, p) - oracle_besov_norm(nu, values, p)) <= 1e-8
 
 
 def test_besov_profile_memory_is_bounded():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttolab import clark, harmonic, modelspace
+from ttolab import blaschke, clark, harmonic, modelspace
 from ttolab.blaschke import BlaschkeProduct
 from ttolab.clark import (
     _boundary_phase,
@@ -523,3 +523,22 @@ def test_phase_blocks_bound_memory_at_large_degree(monkeypatch):
     assert np.array_equal(mu.atoms, one.atoms)
     assert np.array_equal(mu.weights, one.weights)
     assert mu.phase_evaluations == one.phase_evaluations
+
+
+def test_speed_blocks_bound_memory_at_large_degree(monkeypatch):
+    # the weights 1/|theta'| from one (zeros x atoms) table would take
+    # some 33 MB at d = 1024; summed in blocks of atoms, the whole solve
+    # stays below half of that, with the weights of one block bit for bit
+    rng = np.random.default_rng(7)
+    d = 1024
+    r = 0.9 * np.sqrt(rng.uniform(size=d))
+    theta = BlaschkeProduct(list(r * np.exp(1j * rng.uniform(0.0, 2 * np.pi, d))))
+    tracemalloc.start()
+    try:
+        mu = clark_measure(theta, ALPHA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    monkeypatch.setattr(blaschke, "_SPEED_BLOCK", 1 << 40)
+    assert np.array_equal(mu.weights, 1.0 / theta.boundary_derivative_modulus(mu.atoms))

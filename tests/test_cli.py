@@ -34,6 +34,17 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_module_runs_the_command_line(tmp_path):
+    # python -m ttolab from a checkout, as with the installed script
+    src = str(Path(ttolab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "ttolab", "basis", "--theta", "z",
+                          "--output-dir", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "basis.json").exists()
+
+
 def test_dual_basis_loads_no_scipy():
     # the subspace vanishing at the origin comes from a numpy SVD
     src = str(Path(ttolab.__file__).resolve().parents[1])
@@ -189,11 +200,15 @@ def test_unknown_suite_is_config_error(tmp_path):
     assert run(["verify", "--only", "bogus", "--output-dir", str(tmp_path)]) == 2
 
 
-def test_bad_override_is_config_error(tmp_path):
+def test_bad_override_is_config_error(tmp_path, capsys):
     assert run(["verify", "--set", "nehari.instances=lots",
                 "--output-dir", str(tmp_path)]) == 2
     assert run(["verify", "--set", "nope.key=1",
                 "--output-dir", str(tmp_path)]) == 2
+    # a bool for an integer, and an integer field's 1.7 is not truncated
+    for pair in ("sweep.seed=true", "nehari.grid_m=1.7"):
+        assert run(["besov", "--set", pair, "--output-dir", str(tmp_path)]) == 2
+        assert pair.partition("=")[0] in capsys.readouterr().err
 
 
 def test_basis_dump(tmp_path):
@@ -373,4 +388,26 @@ def test_conjecture_needs_no_quadrature(tmp_path, monkeypatch):
         assert run(["conjecture", "--output-dir", str(out)]) == 0
     assert calls == []
     for name in ("conjecture.csv", "conjecture.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("section", [
+    {"nehari": {"grid_m": 0}}, {"nehari": {"grid_m": "abc"}}, {"quadrature": {"tol": "x"}},
+    {"besov": {"eps_grid": ["a"]}}, {"decay": {"gram_tol": -1}}, {"essential": {"delta": -1}}],
+    ids=["grid_m=0", "grid_m=abc", "tol=x", "eps_grid=a", "gram_tol=-1", "delta=-1"])
+def test_bad_file_value_is_config_error(tmp_path, capsys, section):
+    # the run exits 2 and names the key, before any report is written
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(section))
+    assert run(["besov", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    (name, value), = section.items()
+    assert f"{name}.{next(iter(value))}" in capsys.readouterr().err
+    assert not (tmp_path / "besov.json").exists()
+
+
+def test_besov_reruns_byte_identical(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["besov", "--output-dir", str(a)]) == 0
+    assert run(["besov", "--output-dir", str(b)]) == 0
+    for name in ("besov.csv", "besov.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -87,3 +87,29 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("nehari", "grid_m", 0), ("nehari", "grid_m", "abc"), ("nehari", "grid_m", 1.7),
+    ("nehari", "grid_m", True), ("sweep", "seed", True), ("quadrature", "tol", "x"),
+    ("quadrature", "tol", False), ("besov", "eps_grid", ["a"]), ("besov", "eps_grid", [0.1, -1]),
+    ("decay", "gram_tol", -1), ("decay", "quad_tol", 0), ("essential", "delta", -1),
+    ("essential", "quad_tol", -1e-10), ("essential", "gram_tol", 0.0),
+    ("essential", "n_list", 4)])
+def test_file_values_take_the_field_type(section, key, value):
+    # a file value goes through the same typed path as an override, and
+    # the error names the key
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        config_from_dict({section: {key: value}})
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        apply_overrides(RunConfig().validate(), {f"{section}.{key}": value})
+
+
+def test_file_values_are_converted():
+    config = config_from_dict({"nehari": {"grid_m": 2048.0}, "quadrature": {"tol": 1},
+                               "sweep": {"seed": "12"}})
+    assert config.nehari.grid_m == 2048 and type(config.nehari.grid_m) is int
+    assert config.quadrature.tol == 1.0 and type(config.quadrature.tol) is float
+    assert config.sweep.seed == 12
+    # integers keep every digit
+    assert config_from_dict({"sweep": {"seed": 2**60 + 1}}).sweep.seed == 2**60 + 1
