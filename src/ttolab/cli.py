@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,8 +22,7 @@ from .besov import conjecture_probe, oscillation_report, probe_summary
 from .blaschke import BlaschkeProduct
 from .clark import clark_measure, clark_unitary, expected_mass, \
     poisson_identity_defect, square_clark_measure
-from .config import (ConfigError, RunConfig, apply_overrides, load_config,
-                     positive_exponents)
+from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .corpus import random_blaschke, random_conjugate_square_symbol, \
     random_interior_points, random_trig_poly, spawn_rngs
 from .harmonic import QuadratureSettings, TrigPoly
@@ -54,12 +54,12 @@ def parse_theta(spec: str) -> BlaschkeProduct:
     if spec.startswith("{"):
         try:
             return BlaschkeProduct.from_dict(json.loads(spec))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad inner-function JSON: {exc}") from exc
     try:
         with open(spec) as fh:
             return BlaschkeProduct.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot load inner function from {spec!r}: {exc}")
 
 
@@ -97,8 +97,9 @@ def parse_alpha(spec: str) -> complex:
     except ValueError:
         raise ConfigError(f"bad unimodular parameter {spec!r}")
     mod = abs(val)
-    if mod < 1e-12:
-        raise ConfigError("unimodular parameter must be nonzero")
+    if not 1e-12 <= mod < math.inf:
+        raise ConfigError(f"unimodular parameter must be nonzero and finite, "
+                          f"got {spec!r}")
     return val / mod
 
 
@@ -212,12 +213,22 @@ def cmd_clark(args) -> int:
     return 0
 
 
+def _p_list(spec: str) -> list:
+    """--p-list: comma-separated positive Schatten exponents."""
+    try:
+        exponents = [float(p) for p in spec.split(",")]
+        if all(p > 0 for p in exponents):
+            return exponents
+    except ValueError:
+        pass
+    raise ConfigError("--p-list entries must be positive numbers")
+
+
 def cmd_spectrum(args) -> int:
     config, out = _prepare(args)
     theta = parse_theta(args.theta)
     phi = parse_symbol(args.symbol)
-    p_list = positive_exponents(args.p_list.split(",") if args.p_list
-                                else ("1", "2"), "--p-list")
+    p_list = _p_list(args.p_list or "1,2")
     quad = config.quadrature.settings()
     basis = build_basis(theta, quad)
     toep = toeplitz_matrix(phi, basis)
@@ -255,7 +266,7 @@ def cmd_essential(args) -> int:
     passed = bool(worst and worst[-1] < ess.delta and decreasing)
     payload = {
         "seed": config.sweep.seed,
-        "n_list": [int(n) for n in ess.n_list],
+        "n_list": ess.n_list,
         "delta": ess.delta,
         "worst_distance": worst,
         "decreasing": decreasing,
@@ -387,26 +398,25 @@ def cmd_conjecture(args) -> int:
     con = config.conjecture
     quad = config.quadrature.settings()
     alpha = complex(np.exp(1j * con.alpha_angle))
-    p_list = [float(p) for p in con.p_list]
     rows_csv = []
     summaries = {}
     rng = np.random.default_rng(config.sweep.seed)
     for degree in con.degrees:
-        theta = BlaschkeProduct([0.0] * int(degree))
+        theta = BlaschkeProduct([0.0] * degree)
         corpus = []
         for i in range(con.corpus):
             corpus.append((f"deg{degree}-{i}",
                            random_trig_poly(rng, con.max_band)))
-        rows = conjecture_probe(theta, alpha, p_list, corpus, quad)
-        summaries[f"z^{degree}"] = probe_summary(rows, p_list)
+        rows = conjecture_probe(theta, alpha, con.p_list, corpus, quad)
+        summaries[f"z^{degree}"] = probe_summary(rows, con.p_list)
         for row in rows:
-            for p in p_list:
+            for p in con.p_list:
                 rows_csv.append((f"z^{degree}", row.tag, p, row.schatten[p],
                                  row.besov[p], row.ratio[p], row.depth[p]))
     payload = {
         "seed": config.sweep.seed,
         "alpha_angle": con.alpha_angle,
-        "p_list": p_list,
+        "p_list": con.p_list,
         "summaries": {k: {f"{p:g}": v for p, v in s.items()}
                       for k, s in summaries.items()},
         "note": "exploratory: paired quantities only, no pass/fail",

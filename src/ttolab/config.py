@@ -1,14 +1,18 @@
 """Run configuration: JSON file -> validated nested dataclasses.
 
-Unknown keys are rejected (typos should fail loudly, exit code 2), file
-values and CLI overrides alike take the type of the field they set, and
-every tolerance is checked positive.  CLI flags override file values;
-the seed is recorded in every report so runs can be reproduced.
+Unknown keys are rejected (typos should fail loudly, exit code 2).  Every
+value, from the file or a CLI override, takes one typed path: it is
+converted to the type of its field's default (a list entry to that of the
+default's entries), then checked against the range its field declares
+beside the default.  An error names `section.key`, with `[i]` for a list
+entry.  CLI flags override file values; the seed is recorded in every
+report so runs can be reproduced.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,25 +23,27 @@ class ConfigError(Exception):
     pass
 
 
-def positive_exponents(values, name: str) -> list:
-    """The exponents as floats; ConfigError unless each is positive."""
-    try:
-        exponents = [float(p) for p in values]
-        if all(p > 0 for p in exponents):
-            return exponents
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{name} entries must be positive numbers")
+# The ranges a field declares: a test of one value, and how errors say it.
+def _at_least(low):
+    return lambda x: x >= low, f">= {low}"
 
 
-def _check_positive(section, where: str, names):
-    for name in names:
-        if not getattr(section, name) > 0:
-            raise ConfigError(f"{where}.{name} must be positive")
+_POSITIVE = (lambda x: 0 < x < math.inf, "positive and finite")
+_UNIT = (lambda x: 0 < x < 1, "in (0, 1)")
+_FINITE = (math.isfinite, "finite")
+
+
+def _ranged(default, valid):
+    """A field with its default and the range its value, or each entry of
+    a list, must lie in."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata={"range": valid})
+    return field(default=default, metadata={"range": valid})
 
 
 @dataclass
 class QuadratureConfig:
+    # QuadratureSettings checks these; settings() names the section
     m_init: int = 256
     m_cap: int = 1 << 20
     tol: float = 1e-12
@@ -46,121 +52,66 @@ class QuadratureConfig:
         try:
             return QuadratureSettings(self.m_init, self.m_cap, self.tol)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"quadrature.{exc}") from exc
 
 
 @dataclass
 class ToleranceConfig:
-    identity: float = 1e-10      # exact structural identities
-    spectral: float = 1e-8       # eigenvalue / equivalence comparisons
-    nehari_slack: float = 1e-6   # dual lower-bound slack
-
-    def validate(self):
-        _check_positive(self, "tolerances", ("identity", "spectral", "nehari_slack"))
+    identity: float = _ranged(1e-10, _POSITIVE)      # exact structural identities
+    spectral: float = _ranged(1e-8, _POSITIVE)       # eigenvalue / equivalence comparisons
+    nehari_slack: float = _ranged(1e-6, _POSITIVE)   # dual lower-bound slack
 
 
 @dataclass
 class SweepConfig:
-    seed: int = 20250815
-    max_zero_modulus: float = 0.9
-    min_zero_gap: float = 0.12
-
-    def validate(self):
-        if not 0 < self.max_zero_modulus < 1:
-            raise ConfigError("sweep.max_zero_modulus must lie in (0, 1)")
+    seed: int = _ranged(20250815, _at_least(0))
+    max_zero_modulus: float = _ranged(0.9, _UNIT)
+    min_zero_gap: float = _ranged(0.12, _UNIT)
 
 
 @dataclass
 class EssentialConfig:
-    n_list: list = field(default_factory=lambda: [2, 4, 6, 8, 10, 12, 13, 14])
-    delta: float = 0.05
-    ratio: float = 0.5           # zeros approach the boundary like 1 - ratio^n
-    quad_tol: float = 1e-10
-    gram_tol: float = 1e-7
-
-    def validate(self):
-        if not self.n_list or any(int(n) < 1 for n in self.n_list):
-            raise ConfigError("essential.n_list must hold positive integers")
-        if not 0 < self.ratio < 1:
-            raise ConfigError("essential.ratio must lie in (0, 1)")
-        _check_positive(self, "essential", ("delta", "quad_tol", "gram_tol"))
+    n_list: list = _ranged([2, 4, 6, 8, 10, 12, 13, 14], _at_least(1))
+    delta: float = _ranged(0.05, _POSITIVE)
+    ratio: float = _ranged(0.5, _UNIT)     # zeros approach the boundary like 1 - ratio^n
+    quad_tol: float = _ranged(1e-10, _POSITIVE)
+    gram_tol: float = _ranged(1e-7, _POSITIVE)
 
 
 @dataclass
 class DecayConfig:
-    n_max: int = 12
-    ratio: float = 0.5
-    threshold: float = 0.05
-    quad_tol: float = 1e-10
-    gram_tol: float = 1e-7
-
-    def validate(self):
-        if self.n_max < 1:
-            raise ConfigError("decay.n_max must be >= 1")
-        if not 0 < self.ratio < 1:
-            raise ConfigError("decay.ratio must lie in (0, 1)")
-        _check_positive(self, "decay", ("threshold", "quad_tol", "gram_tol"))
+    n_max: int = _ranged(12, _at_least(1))
+    ratio: float = _ranged(0.5, _UNIT)
+    threshold: float = _ranged(0.05, _POSITIVE)
+    quad_tol: float = _ranged(1e-10, _POSITIVE)
+    gram_tol: float = _ranged(1e-7, _POSITIVE)
 
 
 @dataclass
 class NehariConfig:
-    instances: int = 50
-    multistart: int = 64            # accepted for old configs; ignored
-    grid_m: int = 4096
-    max_degree: int = 4
-    max_band: int = 3
-    r_list: list = field(default_factory=lambda: [0.9, 0.99, 0.999])
-
-    def validate(self):
-        if self.instances < 1 or self.multistart < 1:
-            raise ConfigError("nehari counts must be >= 1")
-        if self.grid_m < 2:
-            raise ConfigError("nehari.grid_m must be >= 2")
-        if any(not 0 < float(r) < 1 for r in self.r_list):
-            raise ConfigError("nehari.r_list entries must lie in (0, 1)")
+    instances: int = _ranged(50, _at_least(1))
+    multistart: int = _ranged(64, _at_least(1))     # accepted for old configs; ignored
+    grid_m: int = _ranged(4096, _at_least(2))
+    max_degree: int = _ranged(4, _at_least(1))
+    max_band: int = _ranged(3, _at_least(1))
+    r_list: list = _ranged([0.9, 0.99, 0.999], _UNIT)
 
 
 @dataclass
 class BesovConfig:
-    degree: int = 3
-    alpha_angle: float = 0.0
-    p_list: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
-    eps_grid: list = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.4,
-                                                    0.8, 1.2, 2.0])
-
-    def validate(self):
-        if self.degree < 1:
-            raise ConfigError("besov.degree must be >= 1")
-        positive_exponents(self.p_list, "besov.p_list")
-        positive_exponents(self.eps_grid, "besov.eps_grid")
+    degree: int = _ranged(3, _at_least(1))
+    alpha_angle: float = _ranged(0.0, _FINITE)
+    p_list: list = _ranged([0.5, 1.0, 2.0], _POSITIVE)
+    eps_grid: list = _ranged([0.05, 0.1, 0.2, 0.4, 0.8, 1.2, 2.0], _POSITIVE)
 
 
 @dataclass
 class ConjectureConfig:
-    degrees: list = field(default_factory=lambda: [2, 3])
-    corpus: int = 12
-    alpha_angle: float = 0.0
-    p_list: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
-    max_band: int = 4
-
-    def validate(self):
-        if self.corpus < 1:
-            raise ConfigError("conjecture.corpus must be >= 1")
-        if any(int(d) < 1 for d in self.degrees):
-            raise ConfigError("conjecture.degrees must hold positive integers")
-        positive_exponents(self.p_list, "conjecture.p_list")
-
-
-_SECTIONS = {
-    "quadrature": QuadratureConfig,
-    "tolerances": ToleranceConfig,
-    "sweep": SweepConfig,
-    "essential": EssentialConfig,
-    "decay": DecayConfig,
-    "nehari": NehariConfig,
-    "besov": BesovConfig,
-    "conjecture": ConjectureConfig,
-}
+    degrees: list = _ranged([2, 3], _at_least(1))
+    corpus: int = _ranged(12, _at_least(1))
+    alpha_angle: float = _ranged(0.0, _FINITE)
+    p_list: list = _ranged([0.5, 1.0, 2.0], _POSITIVE)
+    max_band: int = _ranged(4, _at_least(1))
 
 
 @dataclass
@@ -176,43 +127,50 @@ class RunConfig:
     output_dir: str = ""
 
     def validate(self) -> "RunConfig":
+        """Type every section value like its field's default, then check
+        the value, or each entry of a list, against the field's range."""
+        for where, cls in _SECTIONS.items():
+            section, defaults = getattr(self, where), cls()
+            for f in dataclasses.fields(cls):
+                key = f"{where}.{f.name}"
+                value = _coerce_like(key, getattr(defaults, f.name),
+                                     getattr(section, f.name))
+                setattr(section, f.name, value)
+                if value == []:
+                    raise ConfigError(f"{key} must not be empty")
+                if "range" not in f.metadata:
+                    continue
+                valid, phrase = f.metadata["range"]
+                entries = value if isinstance(value, list) else [value]
+                for i, entry in enumerate(entries):
+                    if not valid(entry):
+                        at = f"{key}[{i}]" if isinstance(value, list) else key
+                        raise ConfigError(f"{at} must be {phrase}, got {entry!r}")
         self.quadrature.settings()
-        for name in _SECTIONS:
-            section = getattr(self, name)
-            if hasattr(section, "validate"):
-                section.validate()
         return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def _fill_section(cls, data: dict, where: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    section = cls()
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {where}.{key}")
-        setattr(section, key, _coerce_like(f"{where}.{key}", getattr(section, key), value))
-    return section
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)
+             if f.default_factory is not dataclasses.MISSING}
 
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
-    kwargs = {}
+    flat = {}
     for key, value in data.items():
-        if key == "output_dir":
-            if not isinstance(value, str):
-                raise ConfigError("output_dir must be a string")
-            kwargs[key] = value
-        elif key in _SECTIONS:
+        if key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key} must be a JSON object")
-            kwargs[key] = _fill_section(_SECTIONS[key], value, key)
+            flat.update((f"{key}.{name}", entry) for name, entry in value.items())
+        elif key == "output_dir":
+            flat[key] = value
         else:
             raise ConfigError(f"unknown configuration key {key}")
-    return RunConfig(**kwargs).validate()
+    return apply_overrides(RunConfig(), flat)
 
 
 def load_config(path=None) -> RunConfig:
@@ -229,10 +187,16 @@ def load_config(path=None) -> RunConfig:
     return config_from_dict(data)
 
 
-def _coerce_like(path, current, value):
-    """A file value or override in the type of the field it sets.  Bools
-    are refused for numbers, and numbers with a fraction for integers."""
-    if isinstance(current, int):
+def _coerce_like(path, default, value):
+    """A value in the type of its field's default, a list's entries in the
+    type of the default's entries.  Bools are refused for numbers, and
+    numbers with a fraction for integers."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} expects a JSON list, got {value!r}")
+        return [_coerce_like(f"{path}[{i}]", default[0], entry)
+                for i, entry in enumerate(value)]
+    if isinstance(default, int):
         if isinstance(value, float) and value.is_integer():
             return int(value)
         if isinstance(value, (int, str)) and not isinstance(value, bool):
@@ -241,31 +205,25 @@ def _coerce_like(path, current, value):
             except ValueError:
                 pass
         raise ConfigError(f"{path} expects an integer, got {value!r}")
-    if isinstance(current, float):
-        if not isinstance(value, bool):
-            try:
-                return float(value)
-            except (TypeError, ValueError):
-                pass
-        raise ConfigError(f"{path} expects a number, got {value!r}")
-    if isinstance(current, list) and not isinstance(value, list):
-        raise ConfigError(f"{path} expects a JSON list, got {value!r}")
-    return value
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{path} expects a number, got {value!r}")
 
 
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
-    """Dotted-path overrides from CLI flags, e.g. {"sweep.seed": 7}."""
+    """Dotted-path values, e.g. {"sweep.seed": 7} from CLI flags, set on
+    the config, which is then validated."""
     for path, value in overrides.items():
-        if value is None:
-            continue
-        if path == "output_dir":
-            config.output_dir = str(value)
-            continue
         section, _, key = path.partition(".")
-        if section not in _SECTIONS or not key:
-            raise ConfigError(f"unknown override {path}")
-        target = getattr(config, section)
-        if key not in {f.name for f in dataclasses.fields(target)}:
-            raise ConfigError(f"unknown override {path}")
-        setattr(target, key, _coerce_like(path, getattr(target, key), value))
+        if path == "output_dir":
+            if not isinstance(value, str):
+                raise ConfigError(f"output_dir must be a string, got {value!r}")
+            config.output_dir = value
+        elif section in _SECTIONS and key in _SECTIONS[section].__dataclass_fields__:
+            setattr(getattr(config, section), key, value)
+        else:
+            raise ConfigError(f"unknown key {path}")
     return config.validate()

@@ -79,7 +79,6 @@ class DistanceReport:
     value: float                # lower bound, up to the tolerance of its L1 integral
     coefficients: np.ndarray    # dual-basis coefficients of the minimizer
     pairing: np.ndarray         # ∫ phi h_i dm against the dual basis
-    grid_value: float           # |c.q| / mean|h| on the optimization grid
     grid_m: int
     starts: int                 # 1 per solve, 0 when none was needed
     stagnant_starts: int        # always 0; kept for report compatibility
@@ -239,8 +238,7 @@ def _barrier_path(h, y, grid, l1):
     return y, h, steps
 
 
-def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
-                  seed: int = 20250815, grid_m: int = 4096,
+def dual_distance(phi: Symbol, theta: BlaschkeProduct, grid_m: int = 4096,
                   quad: QuadratureSettings = DEFAULT_QUADRATURE) -> DistanceReport:
     """Compute dist(phi, F_theta) by the dual extremal problem.
 
@@ -254,20 +252,18 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     at tol max(quad.tol, 1e-9) rather than trusting the optimization grid.
     A level of that integral whose nodes are bitwise the solve grid's
     strided nodes (as for every power-of-two m up to a power-of-two
-    `grid_m`) takes |h| from the minimizer's grid values, which also give
-    `grid_value`; every other level evaluates h afresh.  Nothing bounds
-    the error of that integral, so the value is a lower bound only up to
-    its tolerance.
-    `multistart` and `seed` are accepted for compatibility and ignored.
+    `grid_m`) takes |h| from the minimizer's grid values; every other
+    level evaluates h afresh.  Nothing bounds the error of that integral,
+    so the value is a lower bound only up to its tolerance.
     """
     if theta.degree < 2:
         empty = np.zeros(0, dtype=complex)
-        return DistanceReport(0.0, empty, empty, 0.0, grid_m, 0, 0, 0)
+        return DistanceReport(0.0, empty, empty, grid_m, 0, 0, 0)
     dual = dual_basis(theta, quad)
     q = subspace_pairing(phi, dual.basis, dual.coeffs)
     if float(np.linalg.norm(q)) < 1e-14:
         zero = np.zeros(dual.dimension, dtype=complex)
-        return DistanceReport(0.0, zero, q, 0.0, grid_m, 0, 0, 0)
+        return DistanceReport(0.0, zero, q, grid_m, 0, 0, 0)
 
     grid_nodes = unit_nodes(grid_m)
     samples = dual.sample(grid_nodes)
@@ -289,8 +285,7 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     l1, _ = adaptive_boundary_mean(abs_sample, relaxed)
     l1 = float(np.real(l1))
     value = float(abs(best_c @ q) / l1) if l1 > 0.0 else 0.0
-    grid_value = 1.0 / float(np.mean(grid_abs))
-    return DistanceReport(value, best_c, q, grid_value, grid_m, 1, 0, steps)
+    return DistanceReport(value, best_c, q, grid_m, 1, 0, steps)
 
 
 @dataclass(frozen=True)
@@ -315,12 +310,11 @@ def nehari_gap(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     The dual distance is the global optimum of a convex problem, so the
     inequality holds up to quadrature and solver tolerance; a violation
     beyond the slack is a genuine bug, hence an exception.  `multistart`
-    and `seed` are passed through to `dual_distance`, which ignores them.
+    and `seed` are accepted for compatibility and ignored.
     """
     basis = build_basis(theta, quad)
     norm = hankel_matrix(phi, basis).norm()
-    report = dual_distance(phi, theta.square(), multistart, seed, grid_m,
-                           quad)
+    report = dual_distance(phi, theta.square(), grid_m, quad)
     if norm > report.value + slack:
         raise NehariError(
             f"operator norm {norm:.12g} exceeds dual distance estimate "

@@ -273,6 +273,19 @@ def test_bad_theta_is_config_error(tmp_path):
     assert run(["basis", "--theta", "frog", "--output-dir", str(tmp_path)]) == 2
 
 
+def test_theta_zero_of_wrong_type_is_config_error(tmp_path):
+    assert run(["basis", "--theta", '{"zeros": [[0.5, "nan"]]}',
+                "--output-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "basis.json").exists()
+
+
+def test_non_finite_alpha_is_config_error(tmp_path):
+    for alpha in ("nan", "inf", "1+nani"):
+        assert run(["clark", "--theta", "z^2", "--alpha", alpha,
+                    "--output-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "clark.json").exists()
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("TTOLAB_OUTPUT_DIR", str(target))

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from ttolab.cli import main
 from ttolab.config import (
     ConfigError,
     RunConfig,
@@ -113,3 +115,75 @@ def test_file_values_are_converted():
     assert config.sweep.seed == 12
     # integers keep every digit
     assert config_from_dict({"sweep": {"seed": 2**60 + 1}}).sweep.seed == 2**60 + 1
+
+
+# Inputs that once ran into a traceback or were accepted silently: the
+# command that reads the key, the key, its JSON value, and the name the
+# error gives.
+_REFUSED = [
+    ("essential", "essential.n_list", ["a"], "essential.n_list[0]"),
+    ("nehari", "nehari.r_list", ["a"], "nehari.r_list[0]"),
+    ("conjecture", "conjecture.degrees", [2.5], "conjecture.degrees[0]"),
+    ("essential", "essential.n_list", [2.5, 3], "essential.n_list[0]"),
+    ("essential", "essential.n_list", [], "essential.n_list"),
+    ("besov", "besov.p_list", [True], "besov.p_list[0]"),
+    ("besov", "quadrature.tol", "nan", "quadrature.tol"),
+    ("nehari", "nehari.max_degree", 0, "nehari.max_degree"),
+    ("nehari", "nehari.max_band", -1, "nehari.max_band"),
+    ("besov", "sweep.min_zero_gap", 5, "sweep.min_zero_gap"),
+    # json writes inf as Infinity and reads it back as inf, as it reads 1e400
+    ("conjecture", "conjecture.alpha_angle", float("inf"), "conjecture.alpha_angle"),
+    ("besov", "besov.alpha_angle", 10**400, "besov.alpha_angle"),
+    ("besov", "sweep.seed", -1, "sweep.seed"),
+]
+
+
+@pytest.mark.parametrize("via", ["file", "set"])
+@pytest.mark.parametrize("command,key,value,name", _REFUSED,
+                         ids=[f"{k}={json.dumps(v)[:12]}" for _, k, v, _ in _REFUSED])
+def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, via, command, key, value,
+                                          name):
+    out = tmp_path / "out"
+    if via == "file":
+        section, _, field = key.partition(".")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({section: {field: value}}))
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, "--set", f"{key}={json.dumps(value)}"]
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ttolab: configuration error: {name} ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    assert main(["besov", "--seed", "-1", "--output-dir", str(tmp_path / "out")]) == 2
+    assert "sweep.seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_list_entries_take_the_type_of_the_default_entries():
+    config = config_from_dict({"essential": {"n_list": [2.0, "3"]},
+                               "nehari": {"r_list": [0.5, 1e-3]},
+                               "conjecture": {"degrees": [4], "p_list": [1, "2"]}})
+    assert config.essential.n_list == [2, 3]
+    assert all(type(n) is int for n in config.essential.n_list)
+    assert config.conjecture.p_list == [1.0, 2.0]
+    assert all(type(p) is float for p in config.conjecture.p_list)
+
+
+def test_every_section_field_declares_a_range():
+    # QuadratureSettings checks quadrature.*, and output_dir is a path; a
+    # section added later cannot ship an unchecked field
+    config = RunConfig()
+    unranged = set()
+    for top in dataclasses.fields(config):
+        section = getattr(config, top.name)
+        if not dataclasses.is_dataclass(section):
+            unranged.add(top.name)
+            continue
+        unranged.update(f"{top.name}.{f.name}" for f in dataclasses.fields(section)
+                        if "range" not in f.metadata)
+    assert {k for k in unranged if not k.startswith("quadrature.")} == {"output_dir"}

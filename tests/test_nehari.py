@@ -36,14 +36,14 @@ def test_dual_basis_spans_vanishing_part():
 def test_unit_distance_for_conjugate_monomial():
     # dist(zbar, analytic + conj(z^2 H^2)) = 1, attained by h = z
     report = dual_distance(TrigPoly({-1: 1.0}), BlaschkeProduct([0, 0]),
-                           multistart=8, grid_m=1024)
+                           grid_m=1024)
     assert abs(report.value - 1.0) < 1e-8
 
 
 def test_distance_vanishes_inside_the_space():
     # phi = z^3 already lies in the competitor class
     report = dual_distance(TrigPoly({3: 1.0}), BlaschkeProduct([0, 0]),
-                           multistart=8, grid_m=1024)
+                           grid_m=1024)
     assert report.value < 1e-10
 
 
@@ -82,7 +82,7 @@ def test_minimax_certificate_bounds_distance():
     phi = TrigPoly({-1: 1.0})
     theta2 = BlaschkeProduct([0, 0])
     cert = minimax_certificate(phi, theta2, grid_m=2048)
-    dual = dual_distance(phi, theta2, multistart=8, grid_m=1024)
+    dual = dual_distance(phi, theta2, grid_m=1024)
     assert cert.value >= dual.value - 1e-6
     assert abs(cert.value - 1.0) < 0.02   # certified near-optimal here
 
@@ -153,9 +153,10 @@ def test_dual_distance_meets_first_order_condition(index):
 
 
 def test_dual_distance_ignores_seed_and_multistart():
+    # nehari_gap keeps both parameters for old callers and ignores them
     theta, phi = _sweep_instances(2)[1]
-    a = dual_distance(phi, theta.square(), multistart=1, seed=1, grid_m=1024)
-    b = dual_distance(phi, theta.square(), multistart=64, seed=2, grid_m=1024)
+    a = nehari_gap(phi, theta, 1, 1, grid_m=1024).dual
+    b = nehari_gap(phi, theta, 64, 2, grid_m=1024).dual
     for name in a.__dataclass_fields__:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.starts, a.stagnant_starts) == (1, 0)
