@@ -2,7 +2,7 @@
 model spaces of finite Blaschke products."""
 
 from .besov import (Arc, LebesgueGrid, besov_norm, besov_profile,
-                    conjecture_probe, dyadic_family, oscillation,
+                    conjecture_probe, oscillation,
                     oscillation_report, vmo_modulus)
 from .blaschke import (BlaschkeProduct, boundary_zero_closure,
                        sublevel_connectivity)

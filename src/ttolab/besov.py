@@ -1,7 +1,7 @@
 """Mean oscillation against a reference measure on the circle.
 
 Oscillation of order r over an arc, the small-mass oscillation modulus,
-the dyadic arc family of the circle, Besov-type norms built from
+the dyadic partition of a measure's atoms, Besov-type norms built from
 p-summed oscillations, and an exploratory probe pairing Schatten norms
 of truncated Hankel operators with the measure-weighted Besov norms of
 their standard symbols.
@@ -126,8 +126,8 @@ class DyadicPartition:
     to the upper half when its angle is at least their midpoint, the
     midpoint Arc.halves forms.  An angle that reduces to 2 pi stays in the
     last arc.  In angle order (`order`) the atoms of an arc are a run, and
-    the arcs that hold atoms come in the order of dyadic_family; per
-    generation the partition keeps their atom counts and the largest one.
+    the arcs that hold atoms come in angle order; per generation the
+    partition keeps their atom counts and the largest one.
     Generations are built when first asked for and kept, so the profiles
     of one measure share them (`ClarkMeasure.partition`,
     `LebesgueGrid.partition`).  Atoms closer than the smallest normal
@@ -264,41 +264,6 @@ def vmo_modulus(f, nu, eps_values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DyadicArcFamily:
-    """Dyadic halvings of the whole circle [0, 2 pi); generation k holds
-    2^k arcs."""
-
-    generations: tuple          # generations[k] = tuple of Arc
-
-    def tiling_defect(self, nu) -> float:
-        """Largest generation-wise gap between the summed arc masses and
-        the total mass (the partition invariant)."""
-        w = np.asarray(nu.weights, dtype=float)
-        atoms = np.asarray(nu.atoms, dtype=complex)
-        target = float(w.sum())
-        worst = 0.0
-        for arcs in self.generations:
-            got = sum(float(w[a.contains(atoms)].sum()) for a in arcs)
-            worst = max(worst, abs(got - target))
-        return worst
-
-
-def dyadic_family(max_generation: int) -> DyadicArcFamily:
-    """Dyadic arc family of generations 0..max_generation.
-
-    Finite atomic measures have no accumulation points on the circle, so
-    the family halves the whole circle [0, 2 pi) with Arc.halves, the
-    same arcs for every measure.
-    """
-    if max_generation < 0:
-        raise ValueError("max_generation must be >= 0")
-    generations = [(Arc(0.0, TWO_PI),)]
-    for _ in range(max_generation):
-        generations.append(tuple(half for arc in generations[-1] for half in arc.halves()))
-    return DyadicArcFamily(tuple(generations))
-
-
-@dataclass(frozen=True)
 class BesovProfile:
     """Partial sums of the p-summed dyadic oscillations, from generation 0
     to the first whose arcs all hold at most r + 1 atoms."""
@@ -327,9 +292,9 @@ def besov_profile(f, nu, p: float) -> BesovProfile:
     r is the integer part of 1/p.  Once every arc of a generation holds
     at most r + 1 atoms the moment fit interpolates and all finer
     generations vanish, so the profile stops there, on any measure.  The
-    arcs are those of dyadic_family, taken from the measure's
-    `DyadicPartition` (`nu.partition`), and the moment fits of all
-    generations go to the oscillation kernel together.
+    arcs are the dyadic halvings of [0, 2 pi) that hold atoms, taken from
+    the measure's `DyadicPartition` (`nu.partition`), and the moment fits
+    of all generations go to the oscillation kernel together.
     """
     if p <= 0:
         raise ValueError("p must be positive")

@@ -12,11 +12,25 @@ each root once the second derivative predicts its remaining error below
 two ulp.  The phase is evaluated in blocks of bounded size, so no
 evaluation holds a whole (angles x zeros) table.  A root that must
 bisect in the tail of a zero's phase splits its bracket geometrically in
-the distance from that zero's angle.  The Clark measure places weight 1/|theta'| at each atom;
-the induced embedding of the model space into L2 of that measure is
-unitary.  The level sets at alpha and -alpha come from one pass over 2d
-targets, one sort and one evaluation of |theta'| (`clark_pair`).  A
-measure keeps the dyadic partition of its atoms that Besov profiles
+the distance from that zero's angle.  The Clark measure places weight
+1/|theta'| at each atom; the induced embedding of the model space into
+L2 of that measure is unitary.
+
+The level sets at alpha and -alpha come from one pass over 2d targets,
+one sort and one evaluation of |theta'|, and every request reads its
+atoms from such a pass (`_pass_for`).  The pass is taken once: the
+request that solves it parks it on theta, read-only, and the next
+request at alpha or -alpha takes it and drops it from theta.  So
+`clark_measure` at alpha and then at -alpha, or `clark_pair` and then
+`square_clark_measure`, solve theta once; a third request solves anew,
+and theta holds at most one unused pass.  A request at alpha served by a
+pass solved at -alpha gets atoms equal to its own pass's up to rounding.
+The cost falls on a request for one anchor alone, which solves 2d roots
+to use d: it takes about as long as before at degree <= 16 and up to
+about a third longer at degree 256, while two requests on one theta
+take about half as long (the README has the timings).
+
+A measure keeps the dyadic partition of its atoms that Besov profiles
 share (`partition`).  Combining the embeddings at alpha and -alpha yields
 a unitary Hilbert transform with an explicit Cauchy-type kernel, and a
 commutator construction that reproduces truncated Hankel operators from
@@ -37,7 +51,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .harmonic import TWO_PI, Symbol
-from .modelspace import ModelSpaceBasis
+from .modelspace import ModelSpaceBasis, _frozen
 from .truncops import OperatorMatrix, hankel_by_quadrature
 
 
@@ -205,13 +219,14 @@ def _split(factors, lo, hi):
 
 
 class _LevelSets(NamedTuple):
-    """The roots of one pass of `_level_sets`, sorted by angle."""
+    """The roots of one pass of `_level_sets`, sorted by angle, in
+    read-only arrays."""
 
     alpha: complex        # the normalised anchor
     angles: np.ndarray    # in [0, 2 pi)
     atoms: np.ndarray     # e^{i angles}
     weights: np.ndarray   # 1 / |theta'| at the atoms
-    j: np.ndarray         # turn index of each root's target
+    whole: np.ndarray     # the roots of whole j, at alpha; the others are at -alpha
     evaluations: int      # vectorised evaluations of Phi
     bisections: int       # bisection moves
 
@@ -222,6 +237,14 @@ class _LevelSets(NamedTuple):
             raise ClarkError("atoms collide: zeros too close to the circle for double precision")
         return ClarkMeasure(anchor, self.atoms[side], scale * self.weights[side],
                             self.evaluations, self.bisections)
+
+
+def _anchor(alpha: complex) -> complex:
+    """alpha divided by its modulus, refused unless that is 1 to 1e-9."""
+    alpha = complex(alpha)
+    if abs(abs(alpha) - 1.0) > 1e-9:
+        raise ClarkError("anchor must be unimodular")
+    return alpha / abs(alpha)
 
 
 def _level_sets(theta: BlaschkeProduct, alpha: complex, per_turn: int) -> _LevelSets:
@@ -241,10 +264,7 @@ def _level_sets(theta: BlaschkeProduct, alpha: complex, per_turn: int) -> _Level
     d = theta.degree
     if d == 0:
         raise ClarkError("constant products carry no Clark measure")
-    alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-9:
-        raise ClarkError("anchor must be unimodular")
-    alpha /= abs(alpha)
+    alpha = _anchor(alpha)
 
     factors = _factors(theta.zeros)
     base = float(np.angle(alpha) - np.angle(theta.gamma))
@@ -296,8 +316,31 @@ def _level_sets(theta: BlaschkeProduct, alpha: complex, per_turn: int) -> _Level
     order = np.argsort(angles)
     angles = angles[order]
     atoms = np.exp(1j * angles)
-    return _LevelSets(alpha, angles, atoms, 1.0 / theta.boundary_derivative_modulus(atoms),
-                      j[order], evaluations, bisections)
+    weights = 1.0 / theta.boundary_derivative_modulus(atoms)
+    j = j[order]
+    return _LevelSets(alpha, *map(_frozen, (angles, atoms, weights, j == np.floor(j))),
+                      evaluations, bisections)
+
+
+# the attribute of theta where a pass waits for the request at the other anchor
+_PARKED = "_clark_parked_pass"
+
+
+def _pass_for(theta: BlaschkeProduct, alpha: complex):
+    """The pass of theta = +-alpha that serves a request at alpha, the
+    normalised alpha and the mask of the pass's roots at alpha.
+
+    Take-once: a pass parked on theta at alpha or -alpha is taken, and
+    dropped from theta; otherwise one is solved at alpha and parked for
+    the next request.  So each pass serves at most two requests, theta
+    holds at most one unused pass, and a theta kept across many requests
+    still solves one pass per two of them.
+    """
+    anchor = _anchor(alpha)
+    roots = vars(theta).pop(_PARKED, None)
+    if roots is None or anchor not in (roots.alpha, -roots.alpha):
+        roots = vars(theta)[_PARKED] = _level_sets(theta, alpha, 2)
+    return roots, anchor, roots.whole if anchor == roots.alpha else ~roots.whole
 
 
 def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
@@ -329,20 +372,24 @@ def clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     (angles x zeros) terms, however close the zeros lie to T;
     `phase_evaluations` counts the vectorised evaluations of Phi and
     `bisections` the bisection moves.
+
+    The roots are the whole-j roots of the pass of theta = +-alpha, or
+    the half-j roots of one solved at -alpha and parked by the request
+    before (`_pass_for`), so the counts are those of that pass.
     """
-    roots = _level_sets(theta, alpha, 1)
-    return roots.measure(roots.alpha)
+    roots, alpha, side = _pass_for(theta, alpha)
+    return roots.measure(alpha, side)
 
 
 def clark_pair(theta: BlaschkeProduct, alpha: complex) -> tuple[ClarkMeasure, ClarkMeasure]:
     """The Clark measures of theta at alpha and at -alpha, from one
     vectorised pass over the 2d targets Phi = base + pi k (even k at
     alpha, odd k at -alpha), one sort of their angles and one evaluation
-    of |theta'|.  Both carry the phase evaluations and the bisections of
-    that pass."""
-    roots = _level_sets(theta, alpha, 2)
-    whole = roots.j == np.floor(roots.j)
-    return roots.measure(roots.alpha, whole), roots.measure(-roots.alpha, ~whole)
+    of |theta'|, or from the pass the request before parked on theta
+    (`_pass_for`).  Both carry the phase evaluations and the bisections
+    of that pass."""
+    roots, alpha, side = _pass_for(theta, alpha)
+    return roots.measure(alpha, side), roots.measure(-alpha, ~side)
 
 
 def expected_mass(theta: BlaschkeProduct, alpha: complex) -> float:
@@ -366,10 +413,10 @@ def poisson_identity_defect(measure: ClarkMeasure, theta: BlaschkeProduct,
 def square_clark_measure(theta: BlaschkeProduct, alpha: complex) -> ClarkMeasure:
     """Clark measure of theta^2 at alpha^2: its atoms are those of theta at
     alpha and -alpha, taken sorted from the one pass that solves both
-    (`clark_pair`), with weights 1/|(theta^2)'| = 1/(2 |theta'|).  Like
-    `clark_measure` it is refused only when two atoms coincide in double
-    precision."""
-    return _level_sets(theta, alpha, 2).measure(complex(alpha) ** 2, scale=0.5)
+    (`_pass_for`: that of a `clark_pair` just before, if there was one),
+    with weights 1/|(theta^2)'| = 1/(2 |theta'|).  Like `clark_measure` it
+    is refused only when two atoms coincide in double precision."""
+    return _pass_for(theta, alpha)[0].measure(complex(alpha) ** 2, scale=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -146,11 +146,26 @@ class RunConfig:
                     if not valid(entry):
                         at = f"{key}[{i}]" if isinstance(value, list) else key
                         raise ConfigError(f"{at} must be {phrase}, got {entry!r}")
+        for i, n in enumerate(self.essential.n_list):
+            _check_geometric_zero(f"essential.n_list[{i}]", n, self.essential.ratio)
+        _check_geometric_zero("decay.n_max", self.decay.n_max, self.decay.ratio)
         self.quadrature.settings()
         return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _check_geometric_zero(key, n, ratio):
+    """Refuse a step n whose zero 1 - ratio^n (`geometric_zero_generator`)
+    rounds to 1, off the open disk."""
+    try:
+        inside = 1.0 - ratio ** n < 1.0
+    except OverflowError:           # n beyond any float: ratio^n is 0
+        inside = False
+    if not inside:
+        raise ConfigError(f"{key} = {n} puts the zero 1 - ratio^n at 1 in double "
+                          f"precision (ratio {ratio!r})")
 
 
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .clark import (clark_measure, clark_reconstruct, clark_unitary,
+from .clark import (clark_measure, clark_pair, clark_reconstruct, clark_unitary,
                     commutator_route_defect, cross_route_equivalence,
                     expected_mass, hilbert_route_defect,
                     hilbert_transform_matrix, poisson_identity_defect)
@@ -165,8 +165,7 @@ def _suite_hilbert_kernel(config: RunConfig, rng):
     for theta in _sweep(config, rng, (2, 3, 4)):
         basis = build_basis(theta, config.quadrature.settings())
         alpha = random_unimodular(rng)
-        plus = clark_measure(theta, alpha)
-        minus = clark_measure(theta, -alpha)
+        plus, minus = clark_pair(theta, alpha)
         h = hilbert_transform_matrix(plus, minus).entries
         eye = h.conj().T @ h
         yield float(np.max(np.abs(eye - np.eye(theta.degree))))
@@ -181,8 +180,8 @@ def _suite_cross_route(config: RunConfig, rng):
         phi = random_conjugate_square_symbol(rng, theta)
         report = cross_route_equivalence(phi, basis, alpha)
         yield from (report.deviation, report.singular_gap, report.embedding_defect)
-        yield commutator_route_defect(phi, clark_measure(theta, alpha),
-                                      clark_measure(theta, -alpha))
+        # the pass cross_route_equivalence solved, parked on theta
+        yield commutator_route_defect(phi, *clark_pair(theta, alpha))
 
 
 def _suite_spectral_mapping(config: RunConfig, rng):

@@ -37,3 +37,25 @@ def test_one_traced_round_passes_its_checks(name):
     assert set(metrics) == set(tracing.LAYER_METRICS)
     assert metrics["modelspace.basis_builds"] > 0
     assert metrics["modelspace.sample_evals"] > 0
+
+
+def test_one_clark_pass_per_operation(monkeypatch):
+    # a boundary `clark` operation asks for theta = 1 and theta = -1, an
+    # interior one for the pair of cross_route_equivalence and then the
+    # square measure: one pass each, also when an interior operation runs
+    # again on the theta it keeps across rounds
+    from ttolab import clark
+
+    passes = []
+    solve = clark._level_sets
+    monkeypatch.setattr(clark, "_level_sets",
+                        lambda *args: passes.append(args) or solve(*args))
+    boundary = [op for op in workloads.build("boundary", 1).operations
+                if op.label.startswith("clark") and op.degree <= 6]
+    interior = list(workloads.build("interior", 1).operations[:8])
+    assert len(boundary) == 5
+    for op in boundary + interior:
+        for _ in range(2):
+            passes.clear()
+            op.run()
+            assert len(passes) == 1, op.label

@@ -306,17 +306,19 @@ def test_phase_evaluations_default_and_square():
     assert ClarkMeasure(1.0, np.ones(1), np.ones(1)).phase_evaluations == 0
     assert ClarkMeasure(1.0, np.ones(1), np.ones(1)).bisections == 0
     # the square's atoms come from the one pass that solves theta = +-alpha
-    plus, minus = clark_pair(THETA, ALPHA)
-    nu = square_clark_measure(THETA, ALPHA)
+    theta = BlaschkeProduct(THETA.zeros)
+    plus, minus = clark_pair(theta, ALPHA)
+    nu = square_clark_measure(theta, ALPHA)
     assert nu.phase_evaluations == plus.phase_evaluations == minus.phase_evaluations
     assert nu.bisections == plus.bisections == minus.bisections
 
 
 def test_pair_pass_matches_two_solves():
+    # against one pass per anchor, each over the d targets of its level set
     for theta, alpha in _sweep_zero_sets():
+        singles = [clark._level_sets(theta, anchor, 1) for anchor in (alpha, -alpha)]
         for paired, single in zip(clark_pair(theta, alpha),
-                                  (clark_measure(theta, alpha),
-                                   clark_measure(theta, -alpha))):
+                                  [roots.measure(roots.alpha) for roots in singles]):
             assert paired.alpha == single.alpha
             assert np.max(np.abs(paired.atoms - single.atoms)) < 1e-14
             assert np.max(np.abs(paired.weights / single.weights - 1.0)) < 1e-14
@@ -494,11 +496,10 @@ def _phase_block_cases():
                          ids=list(_phase_block_cases()))
 def test_phase_blocks_do_not_move_the_roots(monkeypatch, zeros):
     # one angle per block or all angles in one: bitwise the same solve
-    theta = BlaschkeProduct(zeros)
     solves = []
     for block in (1, 1 << 40):
         monkeypatch.setattr(clark, "_PHASE_BLOCK", block)
-        solves.append(clark_pair(theta, ALPHA))
+        solves.append(clark_pair(BlaschkeProduct(zeros), ALPHA))
     for rows, one in zip(*solves):
         assert np.array_equal(rows.atoms, one.atoms)
         assert np.array_equal(rows.weights, one.weights)
@@ -519,7 +520,7 @@ def test_phase_blocks_bound_memory_at_large_degree(monkeypatch):
         tracemalloc.stop()
     assert peak < 64 * 2**20
     monkeypatch.setattr(clark, "_PHASE_BLOCK", 1 << 40)
-    one = clark_measure(theta, ALPHA)
+    one = clark_measure(BlaschkeProduct(theta.zeros), ALPHA)
     assert np.array_equal(mu.atoms, one.atoms)
     assert np.array_equal(mu.weights, one.weights)
     assert mu.phase_evaluations == one.phase_evaluations
@@ -542,3 +543,51 @@ def test_speed_blocks_bound_memory_at_large_degree(monkeypatch):
     assert peak < 16 * 2**20
     monkeypatch.setattr(blaschke, "_SPEED_BLOCK", 1 << 40)
     assert np.array_equal(mu.weights, 1.0 / theta.boundary_derivative_modulus(mu.atoms))
+
+
+def test_one_pass_serves_two_requests(monkeypatch):
+    # the request that solves the pass of theta = +-alpha parks it on
+    # theta, the next request at alpha or -alpha takes it, and a taken
+    # pass is gone: one pass per two requests, however long theta lives
+    anchors = []
+    solve = clark._level_sets
+    monkeypatch.setattr(clark, "_level_sets",
+                        lambda theta, alpha, per_turn: anchors.append(alpha)
+                        or solve(theta, alpha, per_turn))
+    theta = BlaschkeProduct(THETA.zeros)
+    plus, minus = clark_measure(theta, ALPHA), clark_measure(theta, -ALPHA)
+    assert anchors == [ALPHA]
+    assert clark._PARKED not in vars(theta)
+    # the atoms at alpha are bitwise those of a pass at alpha alone; those
+    # at -alpha, targets base + pi (2k + 1), agree to rounding
+    singles = [solve(THETA, anchor, 1) for anchor in (ALPHA, -ALPHA)]
+    assert np.array_equal(plus.atoms, singles[0].atoms)
+    for measure, single in zip((plus, minus), singles):
+        assert measure.alpha == single.alpha
+        assert np.max(np.abs(measure.atoms - single.atoms)) < 1e-14
+        assert np.max(np.abs(measure.weights / single.weights - 1.0)) < 1e-14
+    again = clark_measure(theta, -ALPHA)       # a third request: a new pass
+    assert anchors == [ALPHA, -ALPHA]
+    assert np.max(np.abs(again.atoms - minus.atoms)) < 1e-14
+    # a request at another anchor drops the unused pass for its own
+    clark_measure(theta, 1j * ALPHA)
+    assert anchors == [ALPHA, -ALPHA, 1j * ALPHA]
+    assert vars(theta)[clark._PARKED].alpha == clark._anchor(1j * ALPHA)
+
+    theta = BlaschkeProduct(THETA.zeros)
+    pair = clark_pair(theta, ALPHA)
+    nu = square_clark_measure(theta, ALPHA)
+    assert len(anchors) == 4
+    # the square's atoms are the pair's, from the same pass
+    assert set(nu.atoms) == set(pair[0].atoms) | set(pair[1].atoms)
+    square_clark_measure(theta, ALPHA)
+    assert len(anchors) == 5
+
+
+def test_parked_pass_is_read_only():
+    theta = BlaschkeProduct(THETA.zeros)
+    clark_measure(theta, ALPHA)
+    parked = vars(theta)[clark._PARKED]
+    for array in (parked.angles, parked.atoms, parked.weights, parked.whole):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]

@@ -286,6 +286,19 @@ def test_non_finite_alpha_is_config_error(tmp_path):
     assert not (tmp_path / "clark.json").exists()
 
 
+def test_zero_rounding_to_one_is_config_error(tmp_path, capsys):
+    # 1 - 0.5^n rounds to 1 from n = 54: no zero inside the disk, so the
+    # step is refused before any report, by the key that sets it
+    for command, pair, key in (("essential", "essential.n_list=[2,60]", "essential.n_list[1]"),
+                               ("lemma1", "decay.n_max=54", "decay.n_max"),
+                               ("lemma1", "decay.n_max=" + "1" + "0" * 400, "decay.n_max")):
+        assert run([command, "--set", pair, "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ttolab: configuration error: {key} = ")
+        assert len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("TTOLAB_OUTPUT_DIR", str(target))
