@@ -9,7 +9,6 @@ the origin once per zero.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,13 +142,6 @@ class BlaschkeProduct(Symbol):
         zeros = [cls._parse_complex(item) for item in data.get("zeros", [])]
         gamma = cls._parse_complex(data.get("gamma", 1.0))
         return cls(zeros, gamma)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BlaschkeProduct":
-        return cls.from_dict(json.loads(text))
 
     def label(self) -> str:
         """Short deterministic identifier used in operator space tags."""

@@ -40,6 +40,9 @@ compressed-shift closed form for trigonometric polynomials, or Clark's
 exact rule from the eigenvalues of the Clark unitary), and the
 cross-route check compares it with the quadrature builder: agreement of
 the two pipelines is the strongest end-to-end check in the package.
+What the two routes share is the evaluation of the symbol: a combination
+of the basis functions on theta's zeros, or its conjugate, is read off
+the basis samples each route takes (`modelspace._symbol_from_samples`).
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .harmonic import TWO_PI, Symbol
-from .modelspace import ModelSpaceBasis, _frozen
+from .modelspace import ModelSpaceBasis, _frozen, _symbol_from_samples
 from .truncops import OperatorMatrix, hankel_by_quadrature
 
 
@@ -582,11 +585,19 @@ def cross_route_equivalence(phi: Symbol, basis: ModelSpaceBasis,
     gamma = hankel_by_quadrature(phi, basis)
 
     plus, minus = clark_pair(theta, alpha)
-    # the basis at both atom sets in one sampling
-    samples = basis.sample(np.concatenate([plus.atoms, minus.atoms]))
-    embed = _embedding(basis, plus, samples[:, :plus.atoms.size])
-    embed_conj = _conjugate_embedding(basis, minus, samples[:, plus.atoms.size:])
-    core = commutator_matrix(phi, plus, minus)
+    # the basis at both atom sets in one sampling, which also gives phi
+    # there when phi can be read off the basis's samples
+    atoms = np.concatenate([plus.atoms, minus.atoms])
+    samples = basis.sample(atoms)
+    n = plus.atoms.size
+    embed = _embedding(basis, plus, samples[:, :n])
+    embed_conj = _conjugate_embedding(basis, minus, samples[:, n:])
+    read = _symbol_from_samples(phi, theta.zeros)
+    if read is None:
+        core = commutator_matrix(phi, plus, minus)
+    else:
+        values = read(samples, atoms)
+        core = _commutator(values[:n], values[n:], plus, minus)
     clark_route = embed_conj.matrix.adjoint() @ core @ embed.matrix
 
     deviation = float(np.linalg.norm(gamma.entries - clark_route.entries, 2))

@@ -6,8 +6,9 @@ experiments (essential, lemma1, nehari, besov, conjecture).  Everything
 reads an optional JSON config, applies --set overrides, and writes
 deterministic JSON/CSV reports into the output directory.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 configuration or
-usage error.
+Exit codes: 0 all checks passed, 1 a check failed or a numerical step
+refused its input (a basis, Clark or quadrature error, reported in one
+line and with no report written), 2 configuration or usage error.
 """
 from __future__ import annotations
 
@@ -20,13 +21,13 @@ import numpy as np
 
 from .besov import conjecture_probe, oscillation_report, probe_summary
 from .blaschke import BlaschkeProduct
-from .clark import clark_measure, clark_unitary, expected_mass, \
+from .clark import ClarkError, clark_measure, clark_unitary, expected_mass, \
     poisson_identity_defect, square_clark_measure
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .corpus import random_blaschke, random_conjugate_square_symbol, \
     random_interior_points, random_trig_poly, spawn_rngs
-from .harmonic import QuadratureSettings, TrigPoly
-from .modelspace import build_basis
+from .harmonic import QuadratureError, QuadratureSettings, TrigPoly
+from .modelspace import ModelSpaceError, build_basis
 from .nehari import NehariError, convolution_table, minimax_certificate, \
     nehari_gap
 from .reports import canonical_json, csv_table, output_dir, write_text
@@ -515,6 +516,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"{PROG}: configuration error: {exc}", file=sys.stderr)
         return 2
+    except (ModelSpaceError, ClarkError, QuadratureError) as exc:
+        print(f"{PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,8 +19,9 @@ basis's own settings (`ModelSpaceBasis.quad`).
 A `ModelSpaceBasis` computes what it derives from theta once and keeps
 it: the compressed shift, the Clark rule formed from it, the basis
 sampled at the rule's atoms, and the Taylor rows, which grow when a call
-needs more of them.  A combination made by the basis keeps the basis, so
-its values at the atoms need no second sampling.
+needs more of them.  e(0) is the sampler's own recurrence at the origin,
+computed in one scalar pass over the zeros.  A combination made by the
+basis keeps the basis, so its values at the atoms need no second sampling.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .harmonic import (DEFAULT_QUADRATURE, QuadratureSettings, Symbol,
-                       TrigPoly, adaptive_boundary_mean)
+from .harmonic import (DEFAULT_QUADRATURE, ConjSymbol, QuadratureSettings,
+                       Symbol, TrigPoly, adaptive_boundary_mean)
 
 
 class ModelSpaceError(RuntimeError):
@@ -66,6 +67,32 @@ def tm_samples(zeros, nodes) -> np.ndarray:
         np.subtract(lam, nodes, out=running)
         running *= q
         running *= cmath.rect(1.0, -cmath.phase(lam))
+    return out
+
+
+def _samples_at_origin(zeros) -> np.ndarray:
+    """`tm_samples(zeros, [0])[:, 0]` bit for bit, in one scalar pass.
+
+    At z = 0 the sampler's denominator 1 - conj(lam) z is exactly 1 + 0j,
+    so its running product is P_{k+1} = (lam_k P_k) u_k with P_0 = 1,
+    u_k = e^{-i arg lam_k}, and e_k(0) = s_k P_k with s_k = sqrt(1 - |lam_k|^2);
+    a zero at the origin gives e_k(0) = P_k and factor 0.  Each step is the
+    sampler's operation in the sampler's order, with s_k and u_k formed
+    as there, division by the denominator included, so the values round,
+    and zero parts take their signs, as the sampler's do.  Nehari's Newton
+    step counts depend on that rounding.
+    """
+    out = np.empty(len(zeros), dtype=complex)
+    running = 1.0 + 0j
+    for k, lam in enumerate(zeros):
+        lam = complex(lam)
+        if lam == 0:
+            out[k] = running
+            running *= 0j
+            continue
+        q = running / 1.0          # the sampler's division by 1 - conj(lam) 0
+        out[k] = q * (1.0 - abs(lam) ** 2) ** 0.5
+        running = lam * q * cmath.rect(1.0, -cmath.phase(lam))
     return out
 
 
@@ -210,6 +237,23 @@ class BasisCombination(Symbol):
         return self.coeffs[:d] @ samples + product * (self.coeffs[d:] @ samples)
 
 
+def _symbol_from_samples(phi: Symbol, zeros):
+    """How phi is read off basis samples on zeros, if it can be: for a
+    combination sampled on zeros (of the basis of theta or of theta^2, for
+    zeros theta's), or the conjugate of one, the function
+    (samples, nodes) -> phi at nodes from samples = tm_samples(zeros, nodes),
+    equal bit for bit to phi(nodes); None for any other symbol."""
+    inner = phi.inner if isinstance(phi, ConjSymbol) else phi
+    if not (isinstance(inner, BasisCombination) and inner._sampled_zeros == tuple(zeros)):
+        return None
+
+    def values(samples, nodes):
+        out = inner._from_samples(samples, nodes)
+        return out if inner is phi else np.conj(out)
+
+    return values
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     """The array itself, made read-only: later calls read it as kept."""
     array.flags.writeable = False
@@ -288,8 +332,9 @@ class ModelSpaceBasis:
 
     @cached_property
     def at_origin(self) -> np.ndarray:
-        """e(0): every basis element at the origin (read-only)."""
-        return _frozen(self.sample(np.zeros(1, dtype=complex))[:, 0])
+        """e(0): every basis element at the origin (read-only), equal bit
+        for bit to the sampler's value there (`tm_samples` at z = 0)."""
+        return _frozen(_samples_at_origin(self.theta.zeros))
 
     def combination(self, coeffs) -> BasisCombination:
         return BasisCombination(self.theta.zeros, coeffs, self)

@@ -26,10 +26,6 @@ class SpectralReport:
     singular_values: np.ndarray
     schatten: dict
 
-    @property
-    def operator_norm(self) -> float:
-        return float(self.singular_values[0]) if self.singular_values.size else 0.0
-
 
 def spectral_report(op: OperatorMatrix, p_list=(1.0, 2.0)) -> SpectralReport:
     """Eigenvalues (square matrices only), singular values, Schatten norms."""

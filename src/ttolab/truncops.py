@@ -33,7 +33,8 @@ from .harmonic import (DEFAULT_QUADRATURE, ConjSymbol, QuadratureSettings,
                        RationalSymbol, Symbol, TrigPoly, matrix_integral,
                        poisson_extension, unit_nodes)
 from .modelspace import (BasisCombination, ConjugateKernel, ModelSpaceBasis,
-                         _product_from_last_row, build_basis, clark_rule,
+                         _product_from_last_row, _symbol_from_samples,
+                         build_basis, clark_rule,
                          conjugate_kernel, subspace_pairing,
                          vanishing_at_origin_subspace)
 
@@ -169,20 +170,14 @@ def _block_sampler(basis: ModelSpaceBasis):
 
 
 def _block_symbol(phi: Symbol, basis: ModelSpaceBasis, sample):
-    """phi for one quadrature call on the basis.  A combination sampled on
-    theta's own zeros (of the basis of theta or of theta^2), or its
-    conjugate, is evaluated from the samples that `sample`, the call's
-    block sampler, keeps; any other symbol is phi itself."""
-    inner = phi.inner if isinstance(phi, ConjSymbol) else phi
-    if not (isinstance(inner, BasisCombination)
-            and inner._sampled_zeros == basis.theta.zeros):
+    """phi for one quadrature call on the basis: read off the samples that
+    `sample`, the call's block sampler, keeps where `_symbol_from_samples`
+    can read it (a combination sampled on theta's own zeros, or its
+    conjugate); any other symbol is phi itself."""
+    read = _symbol_from_samples(phi, basis.theta.zeros)
+    if read is None:
         return phi
-
-    def values(nodes):
-        out = inner._from_samples(sample(nodes), nodes)
-        return out if inner is phi else np.conj(out)
-
-    return values
+    return lambda nodes: read(sample(nodes), nodes)
 
 
 def _conjugate_row_sample(sample):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -79,8 +81,9 @@ def test_square_doubles_zeros():
 
 
 def test_json_roundtrip():
+    # the dict form through JSON text, as the CLI reads and writes it
     theta = BlaschkeProduct([0.3 + 0.1j, -0.2], gamma=np.exp(0.7j))
-    back = BlaschkeProduct.from_json(theta.to_json())
+    back = BlaschkeProduct.from_dict(json.loads(json.dumps(theta.to_dict())))
     z = 0.5j
     assert abs(theta(z) - back(z)) < 1e-15
 

@@ -481,6 +481,51 @@ def test_cross_route_samples_the_atoms_once(rng):
     assert atoms == [2 * THETA.degree]
 
 
+OTHER_ZEROS = (0.2, -0.6j)
+
+
+def _symbol(kind, rng):
+    """A symbol of the cross-route tests, and the zero lists cross_route_equivalence
+    on THETA samples at the atom nodes for it."""
+    if kind == "trig":
+        return harmonic.TrigPoly({-2: 0.5 - 1j, -1: 2.0, 1: 0.25j}), [THETA.zeros]
+    if kind == "other-zeros":
+        return modelspace.BasisCombination(OTHER_ZEROS, [1.0, 0.5j]).conj(), [THETA.zeros,
+                                                                             OTHER_ZEROS]
+    zeros = THETA.square().zeros if kind.endswith("square") else THETA.zeros
+    c = rng.standard_normal(len(zeros)) + 1j * rng.standard_normal(len(zeros))
+    phi = modelspace.BasisCombination(zeros, c)
+    return (phi.conj() if kind.startswith("conj") else phi), [THETA.zeros]
+
+
+@pytest.mark.parametrize("kind", ["conj-square", "square", "conj-theta", "theta", "trig",
+                                  "other-zeros"])
+def test_cross_route_samples_theta_once_at_the_atoms(monkeypatch, rng, kind):
+    # a combination sampled on theta's zeros (of theta or theta^2), or its
+    # conjugate, is read off the basis's one sampling at the atoms; any
+    # other symbol goes through commutator_matrix; the core is bitwise
+    # that of commutator_matrix either way
+    basis = build_basis(THETA)
+    phi, expected = _symbol(kind, rng)
+    plus, minus = clark_pair(BlaschkeProduct(THETA.zeros), ALPHA)
+    atoms = np.sort_complex(np.concatenate([plus.atoms, minus.atoms]))
+    sampled = []
+    sampler = modelspace.tm_samples
+
+    def counted(zeros, nodes):
+        if np.array_equal(np.sort_complex(np.ravel(nodes)), atoms):
+            sampled.append(tuple(zeros))
+        return sampler(zeros, nodes)
+
+    monkeypatch.setattr(modelspace, "tm_samples", counted)
+    built = cross_route_equivalence(phi, basis, ALPHA).clark_route.entries
+    assert sampled == expected
+    monkeypatch.setattr(modelspace, "tm_samples", sampler)
+    rebuilt = (conjugate_clark_unitary(basis, minus).matrix.adjoint()
+               @ commutator_matrix(phi, plus, minus) @ clark_unitary(basis, plus).matrix)
+    assert np.array_equal(rebuilt.entries, built)
+
+
 def _phase_block_cases():
     rng = np.random.default_rng(1024)
     cases = {}

@@ -299,6 +299,18 @@ def test_zero_rounding_to_one_is_config_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, pair", [("essential", "essential.n_list=[40]"),
+                                           ("lemma1", "decay.n_max=40")])
+def test_numerical_refusal_ends_in_one_line(tmp_path, capsys, command, pair):
+    # zeros 1 - 2^-k up to n = 40 fail the basis's Gram check: the run
+    # names the error in one stderr line, exits 1 and writes no report
+    assert run([command, "--set", pair, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ttolab: ModelSpaceError: basis Gram matrix deviates")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("TTOLAB_OUTPUT_DIR", str(target))

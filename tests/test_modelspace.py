@@ -239,3 +239,42 @@ def test_doubled_list_combination_samples_the_half_once(monkeypatch, zeros):
     values = modelspace.BasisCombination(doubled, c)(nodes)
     assert sampled == [len(zeros)]
     assert np.max(np.abs(values - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def _origin_cases():
+    rng = np.random.default_rng(23)
+    cases = {"degree-0": []}
+    for i in range(40):
+        d = 1 + i % 12
+        r = rng.uniform(size=d) ** rng.uniform(0.3, 3.0)
+        cases[f"generic-{i}"] = list(r * np.exp(1j * rng.uniform(-np.pi, np.pi, d)))
+    generic = cases["generic-11"]
+    cases["origin-first"] = [0.0] + generic
+    cases["origin-middle"] = generic[:5] + [0.0] + generic[5:]
+    cases["origin-repeated"] = [0.0, 0.0] + generic[:4] + [0.0, 0.0] + generic[4:]
+    cases["real-axis"] = [-0.5, 0.3, -0.0, 0.7, -0.9]
+    cases["subnormal"] = [5e-324 * np.exp(2.5j), 0.5, 5e-324 * np.exp(2.5j), 0.0, -0.3j]
+    cases["near-circle"] = [(1.0 - 1e-12) * np.exp(1j * t) for t in (0.0, 1.0, -2.5)] + [0.4]
+    cases["boundary-40"] = [1.0 - 2.0**-k for k in range(1, 41)]
+    for name in ("generic-7", "origin-middle", "subnormal", "boundary-40"):
+        cases[f"square-{name}"] = list(BlaschkeProduct(cases[name]).square().zeros)
+    return cases
+
+
+@pytest.mark.parametrize("zeros", list(_origin_cases().values()), ids=list(_origin_cases()))
+def test_origin_values_are_the_samplers_bit_for_bit(zeros):
+    # the Newton step counts of the Nehari tests pin the sampler's rounding,
+    # so e(0) must be the sampler's value at 0 in every bit, signed zeros too
+    zeros = BlaschkeProduct(zeros).zeros
+    got = modelspace._samples_at_origin(zeros)
+    want = tm_samples(zeros, np.zeros(1, dtype=complex))[:, 0]
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(float), want.view(float))
+
+
+@pytest.mark.parametrize("zeros", [THETA.zeros, [0.0, 0.6, 0.0, -0.3j], THETA.square().zeros])
+def test_basis_at_origin_is_the_sampler_at_origin(zeros):
+    basis = build_basis(BlaschkeProduct(zeros))
+    want = basis.sample(np.zeros(1, dtype=complex))[:, 0]
+    assert np.array_equal(basis.at_origin.view(float), want.view(float))
+    assert not basis.at_origin.flags.writeable

@@ -44,7 +44,6 @@ def test_schatten_norms_consistent():
     sv = op.singular_values()
     assert abs(rep.schatten[1.0] - np.sum(sv)) < 1e-12
     assert abs(rep.schatten[2.0] - np.sqrt(np.sum(sv**2))) < 1e-12
-    assert abs(rep.operator_norm - sv[0]) < 1e-14
     assert abs(rep.schatten[float(np.inf)] - sv[0]) < 1e-14
 
 
