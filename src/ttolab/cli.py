@@ -338,7 +338,7 @@ def cmd_nehari(args) -> int:
         if gap.ratio is not None:
             max_ratio = max(max_ratio, gap.ratio)
         rows.append((idx, degree, gap.hankel_norm, gap.dual.value, ratio,
-                     gap.dual.iterations))
+                     gap.dual.coarse_iterations, gap.dual.iterations))
     shift, square_shift = TrigPoly({-1: 1.0}), BlaschkeProduct([0.0, 0.0])
     cert = minimax_certificate(shift, square_shift, grid_m=neh.grid_m)
     conv = convolution_table(shift, square_shift, neh.r_list, certificate=cert,
@@ -357,7 +357,7 @@ def cmd_nehari(args) -> int:
     }
     write_text(out / "nehari.csv", csv_table(
         ("instance", "degree", "hankel_norm", "dual_distance", "ratio",
-         "iterations"),
+         "coarse_iterations", "iterations"),
         rows))
     _emit(args, out / "nehari.json", payload)
     print(f"nehari: {len(rows)} instances, empirical constant "

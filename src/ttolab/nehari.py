@@ -15,7 +15,10 @@ minimized under one affine constraint: a convex problem with a single
 global optimum, solved on a grid in two stages of Newton and barrier
 steps.  Damped Newton steps on the objective stop once the squared
 Newton decrement is at most 1e-16 of the objective; each step forms its
-move on the grid once, so the line search only scales it.  A solve that
+move on the grid once, so the line search only scales it.  The solve
+starts from at most 20 such steps on every fourth node of the same
+samples, a coarse stage that never takes the barrier path, and reports
+the steps of both grids.  A solve that
 stalls at a kink of the objective, where the minimizer vanishes on T, or
 has not stopped in 40 steps continues on the log-barrier path of the
 grid problem as a second-order cone program.  The pairing ∫ phi h dm is
@@ -82,7 +85,8 @@ class DistanceReport:
     grid_m: int
     starts: int                 # 1 per solve, 0 when none was needed
     stagnant_starts: int        # always 0; kept for report compatibility
-    iterations: int             # accepted Newton and barrier steps
+    iterations: int             # accepted coarse, Newton and barrier steps
+    coarse_iterations: int      # of those, the coarse stage's Newton steps
 
 
 # Weight floor, relative to mean|h|: 1/|h| is clamped at 1/(floor mean|h|)
@@ -97,7 +101,9 @@ class DistanceReport:
 # (the default sweep needs at most 14) continues on the barrier path, mu =
 # _BARRIER_START F down to _BARRIER_END F, as does a stall whose decrement
 # is above the path's resolution _BARRIER_END F.  The step cap only guards
-# against a stalled iteration.
+# against a stalled iteration.  `dual_distance` starts the solve from at
+# most _COARSE_STEPS Newton steps on every _COARSE_STRIDE-th grid node;
+# the default sweep takes at most 30 coarse and fine steps together.
 _EPS_FLOOR = 1e-12
 _DECREMENT = 1e-16
 _MAX_STEPS = 500
@@ -105,98 +111,145 @@ _HALVINGS = 52
 _NEWTON_STEPS = 40
 _BARRIER_START = 1e-3
 _BARRIER_END = 1e-15
+_COARSE_STRIDE = 4
+_COARSE_STEPS = _NEWTON_STEPS // 2
 
 
-def _newton_l1(q, samples):
+def _newton_l1(q, samples, start=None):
     """Minimize F(c) = mean|c @ samples| subject to c @ q = 1.
 
     With c = c0 + y N^T, c0 = conj(q) / |q|^2 and the columns of N an
     orthonormal basis of {c : c @ q = 0}, h = h0 + y G with G = N^T samples
-    and y free.  In the real coordinates (Re y, Im y) the gradient of F is
-    mean Re(conj(n) dh) with n = h / |h|, and its Hessian is
-    mean r r^T / |h| with r = Im(conj(n) dh), the part of dh along i n;
-    1/|h| is clamped at 1/(1e-12 F).  The solve has two stages, Newton
-    steps on F and then the barrier path (`_barrier_path`).  Newton stops
-    once the squared Newton decrement -grad.dx lies in [0, 1e-16 F]
-    (Boyd-Vandenberghe 9.5.1), before any line search; a negative one
-    marks a singular Hessian.  Otherwise the step is the Newton step,
-    halved up to 52 times until F decreases (`_backtrack`), which also
-    walks a near-unbounded step along a direction where F is linear back
-    to the kink where F stops decreasing.  When no halving decreases F the
-    solve has stalled: at rounding when the decrement lies in [0, 1e-15 F],
-    the barrier path's own resolution, and the solve ends there; otherwise
-    at a kink of F, where h vanishes on T, or on a singular Hessian.  Such
-    a stall, like a solve with no decrement stop in 40 steps, continues on
-    the barrier path,
-    whose end is kept if it lowers F; the steps of both count, at most
-    500.  h is carried as the sum of the accepted moves.  Returns c, F and
-    the number of accepted Newton and barrier steps.
+    and y free (`_affine_frame`).  The solve starts at y = 0, or with a
+    `start` at its projection y = start conj(N) onto c @ q = 1.  It has
+    two stages, at most 40 Newton steps on F (`_newton_steps`) and then
+    the barrier path (`_barrier_path`).  The barrier path runs when the
+    Newton steps stall at a kink of F, where h vanishes on T, or on a
+    singular Hessian, or do not stop in 40 steps; its end is kept if it
+    lowers F, and the steps of both count, at most 500.  h is carried as
+    the sum of the accepted moves.  Returns c, F and the number of
+    accepted Newton and barrier steps.
     """
+    c0, h, null, grid = _affine_frame(q, samples)
+    if null is None:
+        return c0, _mean(np.abs(h)), 0
+    y = np.zeros(null.shape[1], dtype=complex)
+    if start is not None:
+        y = start @ np.conj(null)
+        h = h + y @ grid
+    y, h, mod, steps, settled = _newton_steps(y, h, grid, _NEWTON_STEPS)
+    l1 = _mean(mod)
+    if not settled:
+        y_path, mod_path, more = _barrier_path(h, mod, y, grid, l1)
+        l1_path = _mean(mod_path)
+        if l1_path < l1:
+            y, l1 = y_path, l1_path
+        steps += more
+    return c0 + y @ null.T, l1, steps
+
+
+def _coarse_start(q, samples):
+    """A start for `_newton_l1(q, samples)`: at most 20 Newton steps
+    (`_newton_steps`) from c0 on every fourth node, the view
+    samples[:, ::4] of the same samples.  They end at the decrement test,
+    at a stall or at the cap, and never go on to the barrier path, whose
+    steps belong to the fine grid's own solve.  Returns c and the number
+    of accepted steps.
+    """
+    coarse = samples[:, ::_COARSE_STRIDE]
+    c0, h, null, grid = _affine_frame(q, coarse)
+    if null is None:
+        return c0, 0
+    y = np.zeros(null.shape[1], dtype=complex)
+    y, _, _, steps, _ = _newton_steps(y, h, grid, _COARSE_STEPS)
+    return c0 + y @ null.T, steps
+
+
+def _affine_frame(q, samples):
+    """c0 = conj(q) / |q|^2, h0 = c0 @ samples, the orthonormal basis N of
+    {c : c @ q = 0} and G = N^T samples; N and G are None when q has one
+    entry, as c0 is then the only c with c @ q = 1."""
     c0 = np.conj(q) / np.vdot(q, q)
     h = c0 @ samples
-    l1 = _mean_abs(h)
-    free = q.size - 1
-    if free == 0:
-        return c0, l1, 0
-    m = samples.shape[1]
+    if q.size == 1:
+        return c0, h, None, None
     null = np.linalg.qr(np.conj(q)[:, None], mode="complete")[0][:, 1:]
-    grid = null.T @ samples
-    y, steps = np.zeros(free, dtype=complex), 0
-    while steps < _NEWTON_STEPS:
-        mod, p = _conj_n_dh(h, grid)
+    return c0, h, null, null.T @ samples
+
+
+def _newton_steps(y, h, grid, cap):
+    """At most `cap` damped Newton steps on F = mean|h|, h = h0 + y G.
+
+    In the real coordinates (Re y, Im y) the gradient of F is
+    mean Re(conj(n) dh) with n = h / |h|, and its Hessian is
+    mean r r^T / |h| with r = Im(conj(n) dh), the part of dh along i n;
+    1/|h| is clamped at 1/(1e-12 F).  The steps stop once the squared
+    Newton decrement -grad.dx lies in [0, 1e-16 F] (Boyd-Vandenberghe
+    9.5.1), before any line search; a negative one marks a singular
+    Hessian.  Otherwise the step is the Newton step, halved up to 52 times
+    until F decreases (`_backtrack`), which also walks a near-unbounded
+    step along a direction where F is linear back to the kink where F
+    stops decreasing.  When no halving decreases F the steps have stalled:
+    at rounding when the decrement lies in [0, 1e-15 F], the barrier
+    path's own resolution; otherwise at a kink of F, where h vanishes on
+    T, or on a singular Hessian.  |h| is taken once per iterate, by the
+    line search that accepts it.  Returns y, h, |h|, the number of
+    accepted steps and whether they settled, at the decrement stop or at
+    rounding, rather than stalled elsewhere or ran out of steps.
+    """
+    free, m = grid.shape
+    mod = np.abs(h)
+    l1, steps = _mean(mod), 0
+    while steps < cap:
+        p = _conj_n_dh(h, mod, grid)
         w = 1.0 / np.maximum(mod, _EPS_FLOOR * l1)
-        grad = np.concatenate((p.real.mean(axis=1), -p.imag.mean(axis=1)))
         r = np.concatenate((p.imag, p.real))
+        grad = np.concatenate((r[free:].mean(axis=1), -r[:free].mean(axis=1)))
         try:
             dx = np.linalg.solve((r * w) @ r.T / m, -grad)
         except np.linalg.LinAlgError:   # F is linear along some direction
-            break
+            return y, h, mod, steps, False
         decrement = -float(grad @ dx)
         if 0.0 <= decrement <= _DECREMENT * l1:
-            return c0 + y @ null.T, l1, steps
-        step = _backtrack(h, dx[:free] + 1j * dx[free:], grid, _mean_abs, l1)
+            return y, h, mod, steps, True
+        step = _backtrack(h, dx[:free] + 1j * dx[free:], grid, _mean, l1)
         if step is None:        # a stall: at rounding, or at a kink of F
-            if 0.0 <= decrement <= _BARRIER_END * l1:
-                return c0 + y @ null.T, l1, steps
-            break
-        dy, h, l1 = step
+            return y, h, mod, steps, 0.0 <= decrement <= _BARRIER_END * l1
+        dy, h, mod, l1 = step
         y, steps = y + dy, steps + 1
-    y_path, h_path, more = _barrier_path(h, y, grid, l1)
-    l1_path = _mean_abs(h_path)
-    if l1_path < l1:
-        y, l1 = y_path, l1_path
-    return c0 + y @ null.T, l1, steps + more
+    return y, h, mod, steps, False
 
 
-def _mean_abs(h):
-    return float(np.mean(np.abs(h)))
+def _mean(values):
+    return float(np.mean(values))
 
 
-def _barrier_mean(h, mu):
-    rho = np.sqrt(np.abs(h)**2 + mu**2)
+def _barrier_mean(mod, mu):
+    rho = np.sqrt(mod**2 + mu**2)
     return float(np.mean(rho - mu * np.log(mu + rho)))
 
 
-def _conj_n_dh(h, grid):
-    """|h| and conj(n) dh for each row dh of `grid`, n = h / |h|."""
-    mod = np.abs(h)
-    return mod, (np.conj(h) / np.where(mod > 0.0, mod, 1.0)) * grid
+def _conj_n_dh(h, mod, grid):
+    """conj(n) dh for each row dh of `grid`, n = h / |h|, mod = |h|."""
+    return (np.conj(h) / np.where(mod > 0.0, mod, 1.0)) * grid
 
 
 def _backtrack(h, newton, grid, objective, level):
     """The first h + 2^-k move, k <= 52, move = newton @ grid formed once,
-    whose objective is below `level`: (2^-k newton, trial h, its
-    objective), or None when no halving gets below it."""
+    whose objective, a function of its modulus, is below `level`:
+    (2^-k newton, trial h, its modulus, its objective), or None when no
+    halving gets below it."""
     move = newton @ grid
     for k in range(_HALVINGS + 1):
-        trial = h + 0.5**k * move
-        value = objective(trial)
+        trial = h + (move if k == 0 else 0.5**k * move)
+        mod = np.abs(trial)
+        value = objective(mod)
         if value < level:
-            return newton * 0.5**k, trial, value
+            return newton * 0.5**k, trial, mod, value
     return None
 
 
-def _barrier_path(h, y, grid, l1):
+def _barrier_path(h, mod, y, grid, l1):
     """Continue a stalled `_newton_l1` on the barrier path of the grid
     problem as a second-order cone program, min mean t over t >= |h|.
 
@@ -210,12 +263,12 @@ def _barrier_path(h, y, grid, l1):
     tenfold steps, damped Newton steps on mean psi (`_backtrack`) centre
     each level until m lambda^2 / mu, the barrier's squared decrement, is
     at most 1, or no halving decreases it.
-    Returns y, h and the number of accepted steps.
+    Returns y, |h| and the number of accepted steps.
     """
     free, m = grid.shape
     mu, steps = _BARRIER_START * l1, 0
     while steps < _MAX_STEPS - _NEWTON_STEPS:
-        mod, p = _conj_n_dh(h, grid)
+        p = _conj_n_dh(h, mod, grid)
         rho = np.sqrt(mod**2 + mu**2)
         along = np.concatenate((p.real, -p.imag))       # Re(conj(n) dh)
         across = np.concatenate((p.imag, p.real))       # Im(conj(n) dh)
@@ -227,15 +280,15 @@ def _barrier_path(h, y, grid, l1):
         if -float(grad @ dx) > mu / m:
             step = _backtrack(h, dx[:free] + 1j * dx[free:], grid,
                               lambda t: _barrier_mean(t, mu),
-                              _barrier_mean(h, mu))
+                              _barrier_mean(mod, mu))
         if step is not None:
-            dy, h, _ = step
+            dy, h, mod, _ = step
             y, steps = y + dy, steps + 1
         elif mu <= _BARRIER_END * l1:
             break
         else:
             mu /= 10.0
-    return y, h, steps
+    return y, mod, steps
 
 
 def dual_distance(phi: Symbol, theta: BlaschkeProduct, grid_m: int = 4096,
@@ -246,7 +299,12 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, grid_m: int = 4096,
     a convex problem solved on `grid_m` nodes by one deterministic run of
     Newton and barrier steps: damped Newton stopped on the Newton
     decrement, then the log-barrier path where Newton stalls at a kink or
-    does not stop in 40 steps (`_newton_l1`).  Every h yields the lower bound |∫ phi h| / ||h||_1;
+    does not stop in 40 steps (`_newton_l1`).  The run starts from at most
+    20 Newton steps on every fourth node of the same samples, which never
+    take the barrier path (`_coarse_start`); the minimizer is the full
+    grid's, to the same decrement tolerance, and `iterations` counts the
+    steps of both grids, `coarse_iterations` those of the coarse one.
+    Every h yields the lower bound |∫ phi h| / ||h||_1;
     the final value pairs the minimizer exactly with phi
     (`modelspace.subspace_pairing`) and integrates its L1 norm adaptively
     at tol max(quad.tol, 1e-9) rather than trusting the optimization grid.
@@ -258,16 +316,17 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, grid_m: int = 4096,
     """
     if theta.degree < 2:
         empty = np.zeros(0, dtype=complex)
-        return DistanceReport(0.0, empty, empty, grid_m, 0, 0, 0)
+        return DistanceReport(0.0, empty, empty, grid_m, 0, 0, 0, 0)
     dual = dual_basis(theta, quad)
     q = subspace_pairing(phi, dual.basis, dual.coeffs)
     if float(np.linalg.norm(q)) < 1e-14:
         zero = np.zeros(dual.dimension, dtype=complex)
-        return DistanceReport(0.0, zero, q, grid_m, 0, 0, 0)
+        return DistanceReport(0.0, zero, q, grid_m, 0, 0, 0, 0)
 
     grid_nodes = unit_nodes(grid_m)
     samples = dual.sample(grid_nodes)
-    best_c, _, steps = _newton_l1(q, samples)
+    start, coarse_steps = _coarse_start(q, samples)
+    best_c, _, steps = _newton_l1(q, samples, start)
     grid_abs = np.abs(best_c @ samples)
 
     # honest final value: exact pairing, adaptively integrated L1 norm
@@ -285,7 +344,8 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, grid_m: int = 4096,
     l1, _ = adaptive_boundary_mean(abs_sample, relaxed)
     l1 = float(np.real(l1))
     value = float(abs(best_c @ q) / l1) if l1 > 0.0 else 0.0
-    return DistanceReport(value, best_c, q, grid_m, 1, 0, steps)
+    return DistanceReport(value, best_c, q, grid_m, 1, 0,
+                          coarse_steps + steps, coarse_steps)
 
 
 @dataclass(frozen=True)

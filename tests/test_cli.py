@@ -378,6 +378,10 @@ def test_nehari_reruns_byte_identical(tmp_path):
     header, *rows = (a / "nehari.csv").read_text().splitlines()
     assert header.split(",")[-1] == "iterations"
     assert len(rows) == 6 and all(int(row.split(",")[-1]) >= 0 for row in rows)
+    # the coarse stage's steps are a part of them
+    assert header.split(",")[-2] == "coarse_iterations"
+    assert all(0 <= int(row.split(",")[-2]) <= int(row.split(",")[-1])
+               for row in rows)
     # so are the minimax certificate's value, iterations, band and grid
     cert = json.loads((a / "nehari.json").read_text())["certificate"]
     assert sorted(cert) == ["band", "grid_m", "iterations", "value"]

@@ -184,6 +184,39 @@ def test_newton_settles_every_sweep_instance():
         assert report.iterations <= 40
 
 
+
+def test_coarse_start_keeps_the_single_grid_minimum():
+    # the Newton steps on every fourth node only choose where the full
+    # grid's solve starts: it ends at the single-grid minimum
+    grid_m = RunConfig().nehari.grid_m
+    for index, (theta, phi) in enumerate(_sweep_instances(50)):
+        if theta.degree < 2:
+            continue
+        square = theta.square()
+        report = dual_distance(phi, square, grid_m=grid_m)
+        samples = dual_basis(square).sample(unit_nodes(grid_m))
+        single = _newton_l1(report.pairing, samples)[1]
+        two_stage = float(np.mean(np.abs(report.coefficients @ samples)))
+        assert abs(two_stage - single) <= 1e-14 * single, index
+        assert _first_order_residual(report, samples) <= 1e-7, index
+        assert report.coarse_iterations <= 20, index
+
+
+@pytest.mark.parametrize("grid_m, coarse_nodes", [(2, 1), (3, 1), (3000, 750)])
+def test_coarse_stage_on_small_and_odd_grids(grid_m, coarse_nodes, monkeypatch):
+    # a one-node coarse grid has a singular Hessian, which ends the coarse
+    # stage at its first step; the full grid's solve still reaches the
+    # value of a solve with no coarse stage
+    theta, phi = _sweep_instances(3)[2]
+    widths, newton_steps = [], nehari._newton_steps
+    monkeypatch.setattr(nehari, "_newton_steps", lambda y, h, grid, cap: (
+        widths.append(grid.shape[1]) or newton_steps(y, h, grid, cap)))
+    two_stage = dual_distance(phi, theta.square(), grid_m=grid_m)
+    assert widths == [coarse_nodes, grid_m]
+    monkeypatch.setattr(nehari, "_coarse_start", lambda q, samples: (None, 0))
+    single = dual_distance(phi, theta.square(), grid_m=grid_m)
+    assert abs(two_stage.value - single.value) <= 1e-12 * single.value
+
 def test_step_count_belongs_to_the_instance():
     # column-major samples round the products differently; the decrement
     # stop leaves the count of steps to the instance, not to that rounding;
