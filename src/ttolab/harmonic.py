@@ -9,6 +9,7 @@ M is doubled adaptively until the result stabilizes.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,9 +59,28 @@ class QuadratureGrid:
 
 
 def unit_nodes(m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Roots of unity exp(2*pi*i*j/m) for j in [start, stop)."""
+    """Roots of unity exp(2*pi*i*j/m) for j in [start, stop).
+
+    A whole grid (start 0, stop m) whose size m is a power of two of at
+    most _CHUNK nodes is formed on its first request and kept read-only
+    for the life of the process (`_whole_grid`: at most 17 grids, about
+    2 MB), so every later request for it returns the same array.  Chunks,
+    other sizes and larger grids are formed afresh, writable, on every
+    call.
+    """
     stop = m if stop is None else stop
+    if start == 0 and stop == m and 0 < m <= _CHUNK and not m & (m - 1):
+        return _whole_grid(m)
     return np.exp((2j * np.pi / m) * np.arange(start, stop))
+
+
+@functools.cache
+def _whole_grid(m: int) -> np.ndarray:
+    """The m-th roots of unity, read-only; `unit_nodes` asks only for the
+    17 powers of two up to _CHUNK, which bounds this table."""
+    grid = np.exp((2j * np.pi / m) * np.arange(m))
+    grid.flags.writeable = False
+    return grid
 
 
 # ---------------------------------------------------------------------------

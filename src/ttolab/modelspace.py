@@ -22,6 +22,9 @@ sampled at the rule's atoms, and the Taylor rows, which grow when a call
 needs more of them.  e(0) is the sampler's own recurrence at the origin,
 computed in one scalar pass over the zeros.  A combination made by the
 basis keeps the basis, so its values at the atoms need no second sampling.
+A basis whose zero list begins with theta's, as theta^2's does, holds
+theta's basis as its leading block: `leading(theta)` reads it off as a
+view (`LeadingBasis`) with no Clark rule of its own.
 """
 from __future__ import annotations
 
@@ -339,6 +342,18 @@ class ModelSpaceBasis:
     def combination(self, coeffs) -> BasisCombination:
         return BasisCombination(self.theta.zeros, coeffs, self)
 
+    def leading(self, theta: BlaschkeProduct) -> "LeadingBasis":
+        """The basis of theta as the leading block of this one
+        (`LeadingBasis`), for a theta whose zeros are, bit for bit, the
+        first zeros of this basis's list, as theta's are of theta^2's.
+        Raises ValueError for any other theta."""
+        head = self.theta.zeros[:theta.degree]
+        if (np.asarray(theta.zeros, dtype=complex).tobytes()
+                != np.asarray(head, dtype=complex).tobytes()):
+            raise ValueError(f"the zeros of {theta.label()} do not begin "
+                             f"those of {self.theta.label()}")
+        return LeadingBasis(self, theta)
+
     def space_tag(self) -> str:
         return f"K[{self.theta.label()}]"
 
@@ -356,6 +371,47 @@ class ModelSpaceBasis:
 
         coeffs, _ = adaptive_boundary_mean(sample, self.quad)
         return coeffs
+
+
+def _no_rule(view: "LeadingBasis"):
+    raise TypeError(
+        f"{view.space_tag()} is a leading block of {view.parent.space_tag()}, whose "
+        f"Clark rule is not its own; a rule-based builder needs build_basis(theta)")
+
+
+class LeadingBasis(ModelSpaceBasis):
+    """The basis of theta read off a basis whose zero list begins with
+    theta's (`ModelSpaceBasis.leading`), as theta^2's does.
+
+    e_k depends only on the first k + 1 zeros, so theta's basis is the
+    parent's first d elements, and the parent's Gram check has validated
+    them.  The view is keyed by theta, whose constant and labels its tags
+    carry; it keeps the parent's quadrature settings and gram_tol.  Its
+    shift is the d x d block of the parent's, e(0) the first d entries of
+    the parent's, its Taylor rows are formed from those two and it samples
+    theta's zeros: each equal bit for bit to `build_basis(theta)`'s.
+    theta's Clark rule is not the parent's, so the view has none: the rule,
+    the rule samples and the Gram matrix raise TypeError, and combinations
+    made by the view keep no basis.
+    """
+
+    rule = rule_samples = gram = gram_defect = property(_no_rule)
+
+    def __init__(self, parent: ModelSpaceBasis, theta: BlaschkeProduct):
+        self.parent = parent
+        self.theta = theta
+        self.quad = parent.quad
+        self.gram_tol = parent.gram_tol
+        self.size = theta.degree
+        self.shift = _frozen(np.ascontiguousarray(parent.shift[:self.size, :self.size]))
+        self._taylor = np.zeros((0, self.size), dtype=complex)
+
+    @cached_property
+    def at_origin(self) -> np.ndarray:
+        return self.parent.at_origin[:self.size]
+
+    def combination(self, coeffs) -> BasisCombination:
+        return BasisCombination(self.theta.zeros, coeffs)
 
 
 def build_basis(theta: BlaschkeProduct, quad: QuadratureSettings = DEFAULT_QUADRATURE,

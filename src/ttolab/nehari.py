@@ -28,6 +28,9 @@ trigonometric polynomial.  Every h gives the lower bound
 distance itself, up to grid and quadrature error;
 the adaptive integral of ||h||_1 reads the levels whose nodes are the
 solve grid's (checked bitwise) off the minimizer's grid values.
+`nehari_gap` builds one basis, theta^2's: its dual basis serves the
+solve, and theta's basis, read off it as its leading block
+(`ModelSpaceBasis.leading`), the Hankel norm.
 A Lawson-style IRLS pass produces primal certificates
 f = f1 + conj(Theta f2) for the upper side, and the Poisson convolution
 table smooths those certificates toward continuous near-minimizers.
@@ -262,7 +265,10 @@ def _barrier_path(h, mod, y, grid, l1):
     is linear and no node is a kink.  For mu = 1e-3 F down to 1e-15 F in
     tenfold steps, damped Newton steps on mean psi (`_backtrack`) centre
     each level until m lambda^2 / mu, the barrier's squared decrement, is
-    at most 1, or no halving decreases it.
+    at most 1, or no halving decreases it.  The Hessian is a sum of m
+    terms of rank <= 2, so on a grid of fewer nodes than complex unknowns
+    it is singular: the path then ends where it stands, as the Newton
+    steps do on a singular Hessian.
     Returns y, |h| and the number of accepted steps.
     """
     free, m = grid.shape
@@ -275,7 +281,10 @@ def _barrier_path(h, mod, y, grid, l1):
         grad = (along * (mod / (rho + mu))).mean(axis=1)
         hess = ((across / (rho + mu)) @ across.T
                 + (along * (mu / (rho * (rho + mu)))) @ along.T) / m
-        dx = np.linalg.solve(hess, -grad)
+        try:
+            dx = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:   # fewer nodes than unknowns: rank <= 2m
+            break
         step = None
         if -float(grad @ dx) > mu / m:
             step = _backtrack(h, dx[:free] + 1j * dx[free:], grid,
@@ -292,7 +301,8 @@ def _barrier_path(h, mod, y, grid, l1):
 
 
 def dual_distance(phi: Symbol, theta: BlaschkeProduct, grid_m: int = 4096,
-                  quad: QuadratureSettings = DEFAULT_QUADRATURE) -> DistanceReport:
+                  quad: QuadratureSettings = DEFAULT_QUADRATURE,
+                  dual: DualBasis | None = None) -> DistanceReport:
     """Compute dist(phi, F_theta) by the dual extremal problem.
 
     The distance is 1 / min{ ||h||_1 : ∫ phi h = 1 } over the dual space,
@@ -312,12 +322,18 @@ def dual_distance(phi: Symbol, theta: BlaschkeProduct, grid_m: int = 4096,
     strided nodes (as for every power-of-two m up to a power-of-two
     `grid_m`) takes |h| from the minimizer's grid values; every other
     level evaluates h afresh.  Nothing bounds the error of that integral,
-    so the value is a lower bound only up to its tolerance.
+    so the value is a lower bound only up to its tolerance.  A caller
+    that holds theta's `dual_basis` passes it as `dual`; a dual basis of
+    another zero list raises ValueError.
     """
     if theta.degree < 2:
         empty = np.zeros(0, dtype=complex)
         return DistanceReport(0.0, empty, empty, grid_m, 0, 0, 0, 0)
-    dual = dual_basis(theta, quad)
+    if dual is None:
+        dual = dual_basis(theta, quad)
+    elif dual.basis.theta.zeros != theta.zeros:
+        raise ValueError(f"the dual basis is of {dual.basis.space_tag()}, "
+                         f"not of {theta.label()}")
     q = subspace_pairing(phi, dual.basis, dual.coeffs)
     if float(np.linalg.norm(q)) < 1e-14:
         zero = np.zeros(dual.dimension, dtype=complex)
@@ -370,11 +386,15 @@ def nehari_gap(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
     The dual distance is the global optimum of a convex problem, so the
     inequality holds up to quadrature and solver tolerance; a violation
     beyond the slack is a genuine bug, hence an exception.  `multistart`
-    and `seed` are accepted for compatibility and ignored.
+    and `seed` are accepted for compatibility and ignored.  One basis is
+    built, theta^2's: the dual distance runs on its `DualBasis`, and the
+    Hankel matrix on theta's basis read off it as its leading block
+    (`ModelSpaceBasis.leading`).
     """
-    basis = build_basis(theta, quad)
-    norm = hankel_matrix(phi, basis).norm()
-    report = dual_distance(phi, theta.square(), grid_m, quad)
+    square = theta.square()
+    dual = dual_basis(square, quad)
+    norm = hankel_matrix(phi, dual.basis.leading(theta)).norm()
+    report = dual_distance(phi, square, grid_m, quad, dual)
     if norm > report.value + slack:
         raise NehariError(
             f"operator norm {norm:.12g} exceeds dual distance estimate "

@@ -41,8 +41,15 @@ def spectral_report(op: OperatorMatrix, p_list=(1.0, 2.0)) -> SpectralReport:
 
 
 def matched_distance(computed, target) -> float:
-    """Largest pointwise gap under the optimal matching of two equal-size
-    multisets of complex numbers (robust eigenvalue comparison)."""
+    """Largest pointwise gap between two equal-size multisets of complex
+    numbers under the matching that minimises the sum of the gaps
+    (`scipy.optimize.linear_sum_assignment`).
+
+    This is not the bottleneck (optimal matching) distance, the least
+    largest gap over all matchings: it is never smaller, and on 2000
+    pairs of 4-point sets with standard complex normal entries it was
+    larger for 905, by up to 2.2x.
+    """
     from scipy.optimize import linear_sum_assignment
 
     a = np.asarray(computed, dtype=complex).ravel()

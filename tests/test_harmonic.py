@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ttolab import harmonic
 from ttolab.harmonic import (
     QuadratureError,
     QuadratureSettings,
@@ -154,3 +155,24 @@ def test_symbol_arithmetic_wrappers():
     assert np.allclose(h(nodes), 2.0 * nodes + 1.0)
     assert np.allclose((-h)(nodes), -(2.0 * nodes + 1.0))
     assert np.allclose(h.conj()(nodes), np.conj(2.0 * nodes + 1.0))
+
+
+def test_whole_power_of_two_grids_are_kept_read_only():
+    for k in range(17):
+        m = 1 << k
+        grid = unit_nodes(m)
+        assert unit_nodes(m) is grid and unit_nodes(m, 0, m) is grid
+        assert not grid.flags.writeable
+        want = np.exp((2j * np.pi / m) * np.arange(m))
+        assert grid.tobytes() == want.tobytes() and grid.dtype == want.dtype
+    assert harmonic._whole_grid.cache_info().currsize <= 17
+
+
+@pytest.mark.parametrize("args", [(8, 0, 4), (8, 4, 8), (1 << 17, 0, 1 << 16),
+                                  (1 << 17, 1 << 16, 1 << 17), (3000,), (1 << 17,)])
+def test_chunks_and_other_grids_are_formed_afresh(args):
+    kept = harmonic._whole_grid.cache_info().currsize
+    first, second = unit_nodes(*args), unit_nodes(*args)
+    assert first is not second and first.flags.writeable
+    assert np.array_equal(first, second)
+    assert harmonic._whole_grid.cache_info().currsize == kept <= 17

@@ -3,7 +3,7 @@ import pytest
 
 from ttolab import modelspace
 from ttolab.blaschke import BlaschkeProduct
-from ttolab.harmonic import TrigPoly, inner_product, unit_nodes
+from ttolab.harmonic import ConjSymbol, RationalSymbol, TrigPoly, inner_product, unit_nodes
 from ttolab.modelspace import (
     ModelSpaceError,
     build_basis,
@@ -14,6 +14,8 @@ from ttolab.modelspace import (
     tm_samples,
     vanishing_at_origin_subspace,
 )
+from ttolab.truncops import (conjugate_multiplier_by_rule, hankel_matrix,
+                             standard_symbol_on, toeplitz_matrix)
 
 
 THETA = BlaschkeProduct([0.3, -0.5j, 0.2 + 0.4j])
@@ -278,3 +280,82 @@ def test_basis_at_origin_is_the_sampler_at_origin(zeros):
     want = basis.sample(np.zeros(1, dtype=complex))[:, 0]
     assert np.array_equal(basis.at_origin.view(float), want.view(float))
     assert not basis.at_origin.flags.writeable
+
+
+def _bits(array):
+    array = np.asarray(array)
+    return array.shape, array.dtype, array.tobytes()
+
+
+def _leading_cases():
+    rng = np.random.default_rng(31)
+    cases = {}
+    for d in (1, 3, 6):
+        r = 0.95 * np.sqrt(rng.uniform(size=d))
+        cases[f"random-{d}"] = list(r * np.exp(1j * rng.uniform(0.0, 2 * np.pi, d)))
+    cases["origin-middle"] = [0.3 - 0.2j, 0.0, -0.5j]
+    cases["origin-repeated"] = [0.0, 0.0, 0.6, 0.0]
+    for n in (4, 8, 12, 16):
+        cases[f"boundary-{n}"] = [1.0 - 2.0**-k for k in range(1, n + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("zeros", list(_leading_cases().values()), ids=list(_leading_cases()))
+def test_leading_block_is_the_basis_of_theta_bit_for_bit(zeros):
+    # e_k depends on the first k + 1 zeros only: theta's basis read off
+    # theta^2's, or off any list that begins with theta's, is build_basis(theta)
+    rng = np.random.default_rng(len(zeros))
+    theta = BlaschkeProduct(zeros, gamma=np.exp(0.9j))
+    own = build_basis(theta)
+    square = build_basis(theta.square())
+    extended = build_basis(BlaschkeProduct(theta.zeros + (0.4j, -0.3)))
+    nodes = np.concatenate([np.exp(1j * rng.uniform(0.0, 2 * np.pi, 50)), [0.0, 0.5j]])
+    trig = TrigPoly({-3: 1.0 - 0.5j, -1: 0.25j, 0: 2.0, 2: -1.0})
+    small = theta.degree <= 6
+    for parent in (square, extended):
+        view = parent.leading(theta)
+        assert view.theta is theta and view.size == own.size
+        assert (view.space_tag(), view.conjugate_space_tag()) == (
+            own.space_tag(), own.conjugate_space_tag())
+        assert _bits(view.shift) == _bits(own.shift)
+        assert _bits(view.at_origin) == _bits(own.at_origin)
+        assert _bits(view.taylor_rows(9)) == _bits(own.taylor_rows(9))
+        assert _bits(view.sample(nodes)) == _bits(own.sample(nodes))
+        for kept in (view.shift, view.at_origin, view.taylor_rows(9)):
+            assert not kept.flags.writeable
+        symbols = [trig]
+        if small:
+            c = rng.standard_normal(own.size) + 1j * rng.standard_normal(own.size)
+            symbols += [RationalSymbol(TrigPoly.one(), TrigPoly({0: 2.0, 1: -0.5j})),
+                        ConjSymbol(own.combination(c)),
+                        standard_symbol_on(trig, theta, square).symbol]
+        for phi in symbols:
+            for build in (toeplitz_matrix, hankel_matrix):
+                want, got = build(phi, own), build(phi, view)
+                assert _bits(got.entries) == _bits(want.entries), build.__name__
+                assert (got.domain, got.codomain) == (want.domain, want.codomain)
+
+
+def test_leading_refuses_a_list_it_does_not_begin():
+    square = build_basis(THETA.square())
+    reordered = BlaschkeProduct(THETA.zeros[::-1])
+    longer = BlaschkeProduct(THETA.square().zeros + (0.1,))
+    # equal as numbers, but the sign of a zero part differs: not theta's basis bit for bit
+    signed = BlaschkeProduct([complex(0.5, -0.0)])
+    for theta, parent in ((reordered, square), (longer, square),
+                          (signed, build_basis(BlaschkeProduct([0.5, 0.2])))):
+        with pytest.raises(ValueError, match="do not begin"):
+            parent.leading(theta)
+    assert square.leading(BlaschkeProduct()).size == 0
+
+
+def test_leading_block_has_no_rule_of_its_own():
+    # theta's Clark rule is not theta^2's: a rule-based builder given the
+    # view fails instead of reading the parent's rule
+    view = build_basis(THETA.square()).leading(THETA)
+    for name in ("rule", "rule_samples", "gram", "gram_defect"):
+        with pytest.raises(TypeError, match="Clark rule"):
+            getattr(view, name)
+    with pytest.raises(TypeError, match="Clark rule"):
+        conjugate_multiplier_by_rule(view)
+    assert view.combination(np.ones(3)).basis is None

@@ -10,8 +10,8 @@ from ttolab.corpus import (random_blaschke, random_trig_poly,
 from ttolab import nehari
 from ttolab.harmonic import (QuadratureSettings, TrigPoly, adaptive_boundary_mean,
                              boundary_mean, inner_product, unit_nodes)
-from ttolab.modelspace import (BasisCombination, subspace_pairing,
-                               subspace_pairing_by_quadrature)
+from ttolab.modelspace import (BasisCombination, ModelSpaceBasis, build_basis,
+                               subspace_pairing, subspace_pairing_by_quadrature)
 from ttolab.nehari import (
     NehariError,
     _newton_l1,
@@ -21,6 +21,7 @@ from ttolab.nehari import (
     minimax_certificate,
     nehari_gap,
 )
+from ttolab.truncops import hankel_matrix
 
 
 def test_dual_basis_spans_vanishing_part():
@@ -399,3 +400,50 @@ def test_newton_settles_the_degenerate_inputs(degree, c):
     norm = np.linalg.norm(np.array([[c, 1j], [1j, 0.0]]), 2)
     assert abs(value * norm - 1.0) <= 1e-9
     assert steps < 100
+
+
+def test_nehari_gap_builds_one_basis(monkeypatch):
+    # theta^2's basis serves the dual distance and, as its leading block,
+    # theta's Hankel matrix; counted as the verify build-count tests count
+    builds = []
+    init = ModelSpaceBasis.__init__
+
+    def counted(self, theta, *args):
+        builds.append(theta.degree)
+        init(self, theta, *args)
+
+    monkeypatch.setattr(ModelSpaceBasis, "__init__", counted)
+    for theta, phi in _sweep_instances(6):
+        builds.clear()
+        nehari_gap(phi, theta, grid_m=1024)
+        assert builds == [2 * theta.degree]
+
+
+def test_nehari_gap_hankel_norm_is_the_theta_basis_norm():
+    for index, (theta, phi) in enumerate(_sweep_instances(12)):
+        gap = nehari_gap(phi, theta)
+        assert gap.hankel_norm == hankel_matrix(phi, build_basis(theta)).norm(), index
+
+
+def test_dual_distance_takes_only_the_dual_of_its_product():
+    (theta, phi), (other, _) = _sweep_instances(3)[1:]
+    square = theta.square()
+    dual = dual_basis(square)
+    given = dual_distance(phi, square, grid_m=1024, dual=dual)
+    built = dual_distance(phi, square, grid_m=1024)
+    for name in given.__dataclass_fields__:
+        assert np.array_equal(getattr(given, name), getattr(built, name)), name
+    with pytest.raises(ValueError, match="dual basis"):
+        dual_distance(phi, square, grid_m=1024, dual=dual_basis(other.square()))
+
+
+@pytest.mark.parametrize("index", [4, 6, 9])
+def test_grids_too_small_for_the_dual_space_give_a_lower_bound(index):
+    # degree 3: five dual-basis functions and four free complex unknowns,
+    # so 2 or 3 nodes leave the barrier Hessian singular; the path ends
+    # there and the value is still a lower bound
+    theta, phi = _sweep_instances(index + 1)[index]
+    fine = dual_distance(phi, theta.square()).value
+    for grid_m in (2, 3, 8):
+        value = dual_distance(phi, theta.square(), grid_m=grid_m).value
+        assert np.isfinite(value) and value <= fine * (1.0 + 1e-8), grid_m
