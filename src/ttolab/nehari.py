@@ -404,8 +404,11 @@ def nehari_gap(phi: Symbol, theta: BlaschkeProduct, multistart: int = 64,
 
 
 # Lawson weights that move by no more than this (relative, max norm) are
-# a fixed point: the next weighted solve would repeat the last one.
+# a fixed point: the next weighted solve would repeat the last one.  A
+# grid sup at most _EXACT_FIT max|phi| is an exact fit up to rounding:
+# phi in the class leaves 6e-16 to 2e-15 of max|phi| on the inputs tried.
 _LAWSON_SETTLED = 1e-12
+_EXACT_FIT = 1e-13
 
 
 @dataclass(frozen=True)
@@ -427,11 +430,20 @@ def minimax_certificate(phi: Symbol, theta: BlaschkeProduct,
 
     Lawson's iteratively reweighted least squares drives the weighted L2
     solutions toward the Chebyshev minimizer over the span of z^k and
-    conj(theta z^k), 0 <= k <= band.  The loop stops once the normalised
-    weights move by at most 1e-12 relative in max norm, since every further
-    step would repeat the same solve.  The returned sup-norm is a grid
-    sup, hence a (slightly optimistic) upper-bound certificate whose
-    resolution is reported.
+    conj(theta z^k), 0 <= k <= band.  Each step solves the normal
+    equations of the weighted fit, whose Gram matrix on the uniform grid
+    is Toeplitz in sum w z^n and in sum w |theta|^2 z^n and Hankel in
+    sum w conj(theta) z^-n (`_normal_equations`); five FFTs of length
+    grid_m form it, a min-norm least-squares solve of size 2 band + 2
+    solves it, and two more FFTs give the residual
+    (`_analytic_values`): O(M log M + band^3) time and O(M + band^2)
+    memory per step, M = grid_m.  The loop stops once the grid sup is at
+    most 1e-13 max|phi| on the grid, an exact fit up to rounding, or once
+    the normalised weights move by at most 1e-12 relative in max norm,
+    since every further step would repeat the same solve.  The competitor
+    is f1 + conj(theta f2); the returned sup-norm is its grid sup, hence a
+    (slightly optimistic) upper-bound certificate whose resolution is
+    reported.
     """
     if band is None:
         band = theta.degree + 8
@@ -439,41 +451,71 @@ def minimax_certificate(phi: Symbol, theta: BlaschkeProduct,
             band = max(band, max(abs(k) for k in phi.coeffs) + theta.degree)
     nodes = unit_nodes(grid_m)
     target = np.asarray(phi(nodes), dtype=complex)
-    powers = np.empty((band + 1, grid_m), dtype=complex)   # powers[k] = nodes^k
-    powers[0] = 1.0
-    powers[1:] = nodes
-    np.cumprod(powers, axis=0, out=powers)
-    columns = [powers[k] for k in range(band + 1)]
     tvals = np.asarray(theta(nodes), dtype=complex)
-    columns.extend(np.conj(tvals * powers[k]) for k in range(band + 1))
-    a = np.stack(columns, axis=1)
+    exact = _EXACT_FIT * float(np.max(np.abs(target)))
 
+    n = band + 1
     w = np.full(grid_m, 1.0 / grid_m)
-    best_val, best_x = np.inf, np.zeros(a.shape[1], dtype=complex)
+    best_val, best_x = np.inf, np.zeros(2 * n, dtype=complex)
     it = 0
     for it in range(1, max_iter + 1):
-        sw = np.sqrt(w)[:, None]
-        x, *_ = np.linalg.lstsq(a * sw, target * sw.ravel(), rcond=None)
-        resid = np.abs(target - a @ x)
+        gram, rhs = _normal_equations(w, target, tvals, band)
+        x, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+        fit = (_analytic_values(x[:n], grid_m)
+               + np.conj(tvals * _analytic_values(np.conj(x[n:]), grid_m)))
+        resid = np.abs(target - fit)
         val = float(resid.max())
         if val < best_val - 1e-15:
             best_val, best_x = val, x
+        if val <= exact:
+            break       # phi lies in the span, up to rounding
         step = w * resid
         total = float(step.sum())
         if total <= 0.0:
-            break       # exact fit
+            break       # resid vanishes wherever the weights do not
         step /= total
         settled = float(np.max(np.abs(step - w))) <= _LAWSON_SETTLED * float(np.max(w))
         w = step
         if settled:
             break
     if not np.isfinite(best_val):
-        best_val, best_x = 0.0, np.zeros(a.shape[1], dtype=complex)
-    f1 = TrigPoly({k: best_x[k] for k in range(band + 1)
-                   if abs(best_x[k]) > 0.0})
-    f2 = TrigPoly({k: best_x[band + 1 + k] for k in range(band + 1)
-                   if abs(best_x[band + 1 + k]) > 0.0})
+        best_val, best_x = 0.0, np.zeros(2 * n, dtype=complex)
+    f1 = TrigPoly({k: best_x[k] for k in range(n) if abs(best_x[k]) > 0.0})
+    # column n + k is conj(theta z^k): f2 carries the conjugate coefficients
+    f2 = TrigPoly({k: np.conj(best_x[n + k]) for k in range(n)
+                   if abs(best_x[n + k]) > 0.0})
     return MinimaxCertificate(best_val, f1, f2, band, grid_m, it)
+
+
+def _normal_equations(w, target, tvals, band):
+    """A^H W A and A^H W target for the columns z^k, k <= band, then
+    conj(theta z^k) of A on the uniform grid of w.size nodes, W = diag(w).
+
+    With z^m = z^(m mod M) on M nodes, entry [j, k] of the (z^j, z^k)
+    block is s[k - j], s[m] = sum w z^m; of the (conj(theta z^j),
+    conj(theta z^k)) block, sum w |theta|^2 z^(j - k); of the cross block,
+    sum w conj(theta) z^-(j + k), a Hankel matrix.  The right-hand side is
+    sum w target z^-j over sum w theta target z^j.  Five FFTs of length M.
+    """
+    m = w.size
+    k = np.arange(band + 1)
+    toeplitz = (k[None, :] - k[:, None]) % m            # [j, k] -> k - j
+    hankel = (k[None, :] + k[:, None]) % m              # [j, k] -> j + k
+    analytic = np.fft.ifft(w, norm="forward")           # sum w z^m
+    conjugate = np.fft.ifft(w * (tvals.real**2 + tvals.imag**2), norm="forward")
+    cross = np.fft.fft(w * np.conj(tvals))[hankel]      # sum w conj(theta) z^-m
+    gram = np.block([[analytic[toeplitz], cross],
+                     [cross.conj().T, conjugate[toeplitz.T]]])
+    rhs = np.concatenate((np.fft.fft(w * target)[k % m],
+                          np.fft.ifft(w * tvals * target, norm="forward")[k % m]))
+    return gram, rhs
+
+
+def _analytic_values(coeffs, m):
+    """sum_k coeffs[k] z^k on the m-node uniform grid by one inverse FFT,
+    the coefficients wrapped modulo m first."""
+    wrapped = np.pad(coeffs, (0, -coeffs.size % m)).reshape(-1, m).sum(axis=0)
+    return np.fft.ifft(wrapped, norm="forward")
 
 
 @dataclass(frozen=True)

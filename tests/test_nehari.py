@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,9 +103,99 @@ def test_certificate_stops_when_the_weights_settle():
 
 
 def test_certificate_exact_when_phi_in_class():
+    # the grid sup of the first fit is at rounding level: that ends the loop
     phi = TrigPoly({1: 2.0, 0: -1.0})
     cert = minimax_certificate(phi, BlaschkeProduct([0, 0]), grid_m=1024)
     assert cert.value < 1e-10
+    assert cert.iterations == 1
+
+
+def _certificate_sup(phi, theta, cert):
+    """Grid sup of |phi - f1 - conj(theta f2)|, from the certificate's f1, f2."""
+    nodes = unit_nodes(cert.grid_m)
+    return float(np.max(np.abs(phi(nodes) - cert.f1(nodes)
+                               - np.conj(theta(nodes) * cert.f2(nodes)))))
+
+
+def test_certificate_value_is_the_sup_of_its_competitor():
+    # the competitor is f1 + conj(theta f2): on complex instances a wrong
+    # f2 (its coefficients unconjugated) is off the value by order one
+    rng = np.random.default_rng(20251022)
+    for index in range(6):
+        theta = random_blaschke(rng, 1 + index % 3)
+        phi = random_trig_poly(rng, 3)
+        cert = minimax_certificate(phi, theta, grid_m=1024, max_iter=20)
+        assert abs(_certificate_sup(phi, theta, cert) - cert.value) <= 1e-12, index
+
+
+@pytest.mark.parametrize("grid_m", [2, 3, 8])
+def test_certificate_on_grids_smaller_than_its_band(grid_m):
+    # band + 1 > grid_m: z^k wraps to z^(k mod grid_m) on the grid, and the
+    # weighted fit has more unknowns than nodes (a min-norm solve)
+    instances = [(TrigPoly({-1: 1.0}), BlaschkeProduct([0.0, 0.0])),
+                 (TrigPoly({-1: 1.0, -2: 0.5j, 1: 0.3}), BlaschkeProduct([0.5, -0.3j]))]
+    for phi, theta in instances:
+        cert = minimax_certificate(phi, theta, grid_m=grid_m)
+        assert cert.band + 1 > grid_m
+        assert np.isfinite(cert.value)
+        assert abs(_certificate_sup(phi, theta, cert) - cert.value) <= 1e-12
+
+
+def _dense_lawson(phi, theta, band, grid_m, max_iter=200):
+    """The earlier production loop, kept as a reference: each Lawson step
+    a dense min-norm least-squares solve on the grid_m x (2 band + 2)
+    weighted matrix of the columns z^k and conj(theta z^k), with the same
+    stopping rules.  Returns the best grid sup and the step count."""
+    nodes = unit_nodes(grid_m)
+    target = phi(nodes)
+    powers = nodes[:, None] ** np.arange(band + 1)
+    a = np.hstack((powers, np.conj(theta(nodes)[:, None] * powers)))
+    exact = nehari._EXACT_FIT * float(np.max(np.abs(target)))
+    w = np.full(grid_m, 1.0 / grid_m)
+    best = np.inf
+    for it in range(1, max_iter + 1):
+        sw = np.sqrt(w)
+        x, *_ = np.linalg.lstsq(a * sw[:, None], target * sw, rcond=None)
+        resid = np.abs(target - a @ x)
+        best = min(best, float(resid.max()))
+        if resid.max() <= exact:
+            break
+        step = w * resid / float(np.sum(w * resid))
+        settled = np.max(np.abs(step - w)) <= nehari._LAWSON_SETTLED * np.max(w)
+        w = step
+        if settled:
+            break
+    return best, it
+
+
+def test_fft_lawson_matches_the_dense_reference():
+    rng = np.random.default_rng(7)
+    for index in range(40):
+        theta = random_blaschke(rng, int(rng.integers(1, 5)))
+        phi = random_trig_poly(rng, int(rng.integers(1, 5)))
+        grid_m = int(rng.choice([1024, 2048, 4096]))
+        cert = minimax_certificate(phi, theta, grid_m=grid_m)
+        value, steps = _dense_lawson(phi, theta, cert.band, grid_m)
+        exact = nehari._EXACT_FIT * float(np.max(np.abs(phi(unit_nodes(grid_m)))))
+        if value <= exact:          # phi in the class: both stop at rounding
+            assert cert.value <= exact and cert.iterations == steps == 1, index
+        else:
+            assert abs(cert.value - value) <= 1e-9 * value, index
+
+
+def test_certificate_memory_is_linear_in_the_grid():
+    # the dense loop held the 2^16 x 82 matrix, its weighted copy and the
+    # table of powers, about 215 MB; the FFT-built Gram needs O(M + band^2)
+    theta = BlaschkeProduct([0.5, -0.3j, 0.2 + 0.4j])
+    phi = TrigPoly({-2: 1.0, -1: 0.5j, 3: 0.25})
+    tracemalloc.start()
+    try:
+        cert = minimax_certificate(phi, theta, band=40, grid_m=1 << 16, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.iterations == 3
+    assert peak < 32 * 2**20
 
 
 def test_convolution_table_trend():
