@@ -4,8 +4,7 @@ model spaces of finite Blaschke products."""
 from .besov import (Arc, LebesgueGrid, besov_norm, besov_profile,
                     conjecture_probe, oscillation,
                     oscillation_report, vmo_modulus)
-from .blaschke import (BlaschkeProduct, boundary_zero_closure,
-                       sublevel_connectivity)
+from .blaschke import BlaschkeProduct, boundary_zero_closure
 from .clark import (ClarkMeasure, ClarkUnitary, clark_measure, clark_pair,
                     clark_reconstruct, clark_unitary, commutator_matrix,
                     conjugate_clark_unitary, cross_route_equivalence,
@@ -14,8 +13,8 @@ from .clark import (ClarkMeasure, ClarkUnitary, clark_measure, clark_pair,
 from .config import ConfigError, RunConfig, load_config
 from .harmonic import (DEFAULT_QUADRATURE, QuadratureError,
                        QuadratureSettings, RationalSymbol, Symbol, TrigPoly,
-                       boundary_mean, boundary_norm, fourier_coefficient,
-                       inner_product, poisson_extension, unit_nodes)
+                       boundary_norm, inner_product, poisson_extension,
+                       unit_nodes)
 from .modelspace import (ModelSpaceBasis, ModelSpaceError, build_basis,
                          clark_rule, conjugate_kernel, reproducing_kernel,
                          vanishing_at_origin_subspace)

@@ -43,7 +43,8 @@ from .truncops import hankel_matrix, standard_symbol_on
 
 @dataclass(frozen=True)
 class Arc:
-    """Half-open arc [start, end) in radians, counterclockwise."""
+    """Half-open arc [start, end) in radians, counterclockwise; public as
+    the argument of `oscillation`, the single-arc kernel."""
 
     start: float
     end: float
@@ -67,7 +68,9 @@ class Arc:
 
 
 class LebesgueGrid:
-    """Uniform m-point discretization of normalized Lebesgue measure."""
+    """Uniform m-point discretization of normalized Lebesgue measure.  No
+    command builds one: it is the Lebesgue reference measure, accepted
+    wherever a Clark measure is."""
 
     def __init__(self, m: int = 4096):
         if m < 2:
@@ -228,6 +231,8 @@ def oscillation(f, nu, arc: Arc, r: int) -> float:
     The fit satisfies the moment conditions sum_arc (f - p) conj(xi)^k
     dnu = 0 for k = 0..r.  Returns 0 on arcs of measure zero, and 0 on
     arcs of at most r + 1 atoms, where the fit interpolates f exactly.
+    No command calls it: it is the one-arc definition that the batched
+    `_oscillations` of the modulus and the profiles is read against.
     """
     atoms = np.asarray(nu.atoms, dtype=complex)
     held = np.flatnonzero(arc.contains(atoms))
@@ -314,6 +319,8 @@ def besov_profile(f, nu, p: float) -> BesovProfile:
 
 
 def besov_norm(f, nu, p: float) -> float:
+    """The norm of `besov_profile`; the benchmark's interior workload
+    (`ttobench`) reads it."""
     return besov_profile(f, nu, p).norm
 
 

@@ -9,7 +9,6 @@ the origin once per zero.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -198,15 +197,6 @@ def boundary_zero_closure(zeros, boundary_margin: float = 0.1,
     return reps[np.argsort(np.mod(np.angle(reps), TWO_PI))]
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """Two-resolution flood-fill verdict on a sublevel set {|theta| < eps}."""
-
-    verdict: str  # "connected" | "disconnected" | "inconclusive"
-    components: int
-    counts: tuple  # component count at each resolution
-
-
 def union_roots(n: int, pairs) -> list:
     """Union-find over n elements: the representative of each element once
     every pair (a, b) is joined."""
@@ -224,41 +214,3 @@ def union_roots(n: int, pairs) -> list:
             parent[ra] = rb
     return [find(a) for a in range(n)]
 
-
-def _component_count(theta: BlaschkeProduct, eps: float, n_r: int, n_t: int) -> int:
-    from scipy import ndimage
-
-    radii = (np.arange(n_r) + 0.5) / n_r
-    angles = TWO_PI * np.arange(n_t) / n_t
-    grid = radii[:, None] * np.exp(1j * angles)[None, :]
-    mask = np.abs(theta(grid)) < eps
-    if not mask.any():
-        return 0
-    labels, n = ndimage.label(mask)
-    if n <= 1:
-        return int(n)
-    # merge labels across the angular seam and, when the sublevel set
-    # contains the origin, across the innermost ring
-    pairs = [(int(a), int(b)) for a, b in zip(labels[:, 0], labels[:, -1]) if a and b]
-    if abs(theta(0.0)) < eps:
-        inner = [int(v) for v in labels[0] if v]
-        pairs += [(inner[0], v) for v in inner[1:]]
-    return len(set(union_roots(n + 1, pairs)[1:]))
-
-
-def sublevel_connectivity(theta: BlaschkeProduct, eps: float,
-                          n_r: int = 160, n_t: int = 320) -> ConnectivityReport:
-    """Rasterized connectivity diagnostic for {z in D : |theta(z)| < eps}.
-
-    The count is computed on a polar raster and re-checked at double
-    resolution; disagreement (or an empty raster hit) yields verdict
-    "inconclusive" rather than a guess.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    coarse = _component_count(theta, eps, n_r, n_t)
-    fine = _component_count(theta, eps, 2 * n_r, 2 * n_t)
-    if coarse != fine or fine == 0:
-        return ConnectivityReport("inconclusive", fine, (coarse, fine))
-    verdict = "connected" if fine == 1 else "disconnected"
-    return ConnectivityReport(verdict, fine, (coarse, fine))

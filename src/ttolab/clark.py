@@ -461,7 +461,9 @@ def conjugate_clark_unitary(basis: ModelSpaceBasis, measure: ClarkMeasure) -> Cl
     """Embedding of the Hankel codomain conj(z * K) into L2 of a measure.
 
     The basis vector conj(z e_k) restricts to the trace
-    zeta -> conj(zeta e_k(zeta)); rows carry the usual sqrt-weight.
+    zeta -> conj(zeta e_k(zeta)); rows carry the usual sqrt-weight.  A
+    public piece of the atomic route, which `cross_route_equivalence`
+    forms from the one sampling it takes for both embeddings.
     """
     return _conjugate_embedding(basis, measure, basis.sample(measure.atoms))
 
@@ -521,7 +523,8 @@ def commutator_matrix(phi: Symbol, plus: ClarkMeasure,
     diag(phi(zeta)) H - H diag(phi(xi)) with H the unitary Hilbert
     transform; the kernel differences output-side values minus
     input-side values, the orientation that matches the Hankel operator
-    exactly (not merely up to phase).
+    exactly (not merely up to phase).  A public piece of the atomic route;
+    `cross_route_equivalence` calls it for symbols not read off samples.
     """
     return _commutator(*_atom_values(phi, plus, minus), plus, minus)
 

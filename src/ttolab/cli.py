@@ -28,8 +28,8 @@ from .corpus import random_blaschke, random_conjugate_square_symbol, \
     random_interior_points, random_trig_poly, spawn_rngs
 from .harmonic import QuadratureError, QuadratureSettings, TrigPoly
 from .modelspace import ModelSpaceError, build_basis
-from .nehari import NehariError, convolution_table, minimax_certificate, \
-    nehari_gap
+from .nehari import NehariError, convolution_table, dual_distance, \
+    minimax_certificate, nehari_gap
 from .reports import canonical_json, csv_table, output_dir, write_text
 from .spectra import essential_spectrum_experiment, geometric_zero_generator, \
     spectral_report, test_vector_decay_experiment
@@ -314,6 +314,7 @@ def cmd_nehari(args) -> int:
     config, out = _prepare(args)
     neh = config.nehari
     quad = config.quadrature.settings()
+    slack = config.tolerances.nehari_slack
     rngs = spawn_rngs(config.sweep.seed, ["theta", "symbol"])
     rows, errors = [], []
     max_ratio = 0.0
@@ -325,8 +326,7 @@ def cmd_nehari(args) -> int:
                                 config.sweep.min_zero_gap)
         phi = random_trig_poly(rngs["symbol"], neh.max_band)
         try:
-            gap = nehari_gap(phi, theta, grid_m=neh.grid_m, quad=quad,
-                             slack=config.tolerances.nehari_slack)
+            gap = nehari_gap(phi, theta, grid_m=neh.grid_m, quad=quad, slack=slack)
         except NehariError as exc:
             violations += 1
             errors.append(f"instance {idx}: {exc}")
@@ -341,6 +341,15 @@ def cmd_nehari(args) -> int:
                      gap.dual.coarse_iterations, gap.dual.iterations))
     shift, square_shift = TrigPoly({-1: 1.0}), BlaschkeProduct([0.0, 0.0])
     cert = minimax_certificate(shift, square_shift, grid_m=neh.grid_m)
+    # an upper side below the dual lower bound: the grid cannot see the band
+    try:
+        bound = dual_distance(shift, square_shift, grid_m=neh.grid_m, quad=quad).value
+    except QuadratureError as exc:
+        errors.append(f"certificate: no dual lower bound: {exc}")
+    else:
+        if cert.value < bound - slack:
+            errors.append(f"certificate: grid sup {cert.value:.12g} is below the "
+                          f"dual lower bound {bound:.12g} beyond slack {slack:g}")
     conv = convolution_table(shift, square_shift, neh.r_list, certificate=cert,
                              grid_m=neh.grid_m)
     passed = not errors     # violations are filed under errors too

@@ -386,12 +386,6 @@ def adaptive_boundary_mean(sample, quad: QuadratureSettings = DEFAULT_QUADRATURE
     return _adaptive_levels(lambda m: _grid_mean(sample, m), quad)
 
 
-def boundary_mean(symbol: Symbol, quad: QuadratureSettings = DEFAULT_QUADRATURE) -> complex:
-    """Integral of a symbol over T against dm."""
-    val, _ = adaptive_boundary_mean(lambda nodes: symbol(nodes), quad)
-    return complex(val)
-
-
 def inner_product(f: Symbol, g: Symbol, quad: QuadratureSettings = DEFAULT_QUADRATURE) -> complex:
     """L2(T) inner product (f, g) = int f * conj(g) dm."""
     val, _ = adaptive_boundary_mean(lambda nodes: f(nodes) * np.conj(g(nodes)), quad)
@@ -401,23 +395,6 @@ def inner_product(f: Symbol, g: Symbol, quad: QuadratureSettings = DEFAULT_QUADR
 def boundary_norm(f: Symbol, quad: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     val = inner_product(f, f, quad)
     return float(np.sqrt(max(val.real, 0.0)))
-
-
-def fourier_coefficient(f: Symbol, k: int, quad: QuadratureSettings = DEFAULT_QUADRATURE) -> complex:
-    """k-th Fourier coefficient int f(xi) xi^{-k} dm(xi).
-
-    The starting grid is enlarged so that |k| < M/2 always holds
-    (otherwise the coefficient would alias onto a lower frequency), and
-    the cap must leave room for one doubling of it.
-    """
-    m_start = quad.m_init
-    while m_start <= 2 * abs(k):
-        m_start *= 2
-    if 2 * m_start > quad.m_cap:
-        raise QuadratureError(f"frequency {k} exceeds the aliasing limit at M={quad.m_cap}")
-    val, _ = adaptive_boundary_mean(lambda nodes: f(nodes) * nodes ** (-k),
-                                    QuadratureSettings(m_start, quad.m_cap, quad.tol))
-    return complex(val)
 
 
 def matrix_integral(row_sample, col_sample, weight, quad: QuadratureSettings = DEFAULT_QUADRATURE):

@@ -362,7 +362,9 @@ class ModelSpaceBasis:
         return f"conj_zK[{self.theta.label()}]"
 
     def project(self, f: Symbol) -> np.ndarray:
-        """Coefficients (f, e_k) of the orthogonal projection onto the space."""
+        """Coefficients (f, e_k) of the orthogonal projection onto the space,
+        by quadrature: no command calls it, it is the route a projection
+        from values at the zeros is to be checked against."""
         if self.size == 0:
             return np.zeros(0, dtype=complex)
 

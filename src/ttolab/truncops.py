@@ -92,7 +92,7 @@ class OperatorMatrix:
             return float(sv[0]) if sv.size else 0.0
         return float(np.sum(sv**p) ** (1.0 / p))
 
-    def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """self after other (matrix product), with tag checking."""
         if self.domain != other.codomain:
             raise ValueError(
@@ -100,16 +100,9 @@ class OperatorMatrix:
         return OperatorMatrix(self.entries @ other.entries, other.domain,
                               self.codomain, f"({self.provenance})∘({other.provenance})")
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def adjoint(self) -> "OperatorMatrix":
         return OperatorMatrix(self.entries.conj().T, self.codomain, self.domain,
                               f"adjoint({self.provenance})")
-
-    def inverse(self) -> "OperatorMatrix":
-        return OperatorMatrix(np.linalg.inv(self.entries), self.codomain,
-                              self.domain, f"inverse({self.provenance})")
 
     def to_dict(self) -> dict:
         m, n = self.entries.shape

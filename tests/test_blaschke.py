@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ttolab.blaschke import (BlaschkeProduct, boundary_zero_closure, sublevel_connectivity,
-                             union_roots)
+from ttolab.blaschke import BlaschkeProduct, boundary_zero_closure, union_roots
 from ttolab.harmonic import unit_nodes
 
 
@@ -118,20 +117,6 @@ def test_boundary_zero_closure_cluster_straddles_angle_zero():
     assert len(closure) == 2
     assert abs(closure[0] - np.exp(3j)) < 1e-15
     assert abs(closure[1] - np.exp(-0.02j)) < 1e-15
-
-
-def test_sublevel_connected_for_monomial():
-    theta = BlaschkeProduct([0, 0])
-    report = sublevel_connectivity(theta, 0.5)
-    assert report.verdict == "connected"
-    assert report.components == 1
-
-
-def test_sublevel_disconnects_for_separated_zeros():
-    theta = BlaschkeProduct([0.8, -0.8])
-    report = sublevel_connectivity(theta, 0.05)
-    assert report.verdict == "disconnected"
-    assert report.components == 2
 
 
 def test_union_roots_joins_pairs():

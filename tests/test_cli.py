@@ -390,11 +390,26 @@ def test_nehari_reruns_byte_identical(tmp_path):
 
 
 def test_nehari_errors_fail_the_run(tmp_path):
-    # a quadrature cap too low for any instance: every one is an error
+    # a quadrature cap too low for any instance: every one is an error, and
+    # so is the certificate, whose dual lower bound needs the same quadrature
     code = run(["nehari", "--set", "quadrature.m_cap=256",
                 "--set", "nehari.instances=3", "--output-dir", str(tmp_path)])
     payload = json.loads((tmp_path / "nehari.json").read_text())
-    assert len(payload["errors"]) == 3
+    assert len(payload["errors"]) == 4
+    assert payload["errors"][-1].startswith("certificate: no dual lower bound")
+    assert payload["passed"] is False
+    assert code == 1
+
+
+@pytest.mark.parametrize("grid_m", [2, 3])
+def test_nehari_certificate_below_dual_bound_is_an_error(tmp_path, grid_m):
+    # on a grid smaller than the band a competitor interpolates conj(z), so
+    # the grid sup falls under the distance 1 that the dual solve bounds
+    code = run(["nehari", "--set", "nehari.instances=1", "--set", "nehari.max_degree=1",
+                "--set", f"nehari.grid_m={grid_m}", "--output-dir", str(tmp_path)])
+    payload = json.loads((tmp_path / "nehari.json").read_text())
+    assert payload["certificate"]["value"] < 1e-14
+    assert any(e.startswith("certificate: grid sup") for e in payload["errors"])
     assert payload["passed"] is False
     assert code == 1
 

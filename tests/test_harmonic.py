@@ -8,9 +8,7 @@ from ttolab.harmonic import (
     RationalSymbol,
     TrigPoly,
     adaptive_boundary_mean,
-    boundary_mean,
     boundary_norm,
-    fourier_coefficient,
     inner_product,
     poisson_extension,
     unit_nodes,
@@ -69,8 +67,8 @@ def test_trig_poly_horner_matches_term_by_term(r):
 
 def test_boundary_mean_of_powers():
     for k in (-3, -1, 1, 2, 5):
-        assert abs(boundary_mean(TrigPoly.z(k))) < 1e-14
-    assert abs(boundary_mean(TrigPoly.one()) - 1.0) < 1e-14
+        assert abs(adaptive_boundary_mean(TrigPoly.z(k))[0]) < 1e-14
+    assert abs(adaptive_boundary_mean(TrigPoly.one())[0] - 1.0) < 1e-14
 
 
 def test_inner_product_orthonormality():
@@ -79,22 +77,6 @@ def test_inner_product_orthonormality():
             val = inner_product(TrigPoly.z(j), TrigPoly.z(k))
             expect = 1.0 if j == k else 0.0
             assert abs(val - expect) < 1e-13
-
-
-def test_fourier_coefficient_extraction():
-    f = TrigPoly({-1: 2.0j, 0: -1.0, 4: 3.0})
-    assert abs(fourier_coefficient(f, -1) - 2.0j) < 1e-13
-    assert abs(fourier_coefficient(f, 0) + 1.0) < 1e-13
-    assert abs(fourier_coefficient(f, 4) - 3.0) < 1e-13
-    assert abs(fourier_coefficient(f, 2)) < 1e-13
-
-
-def test_fourier_coefficient_needs_two_alias_free_levels():
-    # |k| = 300 needs M = 1024 to start; a cap of 1024 leaves no doubling
-    f = TrigPoly({300: 1.0})
-    assert abs(fourier_coefficient(f, 300, QuadratureSettings(m_cap=2048)) - 1.0) < 1e-13
-    with pytest.raises(QuadratureError, match="aliasing"):
-        fourier_coefficient(f, 300, QuadratureSettings(m_cap=1024))
 
 
 def test_boundary_norm():
@@ -107,9 +89,10 @@ def test_rational_symbol_geometric_series():
     a = 0.7
     denom = TrigPoly({0: 1.0, -1: -a})
     sym = RationalSymbol(TrigPoly.one(), denom)
-    assert abs(boundary_mean(sym) - 1.0) < 1e-12
+    assert abs(adaptive_boundary_mean(sym)[0] - 1.0) < 1e-12
     # and its k-th nonpositive Fourier coefficient is a^{-k}
-    assert abs(fourier_coefficient(sym, -2) - a**2) < 1e-12
+    coeff, _ = adaptive_boundary_mean(lambda nodes: sym(nodes) * nodes**2)
+    assert abs(coeff - a**2) < 1e-12
 
 
 def test_rational_symbol_rejects_pole_on_circle():
